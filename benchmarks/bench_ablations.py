@@ -99,7 +99,7 @@ def test_ablation_deferred_delivery(benchmark, scale):
             for st in states:
                 latencies.append(
                     sim.run_until_event(st.done, limit=50_000_000).latency)
-        parks = sum(r.interface.iack.parks for r in net.routers)
+        parks = sum(i.iack.parks for i in net.interfaces)
         return {"deferred_delivery": deferred,
                 "mean_latency": float(np.mean(latencies)),
                 "p95_latency": float(np.percentile(latencies, 95)),

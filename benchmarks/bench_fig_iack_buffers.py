@@ -52,8 +52,8 @@ def _run(iack_buffers: int, width: int, concurrent: int, batches: int,
         "mean_latency": float(np.mean(latencies)) if latencies else float("inf"),
         "p95_latency": (float(np.percentile(latencies, 95))
                         if latencies else float("inf")),
-        "reserve_blocked": sum(r.interface.iack.reserve_blocked
-                               for r in net.routers),
+        "reserve_blocked": sum(i.iack.reserve_blocked
+                               for i in net.interfaces),
     }
 
 

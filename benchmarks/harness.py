@@ -2,38 +2,40 @@
 """Reproducible performance harness for the cycle engine.
 
 Runs a registry of figure workloads (mirroring the ``bench_fig_*``
-suite at CI scale) on ALL THREE cycle-engine kernels — the optimized
-``"fast"`` kernel, the frozen pre-optimization ``"legacy"`` reference
-(:mod:`repro.network.legacy`), and the structure-of-arrays
-cycle-skipping ``"soa"`` kernel (:mod:`repro.network.soa`) — in
-parallel worker processes, and emits ``BENCH_perf.json`` at the repo
-root with, per workload and kernel:
+suite at CI scale) in parallel worker processes and emits
+``BENCH_perf.json`` at the repo root with, per workload:
 
 * wall-clock seconds,
 * network cycles simulated (stepped + skipped) and cycles/second,
 * simulator callbacks dispatched (``Simulator.dispatched``) and
   dispatched/second,
 * the aggregated per-phase counters (:meth:`MeshNetwork.phase_counters`),
-* a SHA-256 digest of the workload's full numeric output — all
-  kernels must produce *identical* digests (bit-identical simulation),
-  and the harness exits non-zero if they ever disagree.
+* a SHA-256 digest of the workload's full numeric output.
+
+Two gates make the run exit non-zero: every workload must be
+run-to-run deterministic, and its digest, cycles and dispatch count
+must equal the committed :data:`BASELINE` for the scale (values every
+kernel the repository has had agreed on).  ``fig_iack_stall`` must also
+skip at least its pinned number of stalled cycles.
 
 It also records a **parallel-scaling** section: the representative
 sweep timed at ``jobs=1`` vs ``jobs=N`` through
 :func:`repro.runner.run_jobs` (the shared process-pool scheduler every
 sweep entry point uses), plus a cold-vs-warm result-cache replay — all
-four paths must digest-match (``parallel.deterministic_match``).
+paths must digest-match (``parallel.deterministic_match``).  With fewer
+than two CPUs the jobs=N timing is skipped and ``parallel_speedup`` is
+null: one CPU cannot show a speedup.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/harness.py            # full run
     PYTHONPATH=src python benchmarks/harness.py --smoke    # CI smoke
-    PYTHONPATH=src python benchmarks/harness.py --min-speedup 1.5
 
 ``--smoke`` shrinks every workload so the whole harness finishes in
 well under a minute; CI runs it on every push and uploads the JSON as
-an artifact.  The deeper bit-exactness proof over raw
-``TransactionRecord`` streams lives in ``tests/test_golden_kernel.py``.
+an artifact.  The bit-exactness proof over raw ``TransactionRecord``
+streams against the reference kernel lives in
+``tests/test_golden_kernel.py``.
 """
 
 from __future__ import annotations
@@ -53,22 +55,52 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:  # allow `python benchmarks/harness.py` directly
     sys.path.insert(0, _SRC)
 
-#: Kernel run order: legacy (baseline) first, then the optimized ones.
-KERNELS = ("legacy", "fast", "soa")
-
 #: The workload the acceptance criteria are judged on.
 REPRESENTATIVE = "fig_latency_vs_sharing"
 
-#: Network classes each kernel must have built (sanity check that the
-#: ``params.kernel`` knob actually reached ``make_network``).
-_EXPECTED_NETWORK = {"fast": "MeshNetwork", "legacy": "LegacyMeshNetwork",
-                     "soa": "SoaMeshNetwork"}
+#: Committed baseline per scale and workload: output digest, simulated
+#: cycles (stepped + skipped) and ``Simulator.dispatched``.  The object
+#: kernels and the cycle-skipping one all produced these values.
+BASELINE = {
+    "smoke": {
+        "fig_latency_vs_sharing": (
+            "1c83679d37ef854f35564bf3a22b33c886026e420b5f0a3e2c69c4c5fb17d98e",
+            1_841, 2_855),
+        "fig_column_traffic": (
+            "3bf471a9e4511deeac029610b38674a8a4656b85abe74c87e278bc1bd9be2548",
+            719, 1_058),
+        "fig_iack_buffers": (
+            "9a624f1236e3cc3b2ddb25da81e9f1b403d12fa52b5568cedd9a0f3f23135226",
+            280, 544),
+        "fig_iack_stall": (
+            "dfeb724af9616f7c525f0c2f1fe9926b02c47d840ca6aac347eff7169668d6f4",
+            12_294, 12_318),
+    },
+    "ci": {
+        "fig_latency_vs_sharing": (
+            "d92fa1c1474a06400b254f32f169d006fc7fa6a832f5435eb189e1e492f1b078",
+            32_890, 56_366),
+        "fig_column_traffic": (
+            "0efb78e57acbeb0b28d830625462282c563d5d49d32bff77050e995f3c089ffc",
+            5_183, 8_442),
+        "fig_iack_buffers": (
+            "e4d97d847a2db6a7949ab268e34a86597a888ec14b666c2ae7b55a3a9445e046",
+            660, 1_970),
+        "fig_iack_stall": (
+            "2c7bc1a98c949add58f9e9779027875af35f09ca0f14eed5559e3baee4c279d6",
+            121_176, 121_272),
+    },
+}
+
+#: Stalled cycles ``fig_iack_stall`` must skip per scale (cycle
+#: skipping's showcase: the i-ack wait windows).
+MIN_SKIPPED = {"smoke": 11_886, "ci": 119_544}
 
 
 # ----------------------------------------------------------------------
-# Workload registry — each entry: fn(scale, kernel) -> digestible result
+# Workload registry — each entry: fn(scale) -> digestible result
 # ----------------------------------------------------------------------
-def _wl_latency_vs_sharing(scale: str, kernel: str):
+def _wl_latency_vs_sharing(scale: str):
     """Figure E4 (the paper's central figure): latency vs sharing degree
     across all seven schemes — the representative workload."""
     from repro.analysis import run_invalidation_sweep
@@ -84,12 +116,12 @@ def _wl_latency_vs_sharing(scale: str, kernel: str):
         degrees = [1, 2, 4, 8, 16, 32]
         per = 5
     # result_cache off: a timing run must simulate, never replay.
-    params = paper_parameters(8, kernel=kernel, result_cache=False)
+    params = paper_parameters(8, result_cache=False)
     return run_invalidation_sweep(schemes, degrees, per_degree=per,
                                   params=params, seed=11)
 
 
-def _wl_column_traffic(scale: str, kernel: str):
+def _wl_column_traffic(scale: str):
     """Figure E6-style column-clustered sweep (dense BRCP chains)."""
     from repro.analysis import run_invalidation_sweep
     from repro.config import paper_parameters
@@ -97,19 +129,19 @@ def _wl_column_traffic(scale: str, kernel: str):
     schemes = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
     degrees = [2, 8] if scale == "smoke" else [2, 8, 16]
     per = 1 if scale == "smoke" else 4
-    params = paper_parameters(8, kernel=kernel, result_cache=False)
+    params = paper_parameters(8, result_cache=False)
     return run_invalidation_sweep(schemes, degrees, per_degree=per,
                                   params=params, kind="column", seed=7)
 
 
-def _wl_iack_buffers(scale: str, kernel: str):
+def _wl_iack_buffers(scale: str):
     """Figure E7-style i-ack buffer sensitivity: concurrent MI-MA
     transactions contending for reservation entries."""
     import numpy as np
 
     from repro.config import paper_parameters
     from repro.core import InvalidationEngine, build_plan
-    from repro.network import make_network
+    from repro.network import MeshNetwork
     from repro.sim import Simulator
     from repro.workloads.patterns import pattern_column_clustered
 
@@ -117,10 +149,9 @@ def _wl_iack_buffers(scale: str, kernel: str):
         else (4, 2, 10)
     rows = []
     for iack_buffers in (2, 4):
-        params = paper_parameters(8, iack_buffers=iack_buffers,
-                                  kernel=kernel)
+        params = paper_parameters(8, iack_buffers=iack_buffers)
         sim = Simulator()
-        net = make_network(sim, params, "ecube")
+        net = MeshNetwork(sim, params, "ecube")
         engine = InvalidationEngine(sim, net, params)
         rng = np.random.default_rng(5)
         latencies = []
@@ -138,24 +169,24 @@ def _wl_iack_buffers(scale: str, kernel: str):
         rows.append({"iack_buffers": iack_buffers,
                      "latencies": latencies,
                      "reserve_blocked": sum(
-                         r.interface.iack.reserve_blocked
-                         for r in net.routers)})
+                         iface.iack.reserve_blocked
+                         for iface in net.interfaces)})
     return rows
 
 
-def _wl_iack_stall(scale: str, kernel: str):
+def _wl_iack_stall(scale: str):
     """I-ack deposit stall windows: gather worms waiting out slow local
     invalidations (the paper's i-ack buffer protocol, section 5).  The
     network idles at a stalled fixed point for thousands of cycles per
-    round — the case the soa kernel's cycle skipping targets."""
+    round — the case cycle skipping targets."""
     from repro.config import paper_parameters
-    from repro.network import Worm, WormKind, make_network
+    from repro.network import MeshNetwork, Worm, WormKind
     from repro.sim import Simulator
 
     rounds, delay = (6, 2_000) if scale == "smoke" else (24, 5_000)
-    params = paper_parameters(8, deferred_delivery=False, kernel=kernel)
+    params = paper_parameters(8, deferred_delivery=False)
     sim = Simulator()
-    net = make_network(sim, params, "ecube")
+    net = MeshNetwork(sim, params, "ecube")
     net.deadlock_threshold = 10 * delay
     mesh = net.mesh
     home = mesh.node_at(2, 0)
@@ -208,29 +239,22 @@ def _digest(result) -> str:
     return hashlib.sha256(repr(canonical).encode()).hexdigest()
 
 
-def run_workload(name: str, scale: str, kernel: str) -> dict:
-    """Run one workload under one kernel, capturing timing, simulator
-    throughput, per-phase counters, and the output digest."""
+def run_workload(name: str, scale: str) -> dict:
+    """Run one workload, capturing timing, simulator throughput,
+    per-phase counters, and the output digest."""
     from repro.network import network as network_mod
 
     networks: list = []
     network_mod.PROFILE_REGISTRY = networks
     start = time.perf_counter()
     try:
-        result = WORKLOADS[name](scale, kernel)
+        result = WORKLOADS[name](scale)
     finally:
         network_mod.PROFILE_REGISTRY = None
     wall = time.perf_counter() - start
 
-    classes = sorted({type(net).__name__ for net in networks})
-    expected = _EXPECTED_NETWORK[kernel]
-    if classes != [expected]:
-        raise RuntimeError(
-            f"workload {name!r} with kernel={kernel!r} built {classes}, "
-            f"expected only {expected!r} — a construction site bypasses "
-            f"make_network()")
-    # Stepped + skipped is the kernel-invariant simulated-cycle total
-    # (the soa kernel jumps the clock over stalled windows).
+    # Stepped + skipped is the simulated-cycle total (the network jumps
+    # the clock over stalled windows).
     cycles = sum(net.cycles_stepped + net.cycles_skipped
                  for net in networks)
     sims = {id(net.sim): net.sim for net in networks}
@@ -253,35 +277,36 @@ def run_workload(name: str, scale: str, kernel: str) -> dict:
     }
 
 
-def bench_one(name: str, scale: str, repeats: int = 1) -> dict:
-    """Worker entry: run ``name`` on every kernel in this process.
+def baseline_problems(name: str, scale: str, run: dict) -> list[str]:
+    """How ``run`` departs from the committed baseline (empty = none)."""
+    digest, cycles, dispatched = BASELINE[scale][name]
+    problems = [f"{key} {run[key]} != pinned {want}"
+                for key, want in (("digest", digest), ("cycles", cycles),
+                                  ("dispatched", dispatched))
+                if run[key] != want]
+    skipped = run["counters"]["cycles_skipped"]
+    floor = MIN_SKIPPED[scale] if name == "fig_iack_stall" else 0
+    if skipped < floor:
+        problems.append(f"skipped {skipped} cycles < pinned {floor}")
+    return problems
 
-    With ``repeats > 1``, each kernel runs several times and the best
+
+def bench_one(name: str, scale: str, repeats: int = 1) -> dict:
+    """Worker entry: run ``name`` in this process.
+
+    With ``repeats > 1`` the workload runs several times and the best
     (minimum) wall time is kept — the standard way to damp scheduler and
-    cache noise.  Digests must agree across repeats AND kernels.
+    cache noise.  Digests must agree across repeats, and the run must
+    match the committed baseline (``pinned_match``; ``problems`` lists
+    any departure).
     """
-    entry: dict = {"workload": name}
-    for kernel in KERNELS:
-        runs = [run_workload(name, scale, kernel)
-                for _ in range(max(1, repeats))]
-        digests = {r["digest"] for r in runs}
-        if len(digests) != 1:
-            raise RuntimeError(
-                f"workload {name!r} kernel={kernel!r} is not "
-                f"run-to-run deterministic: {sorted(digests)}")
-        best = min(runs, key=lambda r: r["wall_s"])
-        best["repeats"] = len(runs)
-        entry[kernel] = best
-    legacy = entry["legacy"]
-    entry["speedups"] = {
-        kernel: (round(legacy["wall_s"] / entry[kernel]["wall_s"], 3)
-                 if entry[kernel]["wall_s"] > 0 else None)
-        for kernel in KERNELS if kernel != "legacy"}
-    # Kept for schema-2 consumers: fast-vs-legacy.
-    entry["speedup"] = entry["speedups"]["fast"]
-    entry["deterministic_match"] = len(
-        {entry[k]["digest"] for k in KERNELS}) == 1
-    return entry
+    runs = [run_workload(name, scale) for _ in range(max(1, repeats))]
+    entry = min(runs, key=lambda r: r["wall_s"])
+    entry["repeats"] = len(runs)
+    entry["deterministic_match"] = len({r["digest"] for r in runs}) == 1
+    entry["problems"] = baseline_problems(name, scale, entry)
+    entry["pinned_match"] = not entry["problems"]
+    return {"workload": name, **entry}
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +319,10 @@ def bench_parallel(scale: str, parallel_jobs: int = 0,
     Four runs of the *same* config through the shared scheduler:
     ``jobs=1`` (serial), ``jobs=N`` (process pool), a cold cached run
     (simulate + store, into a throwaway cache root), and a warm replay
-    (pure cache hits).  All four merged row streams must digest-match;
-    wall-clock ratios land in ``BENCH_perf.json["parallel"]``.
+    (pure cache hits).  All merged row streams must digest-match;
+    wall-clock ratios land in ``BENCH_perf.json["parallel"]``.  With
+    fewer than two CPUs the ``jobs=N`` run is skipped: its ratio would
+    measure pool overhead, not scaling.
     """
     from repro.analysis.experiments import run_invalidation_sweep
     from repro.config import paper_parameters
@@ -319,20 +346,31 @@ def bench_parallel(scale: str, parallel_jobs: int = 0,
                                       params=params, seed=11, **kwargs)
         return time.perf_counter() - start, _digest(rows)
 
+    cpu_count = os.cpu_count() or 1
     serial_wall, serial_digest = timed(jobs=1, use_cache=False)
-    parallel_wall, parallel_digest = timed(jobs=jobs_n, use_cache=False)
-    digests = {serial_digest, parallel_digest}
+    digests = {serial_digest}
     section = {
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": cpu_count,
         "jobs": jobs_n,
         "sweep": {"schemes": schemes, "degrees": degrees,
                   "per_degree": per},
         "serial_wall_s": round(serial_wall, 4),
-        "parallel_wall_s": round(parallel_wall, 4),
-        "parallel_speedup": (round(serial_wall / parallel_wall, 3)
-                             if parallel_wall > 0 else None),
+        "parallel_wall_s": None,
+        "parallel_speedup": None,
         "cache_measured": measure_cache,
     }
+    if cpu_count < 2:
+        section["parallel_note"] = (
+            f"jobs={jobs_n} timing skipped: {cpu_count} CPU cannot show "
+            f"a parallel speedup")
+    else:
+        parallel_wall, parallel_digest = timed(jobs=jobs_n,
+                                               use_cache=False)
+        digests.add(parallel_digest)
+        section["parallel_wall_s"] = round(parallel_wall, 4)
+        section["parallel_speedup"] = (
+            round(serial_wall / parallel_wall, 3)
+            if parallel_wall > 0 else None)
     if measure_cache:
         with tempfile.TemporaryDirectory(prefix="repro-cache-") as root:
             cache = ResultCache(root)
@@ -362,8 +400,8 @@ def bench_parallel(scale: str, parallel_jobs: int = 0,
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run the figure workloads on the legacy, fast, and "
-                    "soa kernels; emit BENCH_perf.json")
+        description="Run the figure workloads, check them against the "
+                    "committed baseline, and emit BENCH_perf.json")
     parser.add_argument("--smoke", action="store_true",
                         help="shrunken workloads for CI (seconds, not "
                              "minutes)")
@@ -379,17 +417,14 @@ def main(argv=None) -> int:
                         help="comma-separated subset of: "
                              + ", ".join(WORKLOADS))
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timed runs per kernel per workload, best "
-                             "wall kept (default: 3 full, 1 smoke)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless the representative workload's "
-                             "soa-vs-legacy speedup reaches this factor")
+                        help="timed runs per workload, best wall kept "
+                             "(default: 3 full, 1 smoke)")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the result-cache replay measurement "
                              "of the parallel-scaling section")
     parser.add_argument("--skip-parallel", action="store_true",
                         help="omit the parallel-scaling section "
-                             "entirely (kernel timings only)")
+                             "entirely (workload timings only)")
     parser.add_argument("--min-parallel-speedup", type=float,
                         default=None,
                         help="fail unless the jobs=N sweep speedup "
@@ -408,8 +443,8 @@ def main(argv=None) -> int:
     jobs = args.jobs or min(len(names), os.cpu_count() or 1)
     repeats = args.repeats or (1 if args.smoke else 3)
 
-    print(f"[harness] {len(names)} workload(s) x {len(KERNELS)} kernels, "
-          f"scale={scale}, jobs={jobs}, repeats={repeats}")
+    print(f"[harness] {len(names)} workload(s), scale={scale}, "
+          f"jobs={jobs}, repeats={repeats}")
     started = time.perf_counter()
     # Workload timings fan out through the shared sweep scheduler; no
     # cache keys — a timing run is never replayed from disk.
@@ -425,24 +460,28 @@ def main(argv=None) -> int:
                                   measure_cache=not args.no_cache)
     harness_wall = time.perf_counter() - started
 
-    ok = True
+    deterministic = pinned = True
     for entry in entries:
-        match = entry["deterministic_match"]
-        ok = ok and match
+        deterministic = deterministic and entry["deterministic_match"]
+        pinned = pinned and entry["pinned_match"]
+        status = ("matches baseline" if entry["pinned_match"]
+                  else "BASELINE MISMATCH: " + "; ".join(entry["problems"]))
+        if not entry["deterministic_match"]:
+            status = "NOT DETERMINISTIC; " + status
         print(f"[harness] {entry['workload']:<26} "
-              f"legacy {entry['legacy']['wall_s']:7.3f}s  "
-              f"fast {entry['fast']['wall_s']:7.3f}s "
-              f"({entry['speedups']['fast']:.2f}x)  "
-              f"soa {entry['soa']['wall_s']:7.3f}s "
-              f"({entry['speedups']['soa']:.2f}x)  "
-              f"{'bit-identical' if match else 'OUTPUT MISMATCH'}")
+              f"{entry['wall_s']:7.3f}s  {entry['cycles']:>8} cycles "
+              f"({entry['counters']['cycles_skipped']} skipped)  {status}")
 
     if parallel is not None:
-        ok = ok and parallel["deterministic_match"]
+        deterministic = deterministic and parallel["deterministic_match"]
         line = (f"[harness] parallel sweep: serial "
-                f"{parallel['serial_wall_s']:.3f}s  jobs="
-                f"{parallel['jobs']} {parallel['parallel_wall_s']:.3f}s  "
-                f"speedup {parallel['parallel_speedup']:.2f}x")
+                f"{parallel['serial_wall_s']:.3f}s  ")
+        if parallel["parallel_speedup"] is None:
+            line += parallel.get("parallel_note", "no jobs=N timing")
+        else:
+            line += (f"jobs={parallel['jobs']} "
+                     f"{parallel['parallel_wall_s']:.3f}s  speedup "
+                     f"{parallel['parallel_speedup']:.2f}x")
         if parallel.get("cache_replay_speedup") is not None:
             line += (f"  warm-cache replay "
                      f"{parallel['cache_warm_wall_s']:.3f}s "
@@ -451,10 +490,8 @@ def main(argv=None) -> int:
                       if parallel["deterministic_match"]
                       else "  OUTPUT MISMATCH"))
 
-    by_name = {e["workload"]: e for e in entries}
-    representative = by_name.get(REPRESENTATIVE)
     payload = {
-        "schema": 3,
+        "schema": 4,
         "generated_by": "benchmarks/harness.py",
         "generated_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
@@ -462,13 +499,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "harness_wall_s": round(harness_wall, 3),
-        "kernels": list(KERNELS),
         "representative": REPRESENTATIVE,
-        "representative_speedup": (representative["speedup"]
-                                   if representative else None),
-        "representative_speedup_soa": (representative["speedups"]["soa"]
-                                       if representative else None),
-        "all_deterministic": ok,
+        "all_deterministic": deterministic,
+        "all_pinned": pinned,
         "workloads": {e.pop("workload"): e for e in entries},
         "parallel": parallel,
     }
@@ -477,15 +510,13 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"[harness] wrote {args.out}")
 
-    if not ok:
-        print("[harness] FAIL: kernels disagreed on at least one "
-              "workload output", file=sys.stderr)
+    if not deterministic:
+        print("[harness] FAIL: a workload output differed between runs",
+              file=sys.stderr)
         return 1
-    if (args.min_speedup is not None and representative is not None
-            and representative["speedups"]["soa"] < args.min_speedup):
-        print(f"[harness] FAIL: representative soa speedup "
-              f"{representative['speedups']['soa']}x < "
-              f"{args.min_speedup}x", file=sys.stderr)
+    if not pinned:
+        print("[harness] FAIL: a workload departed from the committed "
+              "baseline", file=sys.stderr)
         return 1
     if (args.min_parallel_speedup is not None and parallel is not None
             and parallel["cpu_count"] >= 4

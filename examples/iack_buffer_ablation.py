@@ -39,8 +39,8 @@ def run_batch(iack_buffers: int, concurrent: int = 6, batches: int = 4,
         for st in states:
             record = sim.run_until_event(st.done, limit=20_000_000)
             latencies.append(record.latency)
-    blocked = sum(r.interface.iack.reserve_blocked for r in net.routers)
-    parks = sum(r.interface.iack.parks for r in net.routers)
+    blocked = sum(i.iack.reserve_blocked for i in net.interfaces)
+    parks = sum(i.iack.parks for i in net.interfaces)
     return {
         "iack_buffers": iack_buffers,
         "mean_latency": float(np.mean(latencies)),

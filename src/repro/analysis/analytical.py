@@ -22,8 +22,7 @@ from typing import Sequence
 from repro.brcp.encoding import header_flit_count
 from repro.brcp.model import path_length
 from repro.config import SystemParameters
-from repro.core.plan import (ACT_ACK, ACT_CHAIN, ACT_CHAIN_FINAL,
-                             ACT_DEPOSIT, ACT_GATHER_TERMINAL, ACT_LAUNCH,
+from repro.core.plan import (ACT_ACK, ACT_CHAIN_FINAL, ACT_LAUNCH,
                              ACT_PIECE, FINAL_HOME, FINAL_JUNCTION,
                              FINAL_TERMINAL, GatherSpec, InvalidationPlan,
                              JUNCTION_DEPOSIT, JUNCTION_LAUNCH,

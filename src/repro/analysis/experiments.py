@@ -26,7 +26,7 @@ from repro.coherence.system import DSMSystem
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.core.metrics import aggregate_records
-from repro.network import make_network
+from repro.network import MeshNetwork
 from repro.runner import (Job, params_key, resolve_execution,
                           resolve_policy, run_jobs)
 from repro.sim import Simulator, Tally
@@ -56,7 +56,7 @@ def _invalidation_scheme_job(scheme: str, degrees: tuple[int, ...],
     patterns = _draw_patterns(params, degrees, per_degree, kind, seed, home)
     routing = SCHEMES[scheme][1]
     sim = Simulator()
-    net = make_network(sim, params, routing)
+    net = MeshNetwork(sim, params, routing)
     engine = InvalidationEngine(sim, net, params)
     rows: list[dict] = []
     for degree in degrees:

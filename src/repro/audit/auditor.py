@@ -429,8 +429,8 @@ class Auditor:
                 f"still open at quiescence: "
                 f"{sorted(self.engine._txns)}")
         swallowed = leaked = 0
-        for router in net.routers:
-            iack = router.interface.iack
+        for iface in net.interfaces:
+            iack = iface.iack
             swallowed += iack.swallowed
             leaked += len(iack._entries)
         if leaked:

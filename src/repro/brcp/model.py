@@ -27,7 +27,6 @@ def _leg_orders(mesh, a: int, b: int) -> list[list[tuple[Port, int]]]:
     each order is a list of ``(direction, count)`` segments."""
     ax, ay = mesh.coords(a)
     bx, by = mesh.coords(b)
-    segs: list[tuple[Port, int]] = []
     if bx > ax:
         xseg = (Port.EAST, bx - ax)
     elif bx < ax:

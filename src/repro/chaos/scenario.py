@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.audit import Auditor, InvariantViolation
+from repro.audit import InvariantViolation
 from repro.coherence.processor import run_program
 from repro.coherence.system import DSMSystem
 from repro.config import paper_parameters

@@ -56,12 +56,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the sweep (0 = one "
                              "per CPU core; default: serial)")
-    parser.add_argument("--kernel", default=None,
-                        choices=["fast", "legacy", "soa"],
-                        help="cycle-engine kernel (default: fast); all "
-                             "kernels are bit-identical — legacy is the "
-                             "frozen reference, soa the structure-of-"
-                             "arrays cycle-skipping engine")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not populate the result "
                              "cache (.repro-cache/)")
@@ -382,15 +376,12 @@ def cmd_info(args) -> int:
 
 
 def _execution_params(args, **overrides):
-    """``paper_parameters`` with the ``--jobs``/``--no-cache``/
-    ``--kernel`` flags folded in (so validation raises the usual
-    :class:`ConfigError`)."""
+    """``paper_parameters`` with the ``--jobs``/``--no-cache`` flags
+    folded in (so validation raises the usual :class:`ConfigError`)."""
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     if args.no_cache:
         overrides["result_cache"] = False
-    if getattr(args, "kernel", None) is not None:
-        overrides["kernel"] = args.kernel
     return paper_parameters(args.mesh, **overrides)
 
 
@@ -793,16 +784,13 @@ def cmd_atlas(args) -> int:
             return 2
         axes[name] = tuple(int(v) if v.lstrip("-").isdigit() else v
                            for v in values.split(",") if v)
-    base: dict = {}
-    if getattr(args, "kernel", None) is not None:
-        base["kernel"] = args.kernel
     try:
         grid = ScreenGrid.make(
             meshes=tuple(tuple(m) for m in args.meshes),
             degrees=tuple(args.degrees),
             schemes=tuple(args.schemes), kind=args.kind,
             per_degree=args.per_degree, seed=args.seed,
-            axes=axes, base=base)
+            axes=axes)
         result = screen(grid)
     except (ConfigError, ValueError) as exc:
         print(f"invalid atlas grid: {exc}", file=sys.stderr)
@@ -878,9 +866,7 @@ def _run_profiled(args) -> int:
     print(stream.getvalue(), file=sys.stderr)
     for i, net in enumerate(networks):
         counters = net.phase_counters()
-        kernel = type(net).__name__
-        print(f"== network[{i}] ({kernel}) per-phase counters ==",
-              file=sys.stderr)
+        print(f"== network[{i}] per-phase counters ==", file=sys.stderr)
         for key, value in counters.items():
             shown = f"{value:.3f}" if isinstance(value, float) else value
             print(f"  {key:<22} {shown}", file=sys.stderr)

@@ -32,7 +32,7 @@ from repro.coherence.messages import CohType, coh_payload
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.faults import FaultPlan, TransactionFailed
-from repro.network import Worm, WormKind, make_network
+from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.worm import VNET_REPLY, VNET_REQUEST
 from repro.sim import Event, Facility, Simulator, Tally
 
@@ -74,7 +74,7 @@ class DSMSystem:
         #: after which invalidations broadcast to every node [16, 29].
         self.directory_pointers = directory_pointers
         routing = SCHEMES[scheme][1]
-        self.net = make_network(sim, params, routing)
+        self.net = MeshNetwork(sim, params, routing)
         # Cap concurrent i-ack-buffer transactions so that every router
         # interface can always satisfy its reservations (a transaction
         # needs at most two entries per interface) — without the cap,
@@ -599,8 +599,8 @@ class DSMSystem:
                 e = d.entry(b)
                 assert not e.busy and not e.queue, \
                     f"directory entry {b} at {d.home} not quiescent"
-        for r in self.net.routers:
-            assert not r.interface.iack._entries, \
-                f"leaked i-ack entries at node {r.node}"
+        for node, iface in enumerate(self.net.interfaces):
+            assert not iface.iack._entries, \
+                f"leaked i-ack entries at node {node}"
         if self.audit is not None:
             self.audit.final_check()

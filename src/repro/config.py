@@ -164,14 +164,6 @@ class SystemParameters:
     #: Multidestination header encoding: ``"bitstring"`` keeps a fixed
     #: header; ``"list"`` strips one header flit per visited destination.
     multidest_encoding: str = "bitstring"
-    #: Cycle-engine implementation used by :func:`repro.network.make_network`:
-    #: ``"fast"`` (the optimized object kernel), ``"legacy"`` (the frozen
-    #: pre-optimization reference in :mod:`repro.network.legacy`), or
-    #: ``"soa"`` (the structure-of-arrays cycle-skipping kernel in
-    #: :mod:`repro.network.soa`).  All three produce bit-identical
-    #: simulation results; ``"legacy"`` exists for the perf harness
-    #: baseline and golden-output tests, ``"soa"`` for large sweeps.
-    kernel: str = "fast"
     #: Runtime invariant auditing level: ``"off"`` (bit-identical,
     #: ≈zero overhead), ``"cheap"`` (event trail + transaction
     #: conservation + final sweep), or ``"full"`` (``cheap`` plus
@@ -255,8 +247,6 @@ class SystemParameters:
             raise ConfigError("fault delays must be >= 0")
         if self.detour_limit < 0:
             raise ConfigError("detour_limit must be >= 0")
-        if self.kernel not in ("fast", "legacy", "soa"):
-            raise ConfigError("kernel must be 'fast', 'legacy', or 'soa'")
         if self.audit not in ("off", "cheap", "full"):
             raise ConfigError("audit must be 'off', 'cheap', or 'full'")
         if self.jobs < 0:

@@ -55,7 +55,6 @@ def _ec_side_lists(mesh: Mesh2D, home: int,
                    sharers: Sequence[int]) -> list[list[int]]:
     """E-cube-conformant destination lists: per column, the home's-row
     sharer (if any) prefixes the first monotone side run."""
-    hy = mesh.coords(home)[1]
     lists: list[list[int]] = []
     for col, col_sharers in sorted(_by_column(mesh, sharers).items()):
         at_row, up, down = column_path_sides(mesh, home, col, col_sharers)

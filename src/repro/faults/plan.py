@@ -21,7 +21,7 @@ produce bit-identical results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

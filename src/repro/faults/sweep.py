@@ -31,7 +31,7 @@ from repro.config import SystemParameters, paper_parameters
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.faults.plan import FaultPlan, TransactionFailed
-from repro.network import make_network
+from repro.network import MeshNetwork
 from repro.runner import (Job, params_key, resolve_execution,
                           resolve_policy, run_jobs)
 from repro.sim import Simulator, Tally
@@ -119,7 +119,7 @@ def _run_point(scheme: str, prob: float, fault_plan: Optional[FaultPlan],
                patterns, params: SystemParameters) -> dict:
     routing = SCHEMES[scheme][1]
     sim = Simulator()
-    net = make_network(sim, params, routing)
+    net = MeshNetwork(sim, params, routing)
     engine = InvalidationEngine(sim, net, params)
     if fault_plan is not None and not fault_plan.empty:
         net.install_faults(fault_plan)

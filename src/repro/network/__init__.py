@@ -15,7 +15,8 @@ on: a ``k x k`` mesh of routers using wormhole switching [33], with
 * an SCI-style chained invalidation worm for comparison [11].
 
 The network advances on an integer cycle clock driven from the simulation
-kernel; it sleeps whenever no worm is in flight.
+calendar; it sleeps whenever no worm is in flight and skips cycles in
+which it provably cannot change (:mod:`repro.network.network`).
 """
 
 from repro.network.network import MeshNetwork
@@ -24,26 +25,6 @@ from repro.network.routing import (ECubeRouting, FaultAwareRouting, Routing,
                                    available_routings, make_routing)
 from repro.network.topology import Mesh2D, Port
 from repro.network.worm import Worm, WormKind
-
-
-def make_network(sim, params, routing: str = "ecube") -> MeshNetwork:
-    """Build the mesh network selected by ``params.kernel``.
-
-    ``"fast"`` (the default) is the optimized cycle engine; ``"legacy"``
-    is the frozen pre-optimization reference kernel used by the perf
-    harness and the golden determinism tests; ``"soa"`` is the
-    structure-of-arrays cycle-skipping kernel
-    (:mod:`repro.network.soa`).  All three produce bit-identical
-    simulation results.
-    """
-    if params.kernel == "legacy":
-        from repro.network.legacy import LegacyMeshNetwork
-        return LegacyMeshNetwork(sim, params, routing)
-    if params.kernel == "soa":
-        from repro.network.soa import SoaMeshNetwork
-        return SoaMeshNetwork(sim, params, routing)
-    return MeshNetwork(sim, params, routing)
-
 
 __all__ = [
     "ECubeRouting",
@@ -57,6 +38,5 @@ __all__ = [
     "Worm",
     "WormKind",
     "available_routings",
-    "make_network",
     "make_routing",
 ]

@@ -1,41 +1,70 @@
-"""The mesh network: step loop, injection, delivery, and statistics.
+"""The mesh network: one cycle engine over flat arrays.
 
-The network advances on an integer cycle clock registered as a simulation
-process.  Each cycle has three phases over the *busy* routers only:
+The network advances on an integer cycle clock driven from the
+simulation calendar.  Each cycle has three phases over the *busy* nodes
+only, in ascending node order:
 
-1. ``phase_decide`` — header routing countdowns and interface actions;
-2. ``phase_select`` — pick at most one flit per output link, one flit per
-   interface sink, one injected flit per virtual network;
-3. apply — execute all selected moves, so no flit travels more than one
+1. decide — header routing countdowns and interface actions: i-ack
+   reservations, gather pickups or parking, consumption-channel
+   acquisition, chain waits, and output-channel allocation;
+2. select — at most one flit per output link (round-robin over the
+   virtual networks sharing it), one per interface sink, and one
+   injected flit per virtual network;
+3. apply — execute the selected moves, so no flit travels more than one
    hop per cycle.
 
-The clock parks on an idle event whenever no router has work; injections
-and parked-worm releases wake it.  This keeps the cost of simulating an
-application proportional to the traffic, not to ``nodes x cycles``.
+Each router has five ports (N, S, E, W, LOCAL) and one input virtual
+channel (VC) per (port, virtual network).  A worm's header reaches the
+head of an input VC, spends ``router_delay`` cycles in ``ROUTING``, then
+stays in ``DECIDE`` until its interface actions and output allocation
+succeed.  Every resource it acquires is held while it stalls
+(hold-and-wait, as in real wormhole switching).  It then streams one
+flit per cycle in ``FORWARD`` / ``CONSUME`` / ``PARK``.  Worm kinds map
+onto interface behaviour as documented in :mod:`repro.network.worm`.
 
-Hot-path notes: the sorted busy-router order is cached and only rebuilt
-when the busy set actually changed (dirty flag maintained by
-:meth:`MeshNetwork._mark_busy` and the quiescence sweep); the
-``pending_moves`` list is reused across cycles; move tuples carry the
-interned integer tags from :mod:`repro.network.router`.  Per-phase visit
-counters (``phase_decide_visits``, ``phase_select_visits``,
-``moves_applied``, ``busy_sorts``) feed the ``--profile`` CLI flag and
-``benchmarks/harness.py``.  The pre-optimization kernel is preserved in
-:mod:`repro.network.legacy` for golden-output comparison.
+State layout (structure of arrays, "soa"): per-VC control state lives
+in parallel flat lists indexed by an integer *vid* ``(node * 5 + port)
+* V + vnet`` — buffer occupancy (which is also the credit state), VC
+state, routing countdown, output port, worm, and DECIDE context.
+Output-VC ownership is indexed by *oid* ``(node * 4 + port) * V +
+vnet``.  The only per-node objects are the :class:`RouterInterface`
+instances (consumption channels, i-ack buffer file),
+``net.interfaces[node]``.
+
+Clock: ``_tick`` is one calendar callback that steps cycles inline,
+advancing ``sim.now`` itself and counting each inline cycle in
+``sim.dispatched`` as if it were a scheduled tick, until a calendar
+event is due.  It parks off-calendar whenever no node is busy;
+injections and parked-worm releases wake it.  At a verified stalled
+fixed point — two consecutive cycles with no move, no routing
+countdown, and no fault plan armed — it jumps the clock to the cycle
+before the next calendar event, bounded by the deadlock threshold, and
+replays that fixed point's per-cycle ``cc_blocked`` /
+``reserve_blocked`` deltas for every skipped cycle.  The active run's
+cycle bound (:attr:`repro.sim.Simulator.bound`) counts as an event due
+one cycle past it, so neither stepping nor skipping carries the clock
+beyond ``run(until=...)`` or ``run_until_event(limit=...)``.
+
+``tests/reference_kernel.py`` keeps the frozen object-per-router kernel
+this engine replaced; the golden suite and the differential fuzzer
+prove the two bit-identical.  ``phase_counters`` feeds the ``--profile``
+CLI flag and ``benchmarks/harness.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.config import SystemParameters
 from repro.network.interface import RouterInterface
-from repro.network.router import (MOVE_CONSUME, MOVE_FWD, MOVE_INJECT,
-                                  MOVE_PARK, Router, VCState)
-from repro.network.routing import make_routing
-from repro.network.topology import MESH_PORTS, Mesh2D, OPPOSITE, Port
+from repro.network.routing import FT_SUFFIX, make_routing
+from repro.network.topology import MESH_PORTS, OPPOSITE, Mesh2D, Port
 from repro.network.worm import Worm, WormKind
 from repro.sim import Simulator, Tally
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.state import FaultState
 
 #: Delivery handler signature: ``handler(node, worm, final)`` where
 #: ``final`` is False for forward-and-absorb copies at intermediate
@@ -52,38 +81,36 @@ ChainHandler = Callable[[int, Worm], None]
 #: zero overhead beyond one comparison per network construction.
 PROFILE_REGISTRY: "list[MeshNetwork] | None" = None
 
-#: Counters in :meth:`MeshNetwork.phase_counters` that describe *how* a
-#: kernel ran rather than *what* it simulated.  Cross-kernel equality
-#: checks (the golden suite, the differential fuzzer, the perf harness)
-#: must exclude exactly this set; everything else is part of the
-#: simulated behaviour and must match bit-for-bit between kernels.
-KERNEL_PRIVATE_COUNTERS = frozenset({
-    "busy_sorts",          # legacy sorts every cycle, fast only on dirty
-    "busy_sort_rate",      # derived from busy_sorts
-    "phase_decide_visits",  # kernels elide no-op phase calls differently
-    "phase_select_visits",
-    "cycles_stepped",      # soa skips cycles legacy/fast step through
-    "cycles_skipped",      # ... but stepped + skipped is kernel-invariant
-})
+#: Input-VC control states.
+IDLE, ROUTING, DECIDE, FORWARD, CONSUME, PARK = range(6)
+
+#: Move tags (phase 2 → phase 3): ``(MOVE_FWD, vid, node, pi, oid,
+#: dvid)``, ``(MOVE_CONSUME, vid, node)``, ``(MOVE_PARK, vid, node)``,
+#: ``(MOVE_INJECT, node, vnet)``.
+MOVE_FWD, MOVE_CONSUME, MOVE_PARK, MOVE_INJECT = range(4)
+
+_IN_PORTS = 5   # N, S, E, W, LOCAL
+_OUT_PORTS = 4  # N, S, E, W
+_LOCAL = int(Port.LOCAL)
 
 
 class MeshNetwork:
     """Cycle-level wormhole-routed 2-D mesh."""
-
-    #: Router class this network builds; the legacy reference kernel
-    #: overrides it.
-    ROUTER_CLS = Router
 
     def __init__(self, sim: Simulator, params: SystemParameters,
                  routing: str = "ecube") -> None:
         self.sim = sim
         self.params = params
         self.mesh = Mesh2D(params.mesh_width, params.mesh_height)
-        from repro.network.routing import FT_SUFFIX
         if params.fault_aware_routing and not routing.endswith(FT_SUFFIX):
             routing = routing + FT_SUFFIX
         self.routing = make_routing(routing, self.mesh,
                                     detour_limit=params.detour_limit)
+        #: Per-node router interfaces (consumption channels, i-ack
+        #: buffer file, chain-done flags).
+        self.interfaces = [RouterInterface(params.consumption_channels,
+                                           params.iack_buffers)
+                           for _ in range(self.mesh.num_nodes)]
         self._build_state()
         # Handlers (installed by the coherence layer; default: collect).
         self.delivered_log: list[tuple[int, int, Worm, bool]] = []
@@ -113,11 +140,10 @@ class MeshNetwork:
         self.latency: dict[WormKind, Tally] = {
             kind: Tally(f"latency.{kind.value}") for kind in WormKind}
         self.cycles_stepped = 0
-        #: Cycles the kernel proved no-op and advanced past without
-        #: stepping (always 0 here and in legacy; the ``soa`` kernel
-        #: skips stalled windows, see :mod:`repro.network.soa`).
+        #: Cycles proved no-op and advanced past without stepping;
+        #: ``cycles_stepped + cycles_skipped`` is the simulated total.
         self.cycles_skipped = 0
-        #: Per-phase profiling counters: router visits per phase, moves
+        #: Per-phase profiling counters: node visits per phase, moves
         #: executed, and how often the busy order actually had to be
         #: re-sorted (``busy_sorts / cycles_stepped`` is the dirty rate).
         self.phase_decide_visits = 0
@@ -129,7 +155,6 @@ class MeshNetwork:
         self.pending_moves: list[tuple] = []
         self.busy: set[int] = set()
         self._busy_order: list[int] = []
-        self._busy_routers: list[Router] = []
         self._busy_dirty = False
         self._idle_event = None
         self._stalled_cycles = 0
@@ -140,37 +165,75 @@ class MeshNetwork:
         #: MI-MA transactions with a single i-ack buffer) stalls forever;
         #: raising beats silently spinning.
         self.deadlock_threshold = 100_000
+        # Cycle-skip machinery: consecutive provably-quiet steps (2 =
+        # verified fixed point) and the per-stall-cycle counter deltas
+        # measured on the fixed point's second cycle.
+        self._quiet_steps = 0
+        self._stall_delta: list = []
+        #: Set to a list to record ``(from_cycle, skipped, next_event)``
+        #: per skip — used by the golden quiescence property test.
+        self._skip_trace: list | None = None
         self._start_clock()
         if PROFILE_REGISTRY is not None:
             PROFILE_REGISTRY.append(self)
 
     def _build_state(self) -> None:
-        """Construct the per-node simulation state: one ``ROUTER_CLS``
-        per node, wired channel-by-channel.  The soa kernel overrides
-        this with flat-array state (:mod:`repro.network.soa`)."""
+        """Allocate the flat per-VC, per-output and per-node arrays."""
         params = self.params
-        router_cls = self.ROUTER_CLS
-        self.routers: list[Router] = []
-        for node in self.mesh.nodes():
-            x, y = self.mesh.coords(node)
-            interface = RouterInterface(params.consumption_channels,
-                                        params.iack_buffers)
-            self.routers.append(router_cls(node, x, y, params.num_vnets,
-                                           params.vc_buffer_depth,
-                                           params.router_delay, interface))
-        # Wire up the per-channel downstream targets.
-        for router in self.routers:
+        mesh = self.mesh
+        num_nodes = mesh.num_nodes
+        V = self._V = params.num_vnets
+        self._depth = params.vc_buffer_depth
+        self._router_delay = params.router_delay
+        nv = num_nodes * _IN_PORTS * V
+        no = num_nodes * _OUT_PORTS * V
+        # Per-vid (input virtual channel) state, parallel flat arrays.
+        self._occ = [0] * nv          # buffer occupancy == credit state
+        self._vstate = [IDLE] * nv
+        self._countdown = [0] * nv
+        self._outport = [-1] * nv
+        self._absorb = [False] * nv
+        self._worm: list = [None] * nv
+        #: DECIDE bookkeeping so retries never double-acquire resources.
+        self._ctx: list = [{} for _ in range(nv)]
+        #: Flit FIFOs of ``(worm, flit_index)``; index 0 is the header.
+        self._buf = [deque() for _ in range(nv)]
+        self._in_act = [False] * nv
+        # Per-oid (output virtual channel) ownership: owning vid or -1.
+        self._owner = [-1] * no
+        # Per-node aggregates and worklists: round-robin pointers, owned
+        # outputs (per node and per port), draining sinks, vnets with
+        # injection work, and the VCs with work in activation order
+        # (activation order = arbitration order).
+        self._rr = [0] * (num_nodes * _OUT_PORTS)
+        self._owned = [0] * num_nodes
+        self._owned_ports = [0] * (num_nodes * _OUT_PORTS)
+        self._sinks = [0] * num_nodes
+        self._inject_work = [0] * num_nodes
+        self._active: list[dict[int, None]] = [{} for _ in range(num_nodes)]
+        # Per-(node, vnet) injection queues and the worm serializing in.
+        self._inj_q = [deque() for _ in range(num_nodes * V)]
+        self._inj_active: list = [None] * (num_nodes * V)
+        # Static maps: vid -> Port / node, oid -> downstream vid,
+        # (node, port) -> interned link-statistics key.
+        self._v_port = [Port(p) for _ in range(num_nodes)
+                        for p in range(_IN_PORTS) for _ in range(V)]
+        self._v_node = [vid // (_IN_PORTS * V) for vid in range(nv)]
+        self._down_vid = [-1] * no
+        self._link_keys: list = [None] * (num_nodes * _OUT_PORTS)
+        for node in mesh.nodes():
             for port in MESH_PORTS:
-                neighbor_id = self.mesh.neighbor(router.node, port)
-                if neighbor_id is None:
+                self._link_keys[node * _OUT_PORTS + port] = (node, port)
+                neighbor = mesh.neighbor(node, port)
+                if neighbor is None:
                     continue
-                neighbor = self.routers[neighbor_id]
-                for vnet in range(params.num_vnets):
-                    router.set_link(port, vnet, neighbor,
-                                    neighbor.in_vcs[(OPPOSITE[port], vnet)])
+                opp = OPPOSITE[port]
+                for vnet in range(V):
+                    self._down_vid[(node * _OUT_PORTS + port) * V + vnet] = \
+                        (neighbor * _IN_PORTS + opp) * V + vnet
 
     # ------------------------------------------------------------------
-    # Public API
+    # Public API (every external mutation invalidates the fixed point)
     # ------------------------------------------------------------------
     def install_faults(self, plan) -> "FaultState":
         """Attach a :class:`~repro.faults.plan.FaultPlan` to this network;
@@ -182,6 +245,7 @@ class MeshNetwork:
         and the injection filter consult the live fault map."""
         from repro.faults.state import FaultState
         from repro.network.routing import FaultAwareRouting
+        self._quiet_steps = 0
         routing = self.routing
         base = routing.base if isinstance(routing, FaultAwareRouting) \
             else routing
@@ -210,7 +274,7 @@ class MeshNetwork:
                 self._drop(worm, *fate)
                 return
         worm.injected_at = self.sim.now
-        self.routers[worm.src].enqueue_inject(worm)
+        self._enqueue_inject(worm.src, worm)
         self.injected += 1
         self._mark_busy(worm.src)
         self._wake()
@@ -220,14 +284,16 @@ class MeshNetwork:
 
         If an i-gather worm was parked on the entry it resumes here.
         """
-        released = self.routers[node].interface.iack.deposit(key, count)
+        self._quiet_steps = 0
+        released = self.interfaces[node].iack.deposit(key, count)
         if released is not None:
             self._reinject(node, released)
 
     def signal_chain_done(self, node: int, txn: Hashable) -> None:
         """Tell a waiting chain worm that ``node`` finished its local
         invalidation for transaction ``txn``."""
-        self.routers[node].interface.chain_done.add((txn, node))
+        self._quiet_steps = 0
+        self.interfaces[node].chain_done.add((txn, node))
         self._mark_busy(node)
         self._wake()
 
@@ -239,19 +305,13 @@ class MeshNetwork:
         :meth:`IAckBufferFile.purge_txn`) and drops its chain-done flags.
         Returns the number of i-ack entries freed.
         """
+        self._quiet_steps = 0
         freed = 0
-        for router in self.routers:
-            iface = router.interface
+        for iface in self.interfaces:
             freed += iface.iack.purge_txn(txn)
             iface.chain_done -= {k for k in iface.chain_done
                                  if k[0] == txn}
         return freed
-
-    def neighbor_router(self, node: int, port: Port) -> Router:
-        """Adjacent router through ``port`` (must exist)."""
-        neighbor = self.mesh.neighbor(node, port)
-        assert neighbor is not None, "routed off the mesh edge"
-        return self.routers[neighbor]
 
     @staticmethod
     def gather_key(worm: Worm, node: int) -> tuple:
@@ -266,21 +326,14 @@ class MeshNetwork:
         """Per-phase profiling counters (the ``--profile`` CLI flag and
         the perf harness report these).
 
-        Two classes of counters come back.  *Shared* counters describe
-        the simulated machine and are bit-identical across the
-        ``legacy``/``fast``/``soa`` kernels: ``moves_applied``,
-        ``total_flit_hops``, ``injected``, ``delivered``,
-        ``worms_dropped``, ``detours``, and ``swallowed``.  *Kernel-
-        private* counters (module constant
-        :data:`KERNEL_PRIVATE_COUNTERS`) describe how the kernel
-        executed and legitimately differ: ``busy_sorts`` /
-        ``busy_sort_rate`` (legacy re-sorts every cycle, fast only when
-        the busy set changed), ``phase_decide_visits`` /
-        ``phase_select_visits`` (kernels elide no-op phase calls
-        differently), and ``cycles_stepped`` / ``cycles_skipped`` (the
-        soa kernel skips provably-stalled windows; the *sum* of the two
-        is kernel-invariant).  Cross-kernel comparisons must filter the
-        private set instead of hand-picking keys.
+        ``moves_applied``, ``total_flit_hops``, ``injected``,
+        ``delivered``, ``worms_dropped``, ``detours`` and ``swallowed``
+        describe the simulated machine.  ``cycles_stepped`` /
+        ``cycles_skipped`` split the simulated cycles into those stepped
+        and those skipped at stalled fixed points; ``busy_sorts`` /
+        ``busy_sort_rate`` count rebuilds of the busy-node order; and
+        ``phase_decide_visits`` / ``phase_select_visits`` count node
+        visits per phase.
         """
         cycles = self.cycles_stepped
         return {
@@ -298,8 +351,8 @@ class MeshNetwork:
             # chaos runner, audit reports, and the fault sweeps).
             "worms_dropped": self.worms_dropped,
             "detours": self.detours,
-            "swallowed": sum(r.interface.iack.swallowed
-                             for r in self.routers),
+            "swallowed": sum(iface.iack.swallowed
+                             for iface in self.interfaces),
         }
 
     # ------------------------------------------------------------------
@@ -336,10 +389,23 @@ class MeshNetwork:
             self.sim.call_after(self.params.fault_nack_delay,
                                 lambda: handler(worm, reason))
 
+    def _enqueue_inject(self, node: int, worm: Worm,
+                        front: bool = False) -> None:
+        """Queue ``worm`` for injection at ``node`` on its vnet."""
+        self._quiet_steps = 0
+        qi = node * self._V + worm.vnet
+        queue = self._inj_q[qi]
+        if not queue and self._inj_active[qi] is None:
+            self._inject_work[node] += 1
+        if front:
+            queue.appendleft(worm)
+        else:
+            queue.append(worm)
+
     def _reinject(self, node: int, worm: Worm) -> None:
         """Resume a parked worm from this router's local port (it bypasses
         the node's outgoing controller: the router interface re-injects)."""
-        self.routers[node].enqueue_inject(worm, front=True)
+        self._enqueue_inject(node, worm, front=True)
         self._mark_busy(node)
         self._wake()
 
@@ -355,26 +421,68 @@ class MeshNetwork:
         if self._idle_event is not None and not self._idle_event.triggered:
             self._idle_event.succeed()
 
+    # ------------------------------------------------------------------
+    # Clock: inline cycle loop with event-driven skipping
+    # ------------------------------------------------------------------
     def _start_clock(self) -> None:
-        """Arm the cycle driver.  The optimized kernel self-reschedules
-        a plain callback — one heap entry per cycle, no generator resume
-        or yield-type dispatch (the legacy kernel overrides this with
-        the original generator-based clock process)."""
         self.sim.call_at(self.sim.now, self._tick)
 
     def _tick(self) -> None:
         if not self.busy:
-            # Park off-calendar until traffic arrives, exactly like the
-            # generator clock's ``yield idle_event``.
+            # Park off-calendar until traffic arrives.
             event = self._idle_event = self.sim.event("network.idle")
             event.add_callback(self._wake_tick)
             return
-        self.step()
-        self.sim.call_after(1, self._tick)
+        sim = self.sim
+        busy = self.busy
+        step = self.step
+        # The active run's cycle bound acts as an event due one cycle
+        # past it: the loop stops there like at any due event.
+        bound = sim.bound
+        stop = None if bound is None else bound + 1
+        step()
+        while busy:
+            nxt = sim.now + 1
+            p = sim.peek()
+            if stop is not None and (p is None or p > stop):
+                p = stop
+            if p is not None and p <= nxt:
+                # Calendar work due this or next cycle: hand control
+                # back so callbacks interleave exactly as they would
+                # with one scheduled tick per cycle.
+                break
+            if self._quiet_steps >= 2 and self.faults is None:
+                # Verified stalled fixed point: nothing can change until
+                # the next calendar event (externally) or the deadlock
+                # threshold (internally).  Jump.
+                n = self.deadlock_threshold - self._stalled_cycles - 1
+                if p is not None:
+                    horizon = p - nxt
+                    if horizon < n:
+                        n = horizon
+                if n > 0:
+                    if self._skip_trace is not None:
+                        self._skip_trace.append((sim.now, n, p))
+                    sim.now += n
+                    sim.dispatched += n   # the ticks a stepping clock runs
+                    self.cycles_skipped += n
+                    self._stalled_cycles += n
+                    for iface, cc_d, res_d in self._stall_delta:
+                        if cc_d:
+                            iface.cc_blocked += cc_d * n
+                        if res_d:
+                            iface.iack.reserve_blocked += res_d * n
+                    continue
+                # n <= 0: the next cycle must be stepped for real (it is
+                # the one that crosses the deadlock threshold).
+            sim.now = nxt
+            sim.dispatched += 1   # the tick dispatch this inlining elides
+            step()
+        sim.call_after(1, self._tick)
 
     def _wake_tick(self, _event) -> None:
-        # Resume on a fresh callback (mirroring Process._resume_later)
-        # so wake ordering matches other same-cycle callbacks.
+        # Resume on a fresh callback so wake ordering matches other
+        # same-cycle callbacks.
         self.sim.call_at(self.sim.now, self._resume_tick)
 
     def _resume_tick(self) -> None:
@@ -382,157 +490,524 @@ class MeshNetwork:
         self._tick()
 
     # ------------------------------------------------------------------
-    # One network cycle
+    # One network cycle over the flat arrays
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance every busy router by one cycle (three phases)."""
+        """Advance every busy node by one cycle (three phases)."""
         self.cycles_stepped += 1
+        busy = self.busy
         if self._busy_dirty:
-            routers = self.routers
-            order = self._busy_order = sorted(self.busy)
-            self._busy_routers = [routers[n] for n in order]
+            order = self._busy_order = sorted(busy)
             self._busy_dirty = False
             self.busy_sorts += 1
-        active = self._busy_routers
-        # Phase calls that would be no-ops are elided with attribute
-        # checks (cheaper than the call): phase_decide only walks
-        # _active_vcs; phase_select only looks at owned outputs, sinks,
-        # and injection work.
-        for router in active:
-            if router._active_vcs:
-                router.phase_decide(self)
+        else:
+            order = self._busy_order
+        armed = self._quiet_steps == 1
+        if armed:
+            interfaces = self.interfaces
+            snap = [(interfaces[n], interfaces[n].cc_blocked,
+                     interfaces[n].iack.reserve_blocked) for n in order]
+        active = self._active
+        vstate = self._vstate
+        occ = self._occ
+        buf = self._buf
+        V = self._V
+
+        # Phase 1: routing countdowns and DECIDE resolution, in
+        # activation order per node.
+        countdown = self._countdown
+        worms = self._worm
+        in_act = self._in_act
+        resolve = self._resolve
+        # The DECIDE cycle itself accounts for one cycle of the routing
+        # delay, so count down from router_delay - 1.
+        delay1 = self._router_delay - 1
+        if delay1 < 0:
+            delay1 = 0
+        for node in order:
+            act = active[node]
+            if not act:
+                continue
+            retire = None
+            # Nothing in DECIDE resolution activates VCs (activations
+            # happen in phase 3), so iterating the dict is safe.
+            for vid in act:
+                s = vstate[vid]
+                if s == IDLE:
+                    if not occ[vid]:
+                        # Lazy cleanup: went idle last apply phase.
+                        if retire is None:
+                            retire = [vid]
+                        else:
+                            retire.append(vid)
+                        continue
+                    worm, idx = buf[vid][0]
+                    assert idx == 0, "non-header flit at head of idle VC"
+                    worms[vid] = worm
+                    if delay1:
+                        vstate[vid] = ROUTING
+                        countdown[vid] = delay1
+                    else:
+                        vstate[vid] = DECIDE
+                        resolve(vid, node)
+                elif s == ROUTING:
+                    cd = countdown[vid] - 1
+                    countdown[vid] = cd
+                    if cd <= 0:
+                        vstate[vid] = DECIDE
+                        resolve(vid, node)
+                elif s == DECIDE:
+                    resolve(vid, node)
+            if retire is not None:
+                for vid in retire:
+                    in_act[vid] = False
+                    del act[vid]
+
+        # Phase 2: one flit per output link (round-robin over vnets),
+        # one per sink, one injected flit per vnet.
         moves = self.pending_moves
-        for router in active:
-            if router._owned or router._sinks or router._inject_work:
-                router.phase_select(self)
+        owner = self._owner
+        owned = self._owned
+        owned_ports = self._owned_ports
+        rr = self._rr
+        down_vid = self._down_vid
+        depth = self._depth
+        sinks = self._sinks
+        inject_work = self._inject_work
+        inj_active = self._inj_active
+        inj_q = self._inj_q
+        for node in order:
+            if owned[node]:
+                pbase = node * _OUT_PORTS
+                for port in range(_OUT_PORTS):
+                    pi = pbase + port
+                    if not owned_ports[pi]:
+                        continue
+                    obase = pi * V
+                    start = rr[pi]
+                    for offset in range(V):
+                        vnet = start + offset
+                        if vnet >= V:
+                            vnet -= V
+                        vid = owner[obase + vnet]
+                        if vid < 0 or vstate[vid] != FORWARD \
+                                or not occ[vid]:
+                            continue
+                        dvid = down_vid[obase + vnet]
+                        if occ[dvid] >= depth:
+                            continue  # no credit downstream
+                        moves.append((MOVE_FWD, vid, node, pi,
+                                      obase + vnet, dvid))
+                        vnet += 1
+                        rr[pi] = vnet if vnet < V else 0
+                        break
+            if sinks[node]:
+                for vid in active[node]:
+                    s = vstate[vid]
+                    if s == CONSUME:
+                        if occ[vid]:
+                            moves.append((MOVE_CONSUME, vid, node))
+                    elif s == PARK and occ[vid]:
+                        moves.append((MOVE_PARK, vid, node))
+            if inject_work[node]:
+                qbase = node * V
+                lbase = (node * _IN_PORTS + _LOCAL) * V
+                for vnet in range(V):
+                    qi = qbase + vnet
+                    if inj_active[qi] is None and not inj_q[qi]:
+                        continue
+                    if occ[lbase + vnet] >= depth:
+                        continue
+                    moves.append((MOVE_INJECT, node, vnet))
+
+        # Phase 3: apply, in selection order.
         nmoves = len(moves)
-        busy = self.busy
         if nmoves:
-            # MOVE_FWD dominates the move stream, so its apply body is
-            # inlined here; everything else goes through _apply.
-            apply_other = self._apply
+            total_hops = 0
             link_use = self.link_use
+            link_keys = self._link_keys
+            v_node = self._v_node
+            outport = self._outport
+            absorb = self._absorb
+            ctx = self._ctx
+            interfaces = self.interfaces
+            deliver = self._deliver
+            chain = WormKind.CHAIN
             for move in moves:
-                if move[0] != MOVE_FWD:
-                    apply_other(move)
-                    continue
-                _, router, vc, port, neighbor, dst_vc = move
-                flit = vc.buffer.popleft()
-                worm, idx = flit
-                dst_vc.buffer.append(flit)
-                if not dst_vc.in_active:
-                    dst_vc.in_active = True
-                    neighbor._active_vcs[dst_vc] = None
-                nnode = neighbor.node
-                if nnode not in busy:
-                    busy.add(nnode)
-                    self._busy_dirty = True
-                worm.flit_hops += 1
-                self.total_flit_hops += 1
-                link_use[router._link_keys[port]] += 1
-                if idx == worm.size_flits - 1:  # tail left this router
-                    if vc.absorb:
-                        router.interface.release_cc()
-                        if worm.kind is not WormKind.CHAIN:
-                            self._deliver(router.node, worm, final=False)
-                    router.release_output(vc)
-                    vc.reset_control()
+                tag = move[0]
+                if tag == MOVE_FWD:
+                    _, vid, node, pi, oid, dvid = move
+                    flit = buf[vid].popleft()
+                    occ[vid] -= 1
+                    buf[dvid].append(flit)
+                    occ[dvid] += 1
+                    dnode = v_node[dvid]
+                    if not in_act[dvid]:
+                        in_act[dvid] = True
+                        active[dnode][dvid] = None
+                    if dnode not in busy:
+                        busy.add(dnode)
+                        self._busy_dirty = True
+                    worm, idx = flit
+                    worm.flit_hops += 1
+                    total_hops += 1
+                    link_use[link_keys[pi]] += 1
+                    if idx == worm.size_flits - 1:  # tail left this node
+                        if absorb[vid]:
+                            interfaces[node].release_cc()
+                            # Chain worms already delivered at header
+                            # time (the node's invalidation gated them).
+                            if worm.kind is not chain:
+                                deliver(node, worm, False)
+                        owner[oid] = -1
+                        owned[node] -= 1
+                        owned_ports[pi] -= 1
+                        vstate[vid] = IDLE
+                        countdown[vid] = 0
+                        worms[vid] = None
+                        outport[vid] = -1
+                        absorb[vid] = False
+                        ctx[vid] = {}
+                elif tag == MOVE_CONSUME:
+                    _, vid, node = move
+                    worm, idx = buf[vid].popleft()
+                    occ[vid] -= 1
+                    if idx == worm.size_flits - 1:
+                        interfaces[node].release_cc()
+                        sinks[node] -= 1
+                        vstate[vid] = IDLE
+                        countdown[vid] = 0
+                        worms[vid] = None
+                        outport[vid] = -1
+                        absorb[vid] = False
+                        ctx[vid] = {}
+                        deliver(node, worm, True)
+                elif tag == MOVE_PARK:
+                    _, vid, node = move
+                    worm, idx = buf[vid].popleft()
+                    occ[vid] -= 1
+                    if idx == worm.size_flits - 1:
+                        sinks[node] -= 1
+                        vstate[vid] = IDLE
+                        countdown[vid] = 0
+                        worms[vid] = None
+                        outport[vid] = -1
+                        absorb[vid] = False
+                        ctx[vid] = {}
+                        key = (worm.txn, worm.pickup_level)
+                        released = interfaces[node].iack \
+                            .finish_park_drain(key)
+                        if released is not None:
+                            self._reinject(node, released)
+                else:  # MOVE_INJECT
+                    _, node, vnet = move
+                    qi = node * V + vnet
+                    entry = inj_active[qi]
+                    if entry is None:
+                        worm = inj_q[qi].popleft()
+                        idx = 0
+                    else:
+                        worm, idx = entry
+                    lvid = (node * _IN_PORTS + _LOCAL) * V + vnet
+                    buf[lvid].append((worm, idx))
+                    occ[lvid] += 1
+                    if not in_act[lvid]:
+                        in_act[lvid] = True
+                        active[node][lvid] = None
+                    idx += 1
+                    if idx < worm.size_flits:
+                        inj_active[qi] = (worm, idx)
+                    else:
+                        inj_active[qi] = None
+                        if not inj_q[qi]:
+                            inject_work[node] -= 1
             moves.clear()
             self.moves_applied += nmoves
-        for router in active:
-            if not router._active_vcs and not router._inject_work:
-                busy.discard(router.node)
+            self.total_flit_hops += total_hops
+
+        # Quiescence sweep and stall/fixed-point bookkeeping.
+        for node in order:
+            if not active[node] and not inject_work[node]:
+                busy.discard(node)
                 self._busy_dirty = True
-        nrouters = len(active)
+        nrouters = len(order)
         self.phase_decide_visits += nrouters
         self.phase_select_visits += nrouters
         if nmoves:
             self._stalled_cycles = 0
-        elif busy and not self._any_routing(active):
+            self._quiet_steps = 0
+            return
+        routing_seen = False
+        for node in order:
+            for vid in active[node]:
+                if vstate[vid] == ROUTING:
+                    routing_seen = True
+                    break
+            if routing_seen:
+                break
+        if busy and not routing_seen:
             self._stalled_cycles += 1
             if self._stalled_cycles >= self.deadlock_threshold:
                 self._report_deadlock()
+            if armed:
+                # Second consecutive quiet cycle: the state is now a
+                # fixed point and this cycle's counter deltas repeat
+                # verbatim every further stalled cycle.
+                delta = []
+                for iface, cc0, res0 in snap:
+                    cc_d = iface.cc_blocked - cc0
+                    res_d = iface.iack.reserve_blocked - res0
+                    if cc_d or res_d:
+                        delta.append((iface, cc_d, res_d))
+                self._stall_delta = delta
+                self._quiet_steps = 2
+            elif self._quiet_steps == 0:
+                self._quiet_steps = 1
+            # _quiet_steps == 2 persists across no-op calendar events.
+        else:
+            self._quiet_steps = 0
 
-    def _any_routing(self, active) -> bool:
-        routing = VCState.ROUTING
-        for router in active:
-            for vc in router._active_vcs:
-                if vc.state is routing:
-                    return True
+    # ------------------------------------------------------------------
+    # DECIDE resolution
+    # ------------------------------------------------------------------
+    def _resolve(self, vid: int, node: int) -> None:
+        """One DECIDE attempt.  May leave the VC in DECIDE (stalled with
+        whatever resources it already holds), or move it to FORWARD /
+        CONSUME / PARK."""
+        worm = self._worm[vid]
+        assert worm is not None
+        if worm.next_dest != node:
+            self._alloc_output(vid, node, worm.next_dest, False)
+            return
+        kind = worm.kind
+        final = worm.at_last_leg
+        if kind is WormKind.IGATHER:
+            if final:
+                self._to_consume(vid, node)
+            else:
+                self._resolve_gather(vid, node, worm)
+            return
+        if kind is WormKind.CHAIN and not final:
+            self._resolve_chain(vid, node, worm)
+            return
+        # UNICAST / MULTICAST / IRESERVE (+ CHAIN at its final stop).
+        ctx = self._ctx[vid]
+        if kind is WormKind.IRESERVE and not ctx.get("reserved"):
+            if not self._do_reservations(worm, node):
+                return  # buffer full; retry next cycle
+            ctx["reserved"] = True
+        if final:
+            self._to_consume(vid, node)
+            return
+        # Intermediate destination of MULTICAST / IRESERVE.
+        delivers = worm.delivers_at(node)
+        if delivers and not ctx.get("cc"):
+            if not self.interfaces[node].try_acquire_cc():
+                return  # no consumption channel; retry next cycle
+            ctx["cc"] = True
+        next_dest = worm.dests[worm.ptr + 1]
+        if self._alloc_output(vid, node, next_dest, delivers):
+            worm.advance()
+
+    def _resolve_gather(self, vid: int, node: int, worm: Worm) -> None:
+        """i-gather worm at an intermediate destination: pick the ack up,
+        or park (deferred delivery), or stall."""
+        key = (worm.txn, worm.pickup_level)
+        ctx = self._ctx[vid]
+        iack = self.interfaces[node].iack
+        if not ctx.get("picked"):
+            count = iack.try_pickup(key)
+            if count is None:
+                if self.params.deferred_delivery:
+                    if iack.try_park(key, worm):
+                        worm.advance()
+                        self._vstate[vid] = PARK
+                        self._sinks[node] += 1
+                    # else: file full, stall in place and retry.
+                return
+            worm.acks_carried += count
+            ctx["picked"] = True
+        next_dest = worm.dests[worm.ptr + 1]
+        if self._alloc_output(vid, node, next_dest, False):
+            worm.advance()
+
+    def _resolve_chain(self, vid: int, node: int, worm: Worm) -> None:
+        """SCI-style chained worm: deliver, then wait for the local cache
+        invalidation to complete before moving on [11]."""
+        ctx = self._ctx[vid]
+        iface = self.interfaces[node]
+        if not ctx.get("cc"):
+            if not iface.try_acquire_cc():
+                return
+            ctx["cc"] = True
+        if not ctx.get("delivered"):
+            ctx["delivered"] = True
+            self.deliver_chain(node, worm)
+        if (worm.txn, node) not in iface.chain_done:
+            return  # local invalidation still in progress
+        iface.chain_done.discard((worm.txn, node))
+        next_dest = worm.dests[worm.ptr + 1]
+        if self._alloc_output(vid, node, next_dest, True):
+            worm.advance()
+
+    def _do_reservations(self, worm: Worm, node: int) -> bool:
+        """All i-ack reservations this i-reserve worm makes here.
+
+        Level 0 (the sharer's own ack slot) at delivery destinations;
+        level 1 (a column-combined slot for hierarchical gathering) at
+        reservation-only destinations.  Re-reserving an already-reserved
+        key is idempotent, so a partial success simply retries the
+        remainder next cycle.
+        """
+        iack = self.interfaces[node].iack
+        if worm.delivers_at(node) and node not in worm.no_reserve:
+            if not iack.try_reserve((worm.txn, 0)):
+                return False
+        if node in worm.reserve_only or node in worm.extra_reserve:
+            if not iack.try_reserve((worm.txn, 1)):
+                return False
+        return True
+
+    def _to_consume(self, vid: int, node: int) -> None:
+        """Final destination: acquire a consumption channel and drain."""
+        ctx = self._ctx[vid]
+        if not ctx.get("cc"):
+            if not self.interfaces[node].try_acquire_cc():
+                return
+            ctx["cc"] = True
+        self._vstate[vid] = CONSUME
+        self._sinks[node] += 1
+
+    def _alloc_output(self, vid: int, node: int, dest: int,
+                      absorb: bool) -> bool:
+        """Claim an outgoing virtual channel toward ``dest``.
+
+        Deterministic routing offers one candidate port; the adaptive
+        west-first model offers several and the first free one wins
+        (stalling on the most-preferred when none is free).  Fault-aware
+        routings filter the set per hop and may offer a non-minimal
+        detour, which is charged against the worm's misroute budget only
+        when actually taken."""
+        worm = self._worm[vid]
+        ports, detour = self.routing.hop_candidates(
+            node, dest, self._v_port[vid], worm.misroutes, self.sim.now)
+        assert ports, "output allocation for a worm already at its target"
+        V = self._V
+        vnet = vid % V
+        owner = self._owner
+        for port in ports:
+            oid = (node * _OUT_PORTS + port) * V + vnet
+            if owner[oid] < 0:
+                owner[oid] = vid
+                self._owned[node] += 1
+                self._owned_ports[node * _OUT_PORTS + port] += 1
+                self._outport[vid] = port
+                self._absorb[vid] = absorb
+                self._vstate[vid] = FORWARD
+                if detour:
+                    worm.misroutes += 1
+                    self.detours += 1
+                return True
         return False
 
-    def _diagnose_wait(self, router, vc):
+    # ------------------------------------------------------------------
+    # Deadlock diagnosis (cold path)
+    # ------------------------------------------------------------------
+    def _diagnose_wait(self, node: int, vid: int):
         """What a stalled VC is waiting for: ``(description, holders)``
-        where ``holders`` are the input VCs holding that resource (empty
-        when the resource is not attributable to a VC, e.g. an i-ack
-        signal that was never deposited).  Returns None for VCs that are
-        not actually blocked (e.g. forwarding with credit available)."""
-        worm = vc.worm
-        node = router.node
-        iface = router.interface
-        if vc.state is VCState.FORWARD:
-            if not vc.buffer or vc.out_port is None:
+        where ``holders`` are the vids holding that resource (empty when
+        the resource is not attributable to a VC, e.g. an i-ack signal
+        that was never deposited).  Returns None for VCs that are not
+        actually blocked (e.g. forwarding with credit available)."""
+        V = self._V
+        worm = self._worm[vid]
+        state = self._vstate[vid]
+        iface = self.interfaces[node]
+        vnet = vid % V
+        if state == FORWARD:
+            port = self._outport[vid]
+            if not self._occ[vid] or port < 0:
                 return None
-            neighbor, dst_vc = router.links[vc.out_port][vc.vnet]
-            if len(dst_vc.buffer) < neighbor.vc_depth:
+            oid = (node * _OUT_PORTS + port) * V + vnet
+            dvid = self._down_vid[oid]
+            if self._occ[dvid] < self._depth:
                 return None
-            return (f"buffer credit on the {vc.out_port.name} link into "
-                    f"node {neighbor.node}",
-                    [dst_vc] if dst_vc.worm is not None else [])
-        if vc.state is not VCState.DECIDE:
+            return (f"buffer credit on the {Port(port).name} link into "
+                    f"node {self._v_node[dvid]}",
+                    [dvid] if self._worm[dvid] is not None else [])
+        if state != DECIDE:
             return None
+        ctx = self._ctx[vid]
         if worm.next_dest == node:
             kind = worm.kind
             final = worm.at_last_leg
             entries = iface.iack._entries
             if (kind is WormKind.IGATHER and not final
-                    and not vc.ctx.get("picked")):
+                    and not ctx.get("picked")):
                 key = self.gather_key(worm, node)
-                if iface.iack.entry(key) is None and not iface.iack.free_slots:
+                if iface.iack.entry(key) is None \
+                        and not iface.iack.free_slots:
                     return (f"a free i-ack buffer slot at node {node} "
                             f"(all {iface.iack.capacity} held: "
                             f"{sorted(map(repr, entries))})", [])
                 return (f"the i-ack signal {key!r} at node {node} "
                         f"(reserved but not yet deposited)", [])
-            if kind is WormKind.IRESERVE and not vc.ctx.get("reserved"):
+            if kind is WormKind.IRESERVE and not ctx.get("reserved"):
                 return (f"a free i-ack buffer slot at node {node} "
                         f"(all {iface.iack.capacity} held: "
                         f"{sorted(map(repr, entries))})", [])
             if kind is WormKind.CHAIN and not final:
-                if not vc.ctx.get("cc") and not iface.free_cc:
-                    return self._cc_wait(router, vc)
-                if vc.ctx.get("delivered"):
+                if not ctx.get("cc") and not iface.free_cc:
+                    return self._cc_wait(node, vid)
+                if ctx.get("delivered"):
                     return (f"the local invalidation of txn "
                             f"{worm.txn!r} at node {node}", [])
             needs_cc = final or worm.delivers_at(node)
-            if needs_cc and not vc.ctx.get("cc") and not iface.free_cc:
-                return self._cc_wait(router, vc)
+            if needs_cc and not ctx.get("cc") and not iface.free_cc:
+                return self._cc_wait(node, vid)
             if final:
                 return None  # draining starts next cycle
             target = worm.dests[worm.ptr + 1]
         else:
             target = worm.next_dest
         ports = self.routing.candidates(node, target)
-        holders = [router.out_owner[p][vc.vnet] for p in ports]
+        holders = [self._owner[(node * _OUT_PORTS + p) * V + vnet]
+                   for p in ports]
         names = "/".join(p.name for p in ports)
-        return (f"an output channel {names} (vnet {vc.vnet}) at node "
+        return (f"an output channel {names} (vnet {vnet}) at node "
                 f"{node} toward node {target}",
-                [h for h in holders if h is not None])
+                [h for h in holders if h >= 0])
 
-    @staticmethod
-    def _cc_wait(router, vc):
-        holders = [v for v in router._vc_list
-                   if v is not vc and v.worm is not None
-                   and (v.ctx.get("cc") or v.state.value in
-                        ("consume", "forward"))]
-        return (f"a consumption channel at node {router.node} "
-                f"(all {router.interface.total_cc} busy)", holders)
+    def _cc_wait(self, node: int, vid: int):
+        V = self._V
+        base = node * _IN_PORTS * V
+        holders = [v for v in range(base, base + _IN_PORTS * V)
+                   if v != vid and self._worm[v] is not None
+                   and (self._ctx[v].get("cc")
+                        or self._vstate[v] in (CONSUME, FORWARD))]
+        return (f"a consumption channel at node {node} "
+                f"(all {self.interfaces[node].total_cc} busy)", holders)
+
+    def _report_deadlock(self) -> None:
+        V = self._V
+        worms = self._worm
+        waits, where = {}, {}
+        for node in sorted(self.busy):
+            base = node * _IN_PORTS * V
+            for vid in range(base, base + _IN_PORTS * V):
+                if worms[vid] is None:
+                    continue
+                diag = self._diagnose_wait(node, vid)
+                if diag is not None:
+                    waits[vid] = diag
+                    where[vid] = (worms[vid], node)
+        raise self._deadlock_error(waits, where)
 
     @staticmethod
     def _find_wait_cycle(waits):
-        """A list of VCs forming a hold-and-wait cycle, or None.  Edges
-        go from a waiting VC to a holder of its wanted resource that is
-        itself waiting."""
+        """A list of waiters forming a hold-and-wait cycle, or None.
+        Edges go from a waiting VC to a holder of its wanted resource
+        that is itself waiting."""
         for start in waits:
             path, index = [], {}
             vc = start
@@ -546,25 +1021,17 @@ class MeshNetwork:
                     break
         return None
 
-    def _report_deadlock(self) -> None:
+    def _deadlock_error(self, waits: dict, where: dict):
+        """The deadlock report: ``waits`` maps each blocked VC to its
+        ``(description, holders)`` diagnosis and ``where`` to its
+        ``(worm, node)``."""
         from repro.sim.engine import SimulationError
-        owner_router = {}
-        waits = {}
-        for nid in sorted(self.busy):
-            router = self.routers[nid]
-            for vc in router._vc_list:
-                if vc.worm is None:
-                    continue
-                diag = self._diagnose_wait(router, vc)
-                if diag is not None:
-                    owner_router[vc] = router
-                    waits[vc] = diag
 
         def step(vc):
-            desc, _holders = waits[vc]
-            return (f"worm #{vc.worm.uid} ({vc.worm.kind.value}, "
-                    f"txn={vc.worm.txn!r}) at node "
-                    f"{owner_router[vc].node} waits for {desc}")
+            worm, node = where[vc]
+            return (f"worm #{worm.uid} ({worm.kind.value}, "
+                    f"txn={worm.txn!r}) at node {node} waits for "
+                    f"{waits[vc][0]}")
 
         cycle = self._find_wait_cycle(waits)
         if cycle:
@@ -576,62 +1043,9 @@ class MeshNetwork:
             detail = ("blocked worms (no closed cycle among the waiters "
                       "— a resource is held by a non-waiting party):\n  "
                       + "\n  ".join(shown))
-        raise SimulationError(
+        return SimulationError(
             f"network deadlock: no flit moved for "
             f"{self.deadlock_threshold} cycles at cycle {self.sim.now}; "
             f"{detail}\n"
             f"(hold-and-wait on consumption channels / i-ack buffers — "
             f"increase iack_buffers or consumption_channels)")
-
-    def _apply(self, move: tuple) -> None:
-        kind = move[0]
-        if kind == MOVE_FWD:
-            _, router, vc, port, neighbor, dst_vc = move
-            flit = vc.buffer.popleft()
-            worm, idx = flit
-            dst_vc.buffer.append(flit)
-            if not dst_vc.in_active:
-                dst_vc.in_active = True
-                neighbor._active_vcs[dst_vc] = None
-            nnode = neighbor.node
-            busy = self.busy
-            if nnode not in busy:
-                busy.add(nnode)
-                self._busy_dirty = True
-            worm.flit_hops += 1
-            self.total_flit_hops += 1
-            link = router._link_keys[port]
-            link_use = self.link_use
-            link_use[link] = link_use.get(link, 0) + 1
-            if idx == worm.size_flits - 1:  # tail left this router
-                if vc.absorb:
-                    router.interface.release_cc()
-                    # Chain worms already delivered at header time (the
-                    # node's invalidation gated this worm's progress).
-                    if worm.kind is not WormKind.CHAIN:
-                        self._deliver(router.node, worm, final=False)
-                router.release_output(vc)
-                vc.reset_control()
-        elif kind == MOVE_CONSUME:
-            _, router, vc = move
-            worm, idx = vc.buffer.popleft()
-            if idx == worm.size_flits - 1:
-                router.interface.release_cc()
-                router.release_sink(vc)
-                vc.reset_control()
-                self._deliver(router.node, worm, final=True)
-        elif kind == MOVE_PARK:
-            _, router, vc = move
-            worm, idx = vc.buffer.popleft()
-            if idx == worm.size_flits - 1:
-                router.release_sink(vc)
-                vc.reset_control()
-                key = self.gather_key(worm, router.node)
-                released = router.interface.iack.finish_park_drain(key)
-                if released is not None:
-                    self._reinject(router.node, released)
-        elif kind == MOVE_INJECT:
-            _, router, vnet = move
-            router.apply_inject(vnet, self)
-        else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown move {kind!r}")

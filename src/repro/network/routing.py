@@ -54,8 +54,9 @@ class Routing:
 
     def set_memoize(self, enabled: bool) -> None:
         """Enable/disable candidate memoization (the cache is cleared
-        either way).  The legacy reference kernel disables it so its
-        timings reflect the pre-optimization per-lookup cost."""
+        either way).  The test oracle (``tests/reference_kernel.py``)
+        disables it, so the memo cache is checked against lookups
+        computed afresh every time."""
         self._memo_enabled = enabled
         self._hop_memo.clear()
 

@@ -71,7 +71,7 @@ class NetworkTracer:
             self._prev_chain(node, worm)
 
         def deposit_ack(node: int, key, count: int = 1) -> None:
-            entry = net.routers[node].interface.iack.entry(key)
+            entry = net.interfaces[node].iack.entry(key)
             parked = entry.parked if entry is not None else None
             self._orig_deposit(node, key, count)
             if parked is not None:

@@ -48,6 +48,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 from typing import Any, Optional
 
 #: Bumped whenever the on-disk entry layout changes; part of every key.
@@ -181,6 +182,9 @@ class ResultCache:
         # hot path; None = unknown (forces a directory rescan).
         self._total_bytes: Optional[int] = None
         self._stores_since_scan = 0
+        # Serializes store()'s write sequence with clear() in this
+        # process; re-entrant so code running inside a store may clear.
+        self._write_lock = threading.RLock()
 
     # -- addressing ----------------------------------------------------
     def digest(self, key: dict) -> str:
@@ -271,12 +275,14 @@ class ResultCache:
         Returns ``True`` when the entry landed on disk.  Two distinct
         failure families are handled differently:
 
-        * A :meth:`clear` racing this store (another process, or the
-          server's maintenance endpoint) can remove ``objects/<xx>/``
-          between the ``makedirs`` and the ``os.replace`` — the
-          directory vanishing mid-write is an expected lifecycle event,
-          not a corrupted cache, so the makedirs+write+replace sequence
-          retries once before letting the error escape.
+        * A :meth:`clear` racing this store from another process can
+          remove ``objects/<xx>/`` between the ``makedirs`` and the
+          ``os.replace`` — the directory vanishing mid-write is an
+          expected lifecycle event, not a corrupted cache, so the
+          makedirs+write+replace sequence retries once before letting
+          the error escape.  A clear from another thread of this
+          process waits for the write sequence instead (a clearing
+          thread in a tight loop could win the race twice in a row).
         * Disk-environment failures (``ENOSPC``, read-only filesystem,
           quota exceeded, ...) are not the caller's problem to recover:
           the cache degrades to pass-through — the write is dropped,
@@ -290,26 +296,27 @@ class ResultCache:
         payload = (hashlib.sha256(blob).hexdigest().encode("ascii")
                    + b"\n" + blob)
         try:
-            for retry in (False, True):
-                try:
-                    os.makedirs(os.path.dirname(path), exist_ok=True)
-                    fd, tmp = tempfile.mkstemp(
-                        dir=os.path.dirname(path), suffix=".tmp")
+            with self._write_lock:
+                for retry in (False, True):
                     try:
-                        with os.fdopen(fd, "wb") as fh:
-                            fh.write(payload)
-                        os.replace(tmp, path)
-                    except BaseException:
+                        os.makedirs(os.path.dirname(path), exist_ok=True)
+                        fd, tmp = tempfile.mkstemp(
+                            dir=os.path.dirname(path), suffix=".tmp")
                         try:
-                            os.remove(tmp)
-                        except OSError:
-                            pass
-                        raise
-                except (FileNotFoundError, NotADirectoryError):
-                    if retry:
-                        raise
-                    continue
-                break
+                            with os.fdopen(fd, "wb") as fh:
+                                fh.write(payload)
+                            os.replace(tmp, path)
+                        except BaseException:
+                            try:
+                                os.remove(tmp)
+                            except OSError:
+                                pass
+                            raise
+                    except (FileNotFoundError, NotADirectoryError):
+                        if retry:
+                            raise
+                        continue
+                    break
         except (FileNotFoundError, NotADirectoryError):
             raise
         except OSError:
@@ -445,9 +452,10 @@ class ResultCache:
         a concurrent :meth:`store` recreates its directory and retries
         (see :meth:`store`), so clearing under load is safe.
         """
-        paths = self._entries()
-        shutil.rmtree(os.path.join(self.root, "objects"),
-                      ignore_errors=True)
+        with self._write_lock:
+            paths = self._entries()
+            shutil.rmtree(os.path.join(self.root, "objects"),
+                          ignore_errors=True)
         self._total_bytes = 0
         self._stores_since_scan = 0
         try:

@@ -183,6 +183,11 @@ class Simulator:
         self._seq = 0
         #: Number of callbacks dispatched; a cheap progress / cost metric.
         self.dispatched = 0
+        #: Last cycle the active :meth:`run` (``until``) or
+        #: :meth:`run_until_event` (``limit``) call may reach; None when
+        #: unbounded.  A callback that advances the clock itself (the
+        #: network's inline cycle loop) must not carry it past this.
+        self.bound: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -225,24 +230,35 @@ class Simulator:
         """Dispatch events until the calendar drains, the clock passes
         ``until``, or ``max_events`` callbacks have run.
 
+        ``until`` is a cycle bound (:attr:`bound` while the call runs):
+        the clock never passes it.  ``max_events`` caps progress, not
+        cycles: a callback that steps several network cycles inline
+        counts each of them as a dispatch, so one call may overshoot the
+        cap (``run(max_events=1)`` can advance many cycles).
+
         Returns the final clock value.
         """
         dispatched_at_entry = self.dispatched
-        while self._heap:
-            when, _seq, fn = self._heap[0]
-            if until is not None and when > until:
-                self.now = until
-                break
-            heapq.heappop(self._heap)
-            self.now = when
-            self.dispatched += 1
-            fn()
-            if (max_events is not None
-                    and self.dispatched - dispatched_at_entry >= max_events):
-                break
-        else:
-            if until is not None and until > self.now:
-                self.now = until
+        outer, self.bound = self.bound, until
+        try:
+            while self._heap:
+                when, _seq, fn = self._heap[0]
+                if until is not None and when > until:
+                    self.now = until
+                    break
+                heapq.heappop(self._heap)
+                self.now = when
+                self.dispatched += 1
+                fn()
+                if (max_events is not None
+                        and self.dispatched - dispatched_at_entry
+                        >= max_events):
+                    break
+            else:
+                if until is not None and until > self.now:
+                    self.now = until
+        finally:
+            self.bound = outer
         return self.now
 
     def run_until_event(self, event: Event,
@@ -252,6 +268,7 @@ class Simulator:
         Raises :class:`SimulationError` if the calendar drains (or the
         optional cycle ``limit`` passes) first — that means deadlock or a
         lost wakeup in the model, which should never be silent.
+        ``limit`` is the active :attr:`bound` while the call runs.
         """
         # The dispatch loop is inlined (rather than calling
         # ``self.run(max_events=1)`` per callback) — this is the hot loop
@@ -259,18 +276,23 @@ class Simulator:
         # dispatch, limit checked against the next callback's cycle.
         heap = self._heap
         heappop = heapq.heappop
-        while not event.triggered:
-            if not heap:
-                raise SimulationError(
-                    f"event {event.name!r} never fired: calendar empty at "
-                    f"cycle {self.now} (model deadlock?)")
-            if limit is not None and heap[0][0] > limit:
-                raise SimulationError(
-                    f"event {event.name!r} not fired by cycle limit {limit}")
-            when, _seq, fn = heappop(heap)
-            self.now = when
-            self.dispatched += 1
-            fn()
+        outer, self.bound = self.bound, limit
+        try:
+            while not event.triggered:
+                if not heap:
+                    raise SimulationError(
+                        f"event {event.name!r} never fired: calendar "
+                        f"empty at cycle {self.now} (model deadlock?)")
+                if limit is not None and heap[0][0] > limit:
+                    raise SimulationError(
+                        f"event {event.name!r} not fired by cycle limit "
+                        f"{limit}")
+                when, _seq, fn = heappop(heap)
+                self.now = when
+                self.dispatched += 1
+                fn()
+        finally:
+            self.bound = outer
         return event.value
 
     def peek(self) -> Optional[int]:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.brcp.model import is_conformant_path
-from repro.brcp.paths import adaptive_chain_paths, staircase_paths
+from repro.brcp.paths import adaptive_chain_paths
 from repro.core import InvalidationEngine, build_plan
-from repro.core.grouping import plan_mi_ua_ec, plan_mi_ua_fa, plan_mi_ua_tm
+from repro.core.grouping import plan_mi_ua_ec, plan_mi_ua_fa
 from repro.network import MeshNetwork
 from repro.network.routing import (FullyAdaptiveRouting, make_routing,
                                    walk_is_conformant)
@@ -163,8 +163,8 @@ def test_fa_schemes_execute(scheme):
     plan = build_plan(scheme, net.mesh, home, sharers)
     record = engine.run(plan, limit=5_000_000)
     assert record.sharers == 6
-    for r in net.routers:
-        assert not r.interface.iack._entries
+    for iface in net.interfaces:
+        assert not iface.iack._entries
 
 
 def test_fa_uses_fewer_messages_on_diagonal_pattern():

@@ -1,7 +1,6 @@
 """Admission control for i-ack-buffer transactions."""
 
 import numpy as np
-import pytest
 
 from repro.config import SystemParameters
 from repro.core import InvalidationEngine, build_plan
@@ -33,8 +32,8 @@ def test_cap_queues_excess_transactions():
         sim.run_until_event(st.done, limit=20_000_000)
     assert engine._ma_active == 0
     assert not engine._ma_queue
-    for r in net.routers:
-        assert not r.interface.iack._entries
+    for iface in net.interfaces:
+        assert not iface.iack._entries
 
 
 def test_non_ma_transactions_bypass_cap():
@@ -65,8 +64,8 @@ def test_cap_prevents_buffer_deadlock():
         for st in states:
             record = sim.run_until_event(st.done, limit=50_000_000)
             assert record.latency > 0
-    for r in net.routers:
-        assert not r.interface.iack._entries
+    for iface in net.interfaces:
+        assert not iface.iack._entries
 
 
 def test_dsm_system_enables_cap():

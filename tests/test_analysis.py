@@ -1,7 +1,6 @@
 """Analytical model and experiment harness tests — including the
 cross-validation of the closed-form estimates against the simulator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +10,7 @@ from repro.analysis import (estimate_latency, format_table,
                             rows_to_markdown, run_invalidation_sweep)
 from repro.analysis.experiments import (run_analytical_sweep,
                                         run_application_experiment)
-from repro.config import SystemParameters, paper_parameters
+from repro.config import paper_parameters
 from repro.core import InvalidationEngine, SCHEMES, build_plan
 from repro.network import MeshNetwork
 from repro.network.topology import Mesh2D

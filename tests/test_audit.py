@@ -8,8 +8,8 @@ it must catch seeded protocol mutations with stable, typed violations.
 import pytest
 
 from repro.audit import (AUDIT_ENV_VAR, AUDIT_LEVELS, Auditor, EventTrail,
-                         InvariantViolation, TrailEvent, resolve_level)
-from repro.chaos import ChaosScenario, build_system, build_traces, run_scenario
+                         InvariantViolation, resolve_level)
+from repro.chaos import ChaosScenario, run_scenario
 from repro.coherence import DSMSystem
 from repro.coherence.processor import run_program
 from repro.config import paper_parameters

@@ -6,7 +6,7 @@ from repro.config import SystemParameters
 from repro.core import InvalidationEngine, build_plan
 from repro.network import MeshNetwork
 from repro.network.worm import WormKind
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.workloads.background import BackgroundTraffic, delivery_filter
 
 

@@ -295,7 +295,7 @@ def test_run_program_with_sharing():
 
 def test_processor_rejects_unknown_trace_entry():
     sim, system = make_system()
-    cpu = Processor(system, 0, [("X", 1)])
+    Processor(system, 0, [("X", 1)])
     with pytest.raises(ValueError, match="unknown trace entry"):
         sim.run()
 

@@ -44,10 +44,9 @@ def test_every_scheme_completes(scheme):
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_no_iack_entries_leak(scheme):
     _, net, _ = run_scheme(scheme, HOME, PATTERN)
-    for router in net.routers:
-        assert not router.interface.iack._entries, \
-            f"leaked entries at node {router.node}"
-        assert router.interface.free_cc == router.interface.total_cc
+    for node, iface in enumerate(net.interfaces):
+        assert not iface.iack._entries, f"leaked entries at node {node}"
+        assert iface.free_cc == iface.total_cc
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -148,8 +147,8 @@ def test_concurrent_transactions_complete():
     for st_ in states:
         sim.run_until_event(st_.done, limit=500_000)
     assert len(engine.records) == 3
-    for router in net.routers:
-        assert not router.interface.iack._entries
+    for iface in net.interfaces:
+        assert not iface.iack._entries
 
 
 @settings(max_examples=25, deadline=None)
@@ -165,6 +164,6 @@ def test_random_patterns_complete_and_clean(home, sharer_set, scheme):
     plan = build_plan(scheme, net.mesh, home, sorted(sharer_set))
     record = engine.run(plan, limit=1_000_000)
     assert record.sharers == len(sharer_set)
-    for router in net.routers:
-        assert not router.interface.iack._entries
-        assert router.interface.free_cc == router.interface.total_cc
+    for iface in net.interfaces:
+        assert not iface.iack._entries
+        assert iface.free_cc == iface.total_cc

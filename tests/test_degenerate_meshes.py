@@ -16,9 +16,9 @@ def run_on(width, height, scheme, home, sharers):
     engine = InvalidationEngine(sim, net, params)
     plan = build_plan(scheme, net.mesh, home, sharers)
     record = engine.run(plan, limit=5_000_000)
-    for r in net.routers:
-        assert not r.interface.iack._entries
-        assert r.interface.free_cc == r.interface.total_cc
+    for iface in net.interfaces:
+        assert not iface.iack._entries
+        assert iface.free_cc == iface.total_cc
     return record
 
 

@@ -32,6 +32,7 @@ from repro.network.routing import (FaultAwareRouting, make_routing,
                                    walk_is_conformant)
 from repro.network.topology import Mesh2D, Port
 from repro.sim import Simulator
+from tests.test_network_properties import assert_drained
 
 
 def armed_ft(mesh, fault_plan, base_name="ecube", detour_limit=8):
@@ -253,8 +254,7 @@ def test_unicast_storm_detours_around_dead_link_and_drains():
     assert net.delivered == count
     assert net.worms_dropped == 0
     assert net.detours > 0
-    for r in net.routers:
-        assert r.is_quiescent()
+    assert_drained(net)
 
 
 def test_router_fault_is_routed_around_for_other_pairs():

@@ -28,7 +28,7 @@ def _rig(params=None, scheme="ui-ua", fault_plan=None):
 
 
 def _no_iack_leaks(net):
-    return all(not r.interface.iack._entries for r in net.routers)
+    return all(not iface.iack._entries for iface in net.interfaces)
 
 
 # ----------------------------------------------------------------------

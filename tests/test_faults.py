@@ -166,14 +166,14 @@ def test_network_purge_scrubs_every_interface():
     params = SystemParameters()
     sim = Simulator()
     net = MeshNetwork(sim, params, "ecube")
-    net.routers[3].interface.iack.try_reserve((5, 0))
-    net.routers[9].interface.iack.try_reserve((5, 1))
-    net.routers[9].interface.chain_done.add((5, 9))
-    net.routers[9].interface.iack.try_reserve((6, 0))
+    net.interfaces[3].iack.try_reserve((5, 0))
+    net.interfaces[9].iack.try_reserve((5, 1))
+    net.interfaces[9].chain_done.add((5, 9))
+    net.interfaces[9].iack.try_reserve((6, 0))
     assert net.purge_txn(5) == 2
-    assert net.routers[3].interface.iack.entry((5, 0)) is None
-    assert not net.routers[9].interface.chain_done
-    assert net.routers[9].interface.iack.entry((6, 0)) is not None
+    assert net.interfaces[3].iack.entry((5, 0)) is None
+    assert not net.interfaces[9].chain_done
+    assert net.interfaces[9].iack.entry((6, 0)) is not None
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_deadlock_report_names_waited_resources():
     engine = InvalidationEngine(sim, net, params)
     mesh = net.mesh
     s_near, s_far = mesh.node_at(3, 4), mesh.node_at(3, 6)
-    net.routers[s_near].interface.iack.try_reserve(("foreign", 0))
+    net.interfaces[s_near].iack.try_reserve(("foreign", 0))
     st = engine.execute(build_plan("mi-ma-ec", mesh, mesh.node_at(3, 1),
                                    [s_near, s_far]))
     with pytest.raises(SimulationError) as exc:

@@ -1,14 +1,11 @@
-"""Golden-output proof that the optimized kernels are bit-identical.
+"""Golden-output proof that the cycle engine matches the oracle.
 
-The fast kernel (cached busy order, list layouts, memoized routing,
-interned move tuples, callback clock) and the soa kernel (flat
-structure-of-arrays state, batched phases, cycle skipping —
-:mod:`repro.network.soa`) must produce *exactly* the same simulation
-as the frozen pre-optimization reference in
-:mod:`repro.network.legacy` — the full :class:`TransactionRecord`
-stream, the flit-hop totals, and even the simulator's dispatched-
-callback count.  Any divergence here means an optimization changed
-semantics, not just speed.
+:class:`~repro.network.network.MeshNetwork` (flat-array state, batched
+phases, cycle skipping) must produce *exactly* the same simulation as
+the frozen object-per-router kernel in ``tests/reference_kernel.py`` —
+the full :class:`TransactionRecord` stream, the flit-hop totals, and
+even the simulator's dispatched-callback count.  Any divergence here
+means the engine changed semantics, not just speed.
 """
 
 import dataclasses
@@ -19,23 +16,32 @@ import pytest
 
 from repro.config import SystemParameters, paper_parameters
 from repro.core import InvalidationEngine, build_plan
-from repro.network import MeshNetwork, make_network
-from repro.network.legacy import LegacyMeshNetwork, LegacyRouter
-from repro.network.network import KERNEL_PRIVATE_COUNTERS
-from repro.network.soa import SoaMeshNetwork
+from repro.network import MeshNetwork, Worm, WormKind
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.workloads.patterns import make_pattern
+from tests.reference_kernel import (KERNEL_PRIVATE_COUNTERS,
+                                    LegacyMeshNetwork)
 
-KERNELS = ("legacy", "fast", "soa")
+#: The structure-of-arrays engine under test and the legacy oracle.
+KERNELS = {"soa": MeshNetwork, "legacy": LegacyMeshNetwork}
+#: Every kernel that is checked against the oracle.
+UNDER_TEST = sorted(k for k in KERNELS if k != "legacy")
 
 
-def run_record_stream(kernel, schemes=("mi-ma-ec", "ui-ua", "mi-ua-tm"),
-                      degrees=(2, 8, 16), per_degree=3, seed=3):
-    """Full TransactionRecord stream for a mid-size paired workload."""
-    params = paper_parameters(8, kernel=kernel)
+def run_record_stream(net_cls, schemes=("mi-ma-ec", "ui-ua", "mi-ua-tm"),
+                      degrees=(2, 8, 16), per_degree=3, seed=3,
+                      audit="off"):
+    """Full TransactionRecord stream for a mid-size paired workload,
+    optionally with the runtime invariant auditor attached."""
+    from repro.audit import Auditor
+
+    params = paper_parameters(8)
     sim = Simulator()
-    net = make_network(sim, params, "ecube")
+    net = net_cls(sim, params, "ecube")
     engine = InvalidationEngine(sim, net, params)
+    if audit != "off":
+        Auditor.install_engine(engine, audit)
     rng = np.random.default_rng(seed)
     records = []
     for degree in degrees:
@@ -52,129 +58,88 @@ def digest(records):
     return hashlib.sha256(repr(records).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("kernel", ["fast", "soa"])
+def shared_counters(net):
+    return {k: v for k, v in net.phase_counters().items()
+            if k not in KERNEL_PRIVATE_COUNTERS}
+
+
+@pytest.mark.parametrize("kernel", UNDER_TEST)
 def test_record_streams_bit_identical_across_kernels(kernel):
-    records, hops, dispatched = run_record_stream(kernel)
-    legacy_records, legacy_hops, legacy_dispatched = \
-        run_record_stream("legacy")
+    records, hops, dispatched = run_record_stream(KERNELS[kernel])
+    ref_records, ref_hops, ref_dispatched = \
+        run_record_stream(LegacyMeshNetwork)
     # Field-for-field equality of every TransactionRecord, in order.
-    assert records == legacy_records
-    assert digest(records) == digest(legacy_records)
-    assert hops == legacy_hops
+    assert records == ref_records
+    assert digest(records) == digest(ref_records)
+    assert hops == ref_hops
     # Even the event-calendar activity matches callback for callback.
-    assert dispatched == legacy_dispatched
+    assert dispatched == ref_dispatched
     assert records, "workload produced no transactions"
 
 
-@pytest.mark.parametrize("kernel", ["fast", "soa"])
+@pytest.mark.parametrize("kernel", UNDER_TEST)
 def test_kernels_identical_under_adaptive_routing(kernel):
-    run = run_record_stream(kernel, schemes=("mi-ma-ec-u",),
-                            degrees=(4, 12), seed=9)
-    legacy = run_record_stream("legacy", schemes=("mi-ma-ec-u",),
-                               degrees=(4, 12), seed=9)
-    assert run == legacy
+    kwargs = dict(schemes=("mi-ma-ec-u",), degrees=(4, 12), seed=9)
+    assert run_record_stream(KERNELS[kernel], **kwargs) == \
+        run_record_stream(LegacyMeshNetwork, **kwargs)
 
 
-def test_make_network_selects_kernel():
-    sim = Simulator()
-    fast = make_network(sim, SystemParameters(), "ecube")
-    assert type(fast) is MeshNetwork
-    legacy = make_network(Simulator(),
-                          SystemParameters(kernel="legacy"), "ecube")
-    assert type(legacy) is LegacyMeshNetwork
-    assert all(type(r) is LegacyRouter for r in legacy.routers)
-    soa = make_network(Simulator(),
-                       SystemParameters(kernel="soa"), "ecube")
-    assert type(soa) is SoaMeshNetwork
-    # The reference kernel computes routing candidates per lookup.
-    assert legacy.routing._memo_enabled is False
-    assert fast.routing._memo_enabled is True
-    assert soa.routing._memo_enabled is True
-
-
-def test_kernel_knob_is_validated():
-    with pytest.raises(ValueError, match="kernel"):
-        SystemParameters(kernel="turbo")
+def test_reference_kernel_is_unmemoized():
+    """The oracle computes routing candidates per lookup, so the
+    engine's memoized candidate sets are checked against fresh ones."""
+    mesh = MeshNetwork(Simulator(), SystemParameters(), "ecube")
+    ref = LegacyMeshNetwork(Simulator(), SystemParameters(), "ecube")
+    assert mesh.routing._memo_enabled is True
+    assert ref.routing._memo_enabled is False
+    assert [r.interface for r in ref.routers] == ref.interfaces
 
 
 def test_phase_counters_shapes_match():
-    """All kernels expose the same profiling counters, and every
+    """Both kernels expose the same profiling counters, and every
     counter outside the documented kernel-private allowlist is
-    bit-identical across kernels."""
+    bit-identical."""
     results = {}
-    for kernel in KERNELS:
-        params = paper_parameters(8, kernel=kernel)
+    for name, net_cls in KERNELS.items():
+        params = paper_parameters(8)
         sim = Simulator()
-        net = make_network(sim, params, "ecube")
+        net = net_cls(sim, params, "ecube")
         engine = InvalidationEngine(sim, net, params)
         plan = build_plan("mi-ma-ec", net.mesh, 0, [9, 18, 27, 36])
         engine.run(plan, limit=5_000_000)
-        results[kernel] = net.phase_counters()
-    fast, legacy, soa = (results[k] for k in ("fast", "legacy", "soa"))
-    assert set(fast) == set(legacy) == set(soa)
-    # Everything outside the allowlist is simulated behaviour and must
-    # match exactly — this is the cross-kernel equality contract.
-    for kernel, counters in results.items():
-        for key in counters:
-            if key in KERNEL_PRIVATE_COUNTERS:
-                continue
-            assert counters[key] == fast[key], (kernel, key)
-    assert fast["cycles_stepped"] == legacy["cycles_stepped"]
-    assert fast["moves_applied"] == legacy["moves_applied"]
-    assert fast["total_flit_hops"] == legacy["total_flit_hops"]
-    # The kernel-private counters document *how* each kernel ran:
-    # legacy sorts every cycle; the dirty flag sorts only on changes.
-    assert legacy["busy_sorts"] == legacy["cycles_stepped"]
-    assert fast["busy_sorts"] < legacy["busy_sorts"]
-    # The soa quiescence invariant: skipped windows account exactly
-    # for the cycles the stepping kernels ground through.
-    assert (soa["cycles_stepped"] + soa["cycles_skipped"]
-            == fast["cycles_stepped"])
-    assert fast["cycles_skipped"] == legacy["cycles_skipped"] == 0
+        results[name] = net.phase_counters()
+    mesh, ref = results["soa"], results["legacy"]
+    assert set(mesh) == set(ref)
+    for key in mesh:
+        if key not in KERNEL_PRIVATE_COUNTERS:
+            assert mesh[key] == ref[key], key
+    # The kernel-private counters document *how* each kernel ran: the
+    # oracle sorts every cycle, the dirty flag sorts only on changes.
+    assert ref["busy_sorts"] == ref["cycles_stepped"]
+    assert mesh["busy_sorts"] < ref["busy_sorts"]
+    # Skipped windows account exactly for the cycles the oracle steps.
+    assert (mesh["cycles_stepped"] + mesh["cycles_skipped"]
+            == ref["cycles_stepped"])
+    assert ref["cycles_skipped"] == 0
 
 
-def run_audited_record_stream(kernel, level):
-    """run_record_stream with the runtime invariant auditor attached."""
-    from repro.audit import Auditor
-
-    params = paper_parameters(8, kernel=kernel)
-    sim = Simulator()
-    net = make_network(sim, params, "ecube")
-    engine = InvalidationEngine(sim, net, params)
-    if level != "off":
-        Auditor.install_engine(engine, level)
-    rng = np.random.default_rng(3)
-    records = []
-    for degree in (2, 8, 16):
-        for _ in range(3):
-            pat = make_pattern("uniform", net.mesh, degree, rng)
-            for scheme in ("mi-ma-ec", "ui-ua", "mi-ua-tm"):
-                plan = build_plan(scheme, net.mesh, pat.home, pat.sharers)
-                records.append(dataclasses.astuple(
-                    engine.run(plan, limit=5_000_000)))
-    return records, net.total_flit_hops, sim.dispatched
-
-
-@pytest.mark.parametrize("kernel", ["fast", "legacy", "soa"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_audit_levels_golden_identical(kernel):
     """Auditing must not perturb the golden record stream on either
     kernel: same records, flit hops, and dispatched-callback count at
-    every level, including the frozen reference."""
-    golden = run_record_stream(kernel)
-    assert run_audited_record_stream(kernel, "off") == golden
-    assert run_audited_record_stream(kernel, "cheap") == golden
-    assert run_audited_record_stream(kernel, "full") == golden
+    every level."""
+    net_cls = KERNELS[kernel]
+    golden = run_record_stream(net_cls)
+    for level in ("off", "cheap", "full"):
+        assert run_record_stream(net_cls, audit=level) == golden
 
 
-def run_stall_workload(kernel, rounds=3, delay=2_000, trace=False):
+def run_stall_workload(net_cls, rounds=3, delay=2_000, trace=False):
     """Raw-network stall workload: a gather worm waits out a slow i-ack
     deposit each round, leaving the network at a stalled fixed point for
-    thousands of cycles — the case the soa kernel's cycle skip targets."""
-    from repro.network import Worm, WormKind
-
-    params = paper_parameters(8, deferred_delivery=False, kernel=kernel)
+    thousands of cycles — the case cycle skipping targets."""
+    params = paper_parameters(8, deferred_delivery=False)
     sim = Simulator()
-    net = make_network(sim, params, "ecube")
+    net = net_cls(sim, params, "ecube")
     net.deadlock_threshold = 10 * delay
     if trace:
         net._skip_trace = []
@@ -208,23 +173,84 @@ def test_quiescence_property_on_stall_workload():
     """The cycle-skip quiescence property, on a workload where skipping
     actually fires: (a) every skipped window stops strictly before the
     next scheduled calendar event, (b) ``cycles_stepped +
-    cycles_skipped`` equals the cycles a stepping kernel grinds
-    through, and (c) the observable results are identical anyway."""
-    soa_results, soa_net, soa_sim = run_stall_workload("soa", trace=True)
-    fast_results, fast_net, fast_sim = run_stall_workload("fast")
-    assert soa_results == fast_results
-    assert soa_sim.now == fast_sim.now
-    assert soa_sim.dispatched == fast_sim.dispatched
-    assert soa_net.total_flit_hops == fast_net.total_flit_hops
+    cycles_skipped`` equals the cycles the oracle steps through, and
+    (c) the observable results are identical anyway."""
+    results, net, sim = run_stall_workload(MeshNetwork, trace=True)
+    ref_results, ref_net, ref_sim = run_stall_workload(LegacyMeshNetwork)
+    assert results == ref_results
+    assert sim.now == ref_sim.now
+    assert sim.dispatched == ref_sim.dispatched
+    assert net.total_flit_hops == ref_net.total_flit_hops
     # The workload stalls for ~delay cycles per round; skipping must
     # have engaged and must account for every elided step.
-    assert soa_net.cycles_skipped > 0
-    assert (soa_net.cycles_stepped + soa_net.cycles_skipped
-            == fast_net.cycles_stepped)
-    assert soa_net.cycles_skipped == sum(
-        n for _, n, _ in soa_net._skip_trace)
-    for t0, n, nxt_event in soa_net._skip_trace:
+    assert net.cycles_skipped > 0
+    assert (net.cycles_stepped + net.cycles_skipped
+            == ref_net.cycles_stepped)
+    assert net.cycles_skipped == sum(n for _, n, _ in net._skip_trace)
+    for t0, n, nxt_event in net._skip_trace:
         assert n > 0
         # A skip never crosses (or lands on) a scheduled event
         # timestamp: the cycle that processes the event is stepped.
         assert nxt_event is None or t0 + n < nxt_event
+
+
+# ----------------------------------------------------------------------
+# Run bounds: the inline cycle loop stops at the caller's cycle bound
+# ----------------------------------------------------------------------
+def observe(net, sim, outcome):
+    return (outcome, sim.now, sim.dispatched, shared_counters(net),
+            [(t, node, final) for t, node, _worm, final
+             in net.delivered_log])
+
+
+def run_until_slices(net_cls):
+    """One 8-flit unicast 0→63, driven by ``run(until=...)`` in slices
+    shorter than its flight time; the clock must land on every bound."""
+    sim = Simulator()
+    net = net_cls(sim, SystemParameters(), "ecube")
+    net.inject(Worm(kind=WormKind.UNICAST, src=0, dests=(63,),
+                    size_flits=8))
+    snapshots = [observe(net, sim, sim.run(until=10))]
+    previous = sim.now
+    for until in range(20, 130, 10):
+        assert sim.run(until=until) == until and sim.bound is None
+        assert sim.now >= previous  # the clock never decreases
+        previous = sim.now
+        snapshots.append(observe(net, sim, until))
+    return snapshots
+
+
+def test_run_until_bound_stops_the_cycle_loop():
+    snapshots = run_until_slices(MeshNetwork)
+    assert snapshots == run_until_slices(LegacyMeshNetwork)
+    # run(until=10): eleven cycles (0..10) stepped, nothing delivered.
+    outcome, now, dispatched, counters, delivered = snapshots[0]
+    assert (outcome, now, dispatched, delivered) == (10, 10, 11, [])
+    assert snapshots[-1][4], "the worm must arrive in a later slice"
+
+
+def run_limited_deadlock(net_cls):
+    """The foreign-reservation deadlock of test_network_deadlock, with a
+    deadlock threshold far past the run's cycle limit."""
+    params = SystemParameters(iack_buffers=1)
+    sim = Simulator()
+    net = net_cls(sim, params, "ecube")
+    net.deadlock_threshold = 50_000
+    engine = InvalidationEngine(sim, net, params)
+    mesh = net.mesh
+    s_near, s_far = mesh.node_at(3, 4), mesh.node_at(3, 6)
+    net.interfaces[s_near].iack.try_reserve(("foreign", 0))
+    st = engine.execute(build_plan("mi-ma-ec", mesh, mesh.node_at(3, 1),
+                                   [s_near, s_far]))
+    with pytest.raises(SimulationError) as info:
+        sim.run_until_event(st.done, limit=2_000)
+    assert sim.bound is None  # the bound ends with the call
+    return observe(net, sim, str(info.value))
+
+
+def test_run_until_event_limit_stops_the_cycle_loop():
+    observed = run_limited_deadlock(MeshNetwork)
+    assert observed == run_limited_deadlock(LegacyMeshNetwork)
+    outcome, now = observed[:2]
+    assert "not fired by cycle limit 2000" in outcome
+    assert now == 2_000

@@ -1,20 +1,23 @@
-"""Differential fuzzing of the three cycle-engine kernels.
+"""Differential fuzzing of the cycle engine against the oracle.
 
 Hypothesis draws a whole scenario — mesh shape (including 1xN and 2x2
 degenerate meshes), routing algorithm (every registered one, including
 the ``+ft`` fault-aware wrappers with random fault plans), coherence
-scheme, sharing degree, audit level, and seed — runs it on ``legacy``,
-``fast``, and ``soa``, and requires *bit-identical* results:
+scheme, sharing degree, audit level, seed, and how the simulation is
+driven (``run_until_event`` or ``run(until=...)`` slices) — runs it on
+:class:`~repro.network.network.MeshNetwork` and on the frozen reference
+kernel in ``tests/reference_kernel.py``, and requires *bit-identical*
+results:
 
 * the full ``TransactionRecord`` stream (or the identical failure, for
   faulted runs),
 * ``phase_counters()`` minus the documented kernel-private allowlist
-  (:data:`repro.network.network.KERNEL_PRIVATE_COUNTERS`),
+  (``KERNEL_PRIVATE_COUNTERS``),
 * total flit hops and the simulator's dispatched-callback count,
 * the SHA-256 digest of all of the above,
 
-plus the soa quiescence invariant: ``cycles_stepped + cycles_skipped``
-must equal the stepping kernels' ``cycles_stepped``.
+plus the quiescence invariant: ``cycles_stepped + cycles_skipped``
+must equal the oracle's ``cycles_stepped``.
 
 The ``repro`` Hypothesis profile (tests/conftest.py) is derandomized,
 so the 200 CI examples are reproducible; set ``HYPOTHESIS_PROFILE=
@@ -33,18 +36,20 @@ from repro.audit import Auditor
 from repro.config import paper_parameters
 from repro.core import InvalidationEngine, build_plan
 from repro.faults import FaultPlan, TransactionFailed
-from repro.network import available_routings, make_network
-from repro.network.network import KERNEL_PRIVATE_COUNTERS
+from repro.network import MeshNetwork, available_routings
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 from repro.workloads.patterns import make_pattern
-
-KERNELS = ("legacy", "fast", "soa")
+from tests.reference_kernel import (KERNEL_PRIVATE_COUNTERS,
+                                    LegacyMeshNetwork)
 
 #: One scheme per family: unicast, multicast BRCP (deterministic and
 #: adaptive base), tree multicast, gather-free UI-MA, and SCI chains.
 SCHEMES = ("ui-ua", "mi-ma-ec", "mi-ma-ec-u", "mi-ua-tm", "ui-ma-ec",
            "sci-chain")
+
+#: Cycle limit of every transaction, as in the engine's sweeps.
+LIMIT = 5_000_000
 
 
 @st.composite
@@ -64,19 +69,37 @@ def scenarios(draw):
     if nodes >= 9:  # room for faults without partitioning the mesh
         fault_seed = draw(st.one_of(
             st.none(), st.integers(min_value=0, max_value=99)))
+    # None: one run_until_event per transaction; N: run(until=now+N)
+    # slices until it completes.
+    until = draw(st.one_of(st.none(),
+                           st.integers(min_value=1, max_value=400)))
     return {"width": width, "height": height, "routing": routing,
             "scheme": scheme, "degree": degree, "seed": seed,
-            "txns": txns, "audit": audit, "fault_seed": fault_seed}
+            "txns": txns, "audit": audit, "fault_seed": fault_seed,
+            "until": until}
 
 
-def run_scenario(kernel, sc):
+def drive(sim, done, until):
+    """Run to ``done`` in ``run(until=...)`` slices of ``until`` cycles;
+    the clock must land on every slice bound."""
+    while not done.triggered:
+        if sim.peek() is None:
+            raise SimulationError(f"calendar drained at cycle {sim.now}")
+        if sim.now >= LIMIT:
+            raise SimulationError(f"not done by cycle {sim.now}")
+        bound = sim.now + until
+        assert sim.run(until=bound) == bound == sim.now
+    return done.value
+
+
+def run_scenario(net_cls, sc):
     """One kernel's complete observable behaviour for a scenario."""
     # Worm uids are a module-global counter; reset it so failure
     # messages (which embed ``worm #N``) compare equal across kernels.
     worm_mod._uid_counter = itertools.count(1)
-    params = paper_parameters(sc["width"], sc["height"], kernel=kernel)
+    params = paper_parameters(sc["width"], sc["height"])
     sim = Simulator()
-    net = make_network(sim, params, sc["routing"])
+    net = net_cls(sim, params, sc["routing"])
     engine = InvalidationEngine(sim, net, params)
     if sc["audit"] != "off":
         Auditor.install_engine(engine, sc["audit"])
@@ -90,8 +113,13 @@ def run_scenario(kernel, sc):
         pat = make_pattern("uniform", net.mesh, sc["degree"], rng)
         plan = build_plan(sc["scheme"], net.mesh, pat.home, pat.sharers)
         try:
-            records.append(dataclasses.astuple(
-                engine.run(plan, limit=5_000_000)))
+            if sc["until"] is None:
+                record = engine.run(plan, limit=LIMIT)
+            else:
+                record = drive(sim, engine.execute(plan).done, sc["until"])
+                if isinstance(record, TransactionFailed):
+                    raise record
+            records.append(dataclasses.astuple(record))
         except TransactionFailed as exc:
             records.append(("failed", str(exc), sim.now))
         except SimulationError as exc:
@@ -111,24 +139,21 @@ def run_scenario(kernel, sc):
 @given(scenarios())
 @settings(max_examples=200, deadline=None)
 def test_kernels_bit_identical(sc):
-    results = {k: run_scenario(k, sc) for k in KERNELS}
-    fast, legacy, soa = (results[k] for k in ("fast", "legacy", "soa"))
-    assert fast[0] == legacy[0], "fast vs legacy observable divergence"
-    assert fast[0] == soa[0], "fast vs soa observable divergence"
-    assert fast[1] == legacy[1] == soa[1], "digest divergence"
+    mesh = run_scenario(MeshNetwork, sc)
+    ref = run_scenario(LegacyMeshNetwork, sc)
+    assert mesh[0] == ref[0], "observable divergence from the oracle"
+    assert mesh[1] == ref[1], "digest divergence"
     # Quiescence: skipped windows account exactly for the cycles the
-    # stepping kernels ground through.
-    assert fast[2]["cycles_skipped"] == 0
-    assert legacy[2]["cycles_skipped"] == 0
-    assert (soa[2]["cycles_stepped"] + soa[2]["cycles_skipped"]
-            == fast[2]["cycles_stepped"])
+    # oracle steps through.
+    assert ref[2]["cycles_skipped"] == 0
+    assert (mesh[2]["cycles_stepped"] + mesh[2]["cycles_skipped"]
+            == ref[2]["cycles_stepped"])
 
 
 @given(scenarios())
 @settings(max_examples=25, deadline=None)
 def test_soa_run_to_run_deterministic(sc):
-    """The soa kernel must also be deterministic against itself (the
-    skip machinery cannot depend on wall-clock or iteration order)."""
-    a = run_scenario("soa", sc)
-    b = run_scenario("soa", sc)
-    assert a == b
+    """The structure-of-arrays engine must also be deterministic against
+    itself (the skip machinery cannot depend on wall-clock or iteration
+    order)."""
+    assert run_scenario(MeshNetwork, sc) == run_scenario(MeshNetwork, sc)

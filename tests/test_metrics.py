@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.metrics import (SchemeSummary, TransactionRecord,
-                                aggregate_records, normalized_latency)
+from repro.core.metrics import (TransactionRecord, aggregate_records,
+                                normalized_latency)
 
 
 def rec(txn, scheme, latency, sent=2, recv=2, msgs=4, hops=100):

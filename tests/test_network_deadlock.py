@@ -25,7 +25,7 @@ def test_detector_reports_circular_iack_wait():
     # there forever (a launcher sharer never reserves, so the column
     # needs two sharers for the nearer one to be a depositor).
     s_near, s_far = mesh.node_at(3, 4), mesh.node_at(3, 6)
-    net.routers[s_near].interface.iack.try_reserve(("foreign", 0))
+    net.interfaces[s_near].iack.try_reserve(("foreign", 0))
     st1 = engine.execute(build_plan("mi-ma-ec", mesh, mesh.node_at(3, 1),
                                     [s_near, s_far]))
     with pytest.raises(SimulationError, match="deadlock"):

@@ -2,8 +2,6 @@
 i-reserve reservations, i-gather pickup / deferred delivery, and the
 SCI-style chained worm."""
 
-import pytest
-
 from repro.config import SystemParameters
 from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.worm import VNET_REPLY, VNET_REQUEST
@@ -85,7 +83,7 @@ def test_multicast_consumption_channel_held_and_released():
     run_until(sim, net, lambda: net.delivered >= 1)
     sim.run()
     for node in dests:
-        iface = net.routers[node].interface
+        iface = net.interfaces[node]
         assert iface.free_cc == p.consumption_channels
 
 
@@ -161,7 +159,7 @@ def test_gather_defers_at_slow_intermediate():
     txn = "t-park"
     home = net.mesh.node_at(2, 0)
     s1, s2 = column_nodes(net, 2, (3, 6))
-    parked_router = net.routers[s1]
+    parked_iface = net.interfaces[s1]
 
     def deliver(node, worm, final):
         if worm.kind is WormKind.IRESERVE:
@@ -184,7 +182,7 @@ def test_gather_defers_at_slow_intermediate():
     at, node, acks = results[0]
     assert node == home
     assert acks == 2
-    assert parked_router.interface.iack.parks == 1
+    assert parked_iface.iack.parks == 1
     assert at >= 2000  # could not finish before the slow deposit
 
 
@@ -212,7 +210,7 @@ def test_gather_blocks_in_place_without_deferred_delivery():
     at, acks = results[0]
     assert acks == 2
     assert at >= 500
-    assert net.routers[s1].interface.iack.parks == 0
+    assert net.interfaces[s1].iack.parks == 0
 
 
 def test_reservation_only_junction_gets_level1_entry():
@@ -231,10 +229,10 @@ def test_reservation_only_junction_gets_level1_entry():
     sim.run()
     # Junction gets no delivery, only a level-1 reservation.
     assert deliveries == [(sharer, True)]
-    jfile = net.routers[junction].interface.iack
+    jfile = net.interfaces[junction].iack
     assert jfile.entry((txn, 1)) is not None
     assert jfile.entry((txn, 1)).reserved
-    sfile = net.routers[sharer].interface.iack
+    sfile = net.interfaces[sharer].iack
     assert sfile.entry((txn, 0)) is not None
 
 
@@ -243,18 +241,18 @@ def test_ireserve_blocks_when_buffer_file_full():
     home = net.mesh.node_at(0, 0)
     sharer = net.mesh.node_at(0, 5)
     # Fill the sharer's single buffer with an unrelated reservation.
-    assert net.routers[sharer].interface.iack.try_reserve(("other", 0))
+    assert net.interfaces[sharer].iack.try_reserve(("other", 0))
     worm = Worm(kind=WormKind.IRESERVE, src=home, dests=(sharer,),
                 size_flits=6, txn="t-full")
     net.inject(worm)
     # Free the entry after a while; the worm then proceeds.
     released = []
     sim.call_after(400, lambda: (
-        net.routers[sharer].interface.iack._entries.clear(),
+        net.interfaces[sharer].iack._entries.clear(),
         released.append(sim.now)))
     run_until(sim, net, lambda: net.delivered >= 1)
     assert net.delivered == 1
-    assert net.routers[sharer].interface.iack.reserve_blocked > 0
+    assert net.interfaces[sharer].iack.reserve_blocked > 0
     assert sim.now >= 400
 
 

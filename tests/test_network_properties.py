@@ -7,9 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemParameters
 from repro.network import MeshNetwork, Worm, WormKind, available_routings
-from repro.network.router import VCState
+from repro.network.network import IDLE
 from repro.network.worm import VNET_REQUEST
 from repro.sim import Simulator
+
+
+def assert_drained(net):
+    """Every VC idle with an empty buffer, no owned output, no injection
+    work, and every consumption channel free."""
+    assert net.idle()
+    assert all(state == IDLE for state in net._vstate)
+    assert not any(net._occ) and not any(map(len, net._buf))
+    assert all(owner < 0 for owner in net._owner)
+    assert not any(net._inject_work)
+    for iface in net.interfaces:
+        assert iface.free_cc == iface.total_cc
 
 
 def drain(sim, net, limit=500_000):
@@ -49,13 +61,7 @@ def test_unicast_storm_all_delivered_flits_conserved(routing, messages):
     # Flit conservation: minimal routes => exact hop counts.
     assert net.total_flit_hops == expected_hops
     # All router state returned to idle; all channels free.
-    for r in net.routers:
-        assert r.is_quiescent()
-        assert r.interface.free_cc == r.interface.total_cc
-        for owners in r.out_owner:
-            assert all(owner is None for owner in owners)
-        for vc in r._vc_list:
-            assert vc.state is VCState.IDLE and not vc.buffer
+    assert_drained(net)
 
 
 @settings(max_examples=15, deadline=None)
@@ -136,6 +142,4 @@ def test_mixed_vnet_storm_with_multicasts_drains_clean(routing):
         count += 1
     drain(sim, net)
     assert net.delivered == count
-    for r in net.routers:
-        assert r.is_quiescent()
-        assert r.interface.free_cc == r.interface.total_cc
+    assert_drained(net)

@@ -242,6 +242,7 @@ def test_malformed_json_is_400():
     (dict(SPEC, typo_field=1), "unknown field"),
     (dict(SPEC, mesh=999), "mesh"),
     (dict(SPEC, params={"jobs": 4}), "not overridable"),
+    (dict(SPEC, params={"kernel": "soa"}), "unknown parameter"),
 ])
 def test_invalid_spec_is_400_with_detail(spec, fragment):
     async def body(host, port, service):

@@ -4,7 +4,7 @@ structural properties of pattern/trace generators."""
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.network.topology import Mesh2D
 from repro.workloads import (BlockAllocator, pattern_column_clustered,
