@@ -26,8 +26,9 @@ tests encode:
 
 Backs ``benchmarks/bench_runner_chaos.py`` and the CI ``runner-chaos``
 smoke job.  Everything is seeded and file-flag based, so scenarios are
-reproducible; fault injection fires exactly once per flag file
-(retries then run clean), except ``poison`` which always fails.
+reproducible; fault injection (:func:`pool_fault_job`, shared with the
+serve chaos harness) fires exactly once per flag file (retries then run
+clean), except ``poison`` which always fails.
 """
 
 from __future__ import annotations
@@ -52,19 +53,18 @@ RUNNER_CHAOS_SCENARIOS = ("kill", "hang", "poison", "journal", "cache")
 HANG_SECONDS = 120.0
 
 
-def _chaos_sweep_job(scheme: str, degrees: tuple, per_degree: int,
-                     params, seed: int, fault: str,
-                     flag_path: str) -> list:
-    """One sweep job with optional one-shot fault injection.
+def pool_fault_job(fault: str, flag_path: str, fn, args: tuple):
+    """Run the job payload ``fn(*args)`` behind an injected pool fault.
 
-    The payload is the real per-scheme invalidation sweep job, so
-    digests compare actual paper-figure rows.  ``fault`` fires only
+    ``kill`` (SIGKILL the worker), ``hang`` and ``raise`` fire only
     while ``flag_path`` does not exist (the flag is written *before*
     the fault so retries run clean); ``poison`` ignores the flag and
-    fails every attempt.
+    fails every attempt; ``none`` just runs the payload.  Module-level
+    so process workers unpickle it by reference.
     """
+    name = getattr(fn, "__name__", "job")
     if fault == "poison":
-        raise RuntimeError(f"injected poison job ({scheme})")
+        raise RuntimeError(f"injected poison job ({name})")
     if fault != "none" and not os.path.exists(flag_path):
         with open(flag_path, "w") as fh:
             fh.write(fault)
@@ -73,9 +73,8 @@ def _chaos_sweep_job(scheme: str, degrees: tuple, per_degree: int,
         elif fault == "hang":
             time.sleep(HANG_SECONDS)
         elif fault == "raise":
-            raise RuntimeError(f"injected transient failure ({scheme})")
-    return _invalidation_scheme_job(scheme, degrees, per_degree, params,
-                                    "uniform", seed, None)
+            raise RuntimeError(f"injected transient failure ({name})")
+    return fn(*args)
 
 
 def _digest(rows) -> str:
@@ -102,14 +101,18 @@ class _Interrupter:
 def _build_jobs(schemes, degrees, per_degree, params, seed, nonce,
                 faults: dict, flag_dir: str) -> list[Job]:
     """The scenario's job list; ``faults`` maps job index -> fault
-    kind.  ``nonce`` isolates cache/journal identity per scenario."""
+    kind.  ``nonce`` isolates cache/journal identity per scenario.  The
+    payload is the real per-scheme invalidation sweep job, so digests
+    compare actual paper-figure rows."""
     jobs = []
     for i, scheme in enumerate(schemes):
         fault = faults.get(i, "none")
         jobs.append(Job(
-            fn=_chaos_sweep_job,
-            args=(scheme, tuple(degrees), per_degree, params, seed,
-                  fault, os.path.join(flag_dir, f"flag-{nonce}-{i}")),
+            fn=pool_fault_job,
+            args=(fault, os.path.join(flag_dir, f"flag-{nonce}-{i}"),
+                  _invalidation_scheme_job,
+                  (scheme, tuple(degrees), per_degree, params, "uniform",
+                   seed, None)),
             key={"fn": "runner_chaos/scheme", "nonce": nonce,
                  "scheme": scheme, "degrees": list(degrees),
                  "per_degree": per_degree, "seed": seed, "fault": fault},

@@ -48,6 +48,7 @@ import tempfile
 import threading
 from typing import Callable, Optional
 
+from repro.chaos.runner_faults import pool_fault_job
 from repro.runner import Job, ResultCache, RetryPolicy, key_digest, run_jobs
 from repro.serve import (ServeConfig, ServeServer, ServiceConfig,
                          SimulationService, result_body, run_server)
@@ -72,10 +73,6 @@ def _gated_job(name: str, fn, args):
     """Run the real job payload once the scenario opens the gate."""
     _GATES[name].wait(SCENARIO_TIMEOUT)
     return fn(*args)
-
-
-def _poison_job():
-    raise RuntimeError("injected poison: worker pool is sick")
 
 
 def _service_config(**overrides) -> ServiceConfig:
@@ -480,8 +477,8 @@ async def _scenario_breaker(spec, baseline, workdir) -> tuple[bool, str]:
     original_submit = service.submit
 
     def poisoned(job: Job) -> Job:
-        return Job(fn=_poison_job, args=(), key=job.key,
-                   label=job.label)
+        return Job(fn=pool_fault_job, args=("poison", "", job.fn, job.args),
+                   key=job.key, label=job.label)
 
     try:
         _patch_submit(service, poisoned)

@@ -12,12 +12,13 @@ cache.  All four sweep consumers route through it:
 * ``benchmarks/harness.py`` (one job per workload, plus the
   parallel-scaling section of ``BENCH_perf.json``).
 
-Execution is *supervised* (:mod:`repro.runner.supervisor`): per-job
-wall-clock watchdogs, bounded retries with exponential backoff,
-poison-job quarantine behind a typed :class:`JobFailed`, broken-pool
-rebuild with a serial fallback, and a crash-safe JSON-lines sweep
-journal (:mod:`repro.runner.journal`) that makes interrupted sweeps
-resumable with bit-identical results.
+Execution is *supervised*: :class:`SupervisedPool`
+(:mod:`repro.runner.supervisor`) is the one worker pool behind both
+``run_jobs`` and ``repro serve``, with per-job wall-clock watchdogs,
+bounded retries with exponential backoff, poison-job quarantine behind
+a typed :class:`JobFailed`, and a rebuild after every broken pool.  A
+crash-safe JSON-lines sweep journal (:mod:`repro.runner.journal`)
+makes interrupted sweeps resumable with bit-identical results.
 
 See :mod:`repro.runner.jobs` for the determinism contract,
 :mod:`repro.runner.cache` for the cache-key layout and invalidation
@@ -33,7 +34,8 @@ from repro.runner.journal import (JOURNAL_SCHEMA, SweepJournal,
                                   clear_journals, default_journal_root,
                                   journal_info)
 from repro.runner.supervisor import (JobFailed, JobFailure, RetryPolicy,
-                                     WorkerFailure, run_supervised)
+                                     SupervisedPool, WorkerFailure,
+                                     run_supervised)
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -44,6 +46,7 @@ __all__ = [
     "MISS",
     "ResultCache",
     "RetryPolicy",
+    "SupervisedPool",
     "SweepJournal",
     "WorkerFailure",
     "clear_journals",

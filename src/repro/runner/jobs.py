@@ -17,15 +17,16 @@ executes such a list with four guarantees:
   bit-identically.  Fresh results are stored *as each one lands* (in
   the parent process, so workers never contend on disk) — a crash
   discards only in-flight work, never finished work.
-* **Supervised fault tolerance.**  Execution runs under
-  :mod:`repro.runner.supervisor`: per-job wall-clock watchdogs, bounded
-  retries with exponential backoff, poison-job quarantine behind a
-  typed :class:`~repro.runner.supervisor.JobFailed` (raised only after
-  the sweep drains), broken-pool rebuild with a serial in-parent
-  fallback, and — via :mod:`repro.runner.journal` — a JSON-lines sweep
-  journal under ``.repro-cache/journal/`` that makes any interrupted
-  sweep resumable (``resume=True`` / CLI ``--resume``) with
-  digest-identical results.  See ``docs/RUNNER.md``.
+* **Supervised fault tolerance.**  With ``workers > 1`` every job runs
+  on one :class:`~repro.runner.supervisor.SupervisedPool`, the pool
+  ``repro serve`` uses: per-job wall-clock watchdogs, bounded retries
+  with backoff, poison-job quarantine behind a typed
+  :class:`~repro.runner.supervisor.JobFailed` (raised only after the
+  sweep drains), a rebuild after every broken pool, and — via
+  :mod:`repro.runner.journal` — a JSON-lines sweep journal under
+  ``.repro-cache/journal/`` that makes any interrupted sweep resumable
+  (``resume=True`` / CLI ``--resume``) with digest-identical results.
+  See ``docs/RUNNER.md``.
 
 Jobs must be *picklable*: ``fn`` a module-level callable, arguments
 plain data.  The pool uses :class:`concurrent.futures.ProcessPoolExecutor`

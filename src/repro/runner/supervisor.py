@@ -1,56 +1,32 @@
-"""Supervised execution of sweep jobs: watchdogs, retries, recovery.
+"""Supervised execution of simulation jobs: one pool, watchdogs, retries.
 
-The bare ``ProcessPoolExecutor.map`` the scheduler used historically had
-an all-or-nothing failure mode: one OOM-killed worker raised
-``BrokenProcessPoolError`` and discarded every in-flight *and* finished
-result of a multi-hour sweep.  This module supervises the pool the same
-way the simulated DSM supervises its invalidation transactions
-(``txn_timeout`` / ``txn_max_retries`` / ``txn_backoff`` — see
-``docs/FAULTS.md``): asynchronous worker failures are expected events
-with typed, bounded recovery, never silent sweep aborts.
-
-* **Per-job watchdog.**  Every pooled job gets a wall-clock deadline
-  (:attr:`RetryPolicy.timeout`, scaled by :attr:`RetryPolicy.backoff`
-  per attempt).  A job that blows its deadline has wedged its worker —
-  the pool is killed, innocents are requeued uncharged, and the hung
-  job is charged one attempt.
-* **Bounded retries with backoff.**  A job that raises, times out, or
-  loses its worker is relaunched up to :attr:`RetryPolicy.max_retries`
-  times with an exponentially growing settle delay.
-* **Poison-job quarantine.**  After retry exhaustion the job is recorded
-  as a :class:`JobFailure` (kind + child traceback); the rest of the
-  sweep *keeps running* and the caller raises one typed
-  :class:`JobFailed` at the end, when every salvageable result has
-  already landed in the cache and the sweep journal.
-* **Graceful pool degradation.**  The first broken pool is rebuilt and
-  its in-flight jobs requeued; if the rebuilt pool breaks again the
-  remaining jobs fall back to serial in-parent execution rather than
-  aborting the sweep.
-* **Interrupt hygiene.**  Any :class:`BaseException` escaping the
-  supervision loop (``KeyboardInterrupt`` included) terminates the
-  worker processes — no orphans — before re-raising; the caller's
-  incremental journal already holds every finished result.
-
-Workers never let job exceptions cross the pickling boundary raw:
-:func:`execute_job` converts them to :class:`WorkerFailure` values
-carrying the formatted child traceback, so the parent can distinguish
-"the job raised" (retryable, attributable) from "the pool broke"
-(worker lost — culprit unknown).
-
-Serial execution (``workers=1``) shares the retry machinery but has no
-watchdog: a wall-clock timeout cannot preempt the parent's own frame.
+:class:`SupervisedPool` is the one worker pool behind both
+:func:`run_supervised` (and so ``run_jobs``) and ``repro serve``.  Like
+the simulated DSM with lost worms (``docs/FAULTS.md``), it treats worker
+failures as expected events with typed, bounded recovery: watchdog
+kills, retries with backoff, pool rebuilds, and quarantine behind a
+typed :class:`JobFailed` (``docs/RUNNER.md``).  Serial execution
+(``workers=1``) has the same retries but no watchdog: a wall-clock
+timeout cannot preempt the parent's own frame.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 import traceback as traceback_mod
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import (BrokenExecutor, Future, InvalidStateError,
+                                ProcessPoolExecutor, ThreadPoolExecutor,
+                                as_completed)
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
+from queue import SimpleQueue
 from typing import Any, Callable, Optional
+
+from repro.config import ConfigError
 
 
 @dataclass(frozen=True)
@@ -62,7 +38,7 @@ class RetryPolicy:
     scale by ``backoff`` on every successive attempt, mirroring the
     ``txn_timeout``/``txn_max_retries``/``txn_backoff`` family of the
     simulated recovery protocol.  ``max_retries=0`` quarantines on the
-    first failure.
+    first failure.  Out-of-range values raise :class:`ConfigError`.
     """
 
     timeout: float = 300.0
@@ -72,6 +48,13 @@ class RetryPolicy:
     #: by ``backoff`` per attempt, capped at :attr:`max_delay`).
     retry_delay: float = 0.05
     max_delay: float = 2.0
+
+    def __post_init__(self) -> None:
+        for name, low in (("timeout", 0), ("max_retries", 0),
+                          ("backoff", 1), ("retry_delay", 0),
+                          ("max_delay", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"job {name} must be >= {low}")
 
     @property
     def max_attempts(self) -> int:
@@ -146,13 +129,17 @@ class JobFailed(RuntimeError):
         return self.failures[0].traceback
 
 
-@dataclass
+@dataclass(eq=False)
 class _Entry:
-    """Supervision state for one pending job."""
+    """Supervision state of one job (hashed by identity)."""
 
     index: int
     job: Any
     attempts: int = 0          # failed attempts so far
+    suspect: bool = False      # lost a worker: runs alone from now on
+    deadline: float = math.inf  # watchdog expiry, or relaunch time
+    worker: Optional[Future] = None   # the live attempt's
+    future: Optional[Future] = None   # the caller's (pooled jobs only)
 
 
 def execute_job(job) -> Any:
@@ -170,8 +157,8 @@ def execute_job(job) -> Any:
                              traceback_mod.format_exc())
 
 
-def _label(entry: _Entry) -> str:
-    return entry.job.label or getattr(entry.job.fn, "__name__", "job")
+def _label(job) -> str:
+    return job.label or getattr(job.fn, "__name__", "job")
 
 
 def run_supervised(entries: list[_Entry], workers: int,
@@ -181,24 +168,38 @@ def run_supervised(entries: list[_Entry], workers: int,
                    ) -> tuple[list[JobFailure], dict]:
     """Run ``entries`` under supervision; returns ``(failures, events)``.
 
-    ``on_result(index, result, attempts)`` fires in the parent as each
-    job lands (completion order) — callers use it for incremental cache
-    stores, journaling, and streamed progress.  ``events`` counts
-    ``retries``, ``rebuilds``, ``pool_breaks``, and whether the sweep
-    ended in ``serial_fallback``.  Quarantined jobs come back as
-    :class:`JobFailure` records; nothing is raised here except
-    pass-through :class:`BaseException` (after worker cleanup).
+    ``on_result(index, result, attempts)`` and ``note`` fire on the
+    calling thread as jobs land.  ``workers > 1`` runs every entry on
+    one :class:`SupervisedPool`, a lone job included.  Quarantined jobs
+    come back as :class:`JobFailure` records.
     """
     note = note or (lambda msg: None)
-    events = {"retries": 0, "rebuilds": 0, "pool_breaks": 0,
-              "serial_fallback": False}
-    if workers <= 1 or len(entries) == 1:
-        failures = _run_serial(deque(entries), policy, on_result, note,
-                               events)
-    else:
-        failures = _run_pool(entries, workers, policy, on_result, note,
-                             events)
-    return failures, events
+    if workers <= 1:
+        events = {"retries": 0, "rebuilds": 0, "pool_breaks": 0}
+        return _run_serial(deque(entries), policy, on_result, note,
+                           events), events
+    # Every note precedes the resolution of some job's future, so
+    # draining before each landing relays all of them.
+    notes: SimpleQueue = SimpleQueue()
+    failures: list[JobFailure] = []
+    pool = SupervisedPool(min(workers, len(entries)), policy,
+                          note=notes.put)
+    try:
+        futures = {pool.submit(entry.job): entry for entry in entries}
+        for future in as_completed(futures):
+            while not notes.empty():
+                note(notes.get())
+            entry = futures[future]
+            try:
+                result, attempts = future.result()
+            except JobFailed as exc:
+                exc.failures[0].index = entry.index
+                failures.extend(exc.failures)
+            else:
+                on_result(entry.index, result, attempts)
+    finally:
+        pool.close()
+    return failures, pool.events
 
 
 def _run_serial(queue: deque, policy: RetryPolicy, on_result, note,
@@ -212,14 +213,14 @@ def _run_serial(queue: deque, policy: RetryPolicy, on_result, note,
         if isinstance(outcome, WorkerFailure):
             entry.attempts += 1
             if entry.attempts >= policy.max_attempts:
-                failures.append(JobFailure(entry.index, _label(entry),
+                failures.append(JobFailure(entry.index, _label(entry.job),
                                            "error", entry.attempts,
                                            outcome.traceback))
-                note(f"job {_label(entry)} quarantined after "
+                note(f"job {_label(entry.job)} quarantined after "
                      f"{entry.attempts} attempt(s): {outcome.error}")
             else:
                 events["retries"] += 1
-                note(f"job {_label(entry)} raised {outcome.error} "
+                note(f"job {_label(entry.job)} raised {outcome.error} "
                      f"(attempt {entry.attempts}/{policy.max_attempts}); "
                      f"retrying")
                 time.sleep(policy.attempt_delay(entry.attempts))
@@ -229,12 +230,10 @@ def _run_serial(queue: deque, policy: RetryPolicy, on_result, note,
     return failures
 
 
-def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
+def _terminate_pool(pool) -> None:
     """Forcefully stop a pool: cancel queued work, SIGTERM (then
-    SIGKILL) every worker, and reap them — used for watchdog kills,
-    broken pools, and interrupt cleanup so no orphans survive."""
-    if pool is None:
-        return
+    SIGKILL) every worker process (a thread pool's threads are
+    abandoned), and reap them, so no orphans survive."""
     # _processes is CPython's worker table (stable since 3.3); fall
     # back to a plain shutdown if a future version renames it.
     procs = list((getattr(pool, "_processes", None) or {}).values())
@@ -258,164 +257,212 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             pass
 
 
-def _run_pool(entries: list[_Entry], workers: int, policy: RetryPolicy,
-              on_result, note, events) -> list[JobFailure]:
-    failures: list[JobFailure] = []
-    queue: deque = deque(entries)
-    delayed: list[tuple[float, _Entry]] = []   # (ready_at, entry)
-    in_flight: dict = {}                       # future -> (entry, deadline)
-    pool: Optional[ProcessPoolExecutor] = \
-        ProcessPoolExecutor(max_workers=min(workers, len(queue)))
-    serial_rest: Optional[deque] = None
+class SupervisedPool:
+    """A process (or thread) pool that supervises every job it runs.
 
-    def charge(entry: _Entry, kind: str, tb: str) -> None:
-        """One failed attempt: quarantine on exhaustion, else schedule a
-        backoff retry."""
+    :meth:`submit` returns a future for ``(result, attempts)`` that
+    fails with :class:`JobFailed` once the policy is exhausted; at most
+    ``workers`` jobs run at once.  A job is dispatched on the
+    submitting thread when a slot is free and resolved by its worker
+    future's done-callback: no extra thread hand-off.  Queued dispatch,
+    retry delays and watchdogs run on one supervision thread that
+    sleeps until its next deadline.  Done-callbacks never submit: on
+    Python 3.10/3.11 ``ProcessPoolExecutor.submit`` writes to a pipe
+    that only the thread running them drains.  ``note`` and the
+    returned futures' callbacks run under the pool lock and must not
+    call into the pool; each :attr:`events` counter (``retries``,
+    ``rebuilds``, ``pool_breaks``) is updated before the note that
+    reports it.
+    """
+
+    def __init__(self, workers: int, policy: RetryPolicy,
+                 kind: str = "process",
+                 note: Optional[Callable[[str], None]] = None) -> None:
+        self.workers = workers
+        self.policy = policy
+        self._make_executor = (ThreadPoolExecutor if kind == "thread"
+                               else ProcessPoolExecutor)
+        self.note = note or (lambda msg: None)
+        self.events = {"retries": 0, "rebuilds": 0, "pool_breaks": 0}
+        # Re-entrant: a done-callback added to a finished future runs at
+        # once, on the dispatching thread.
+        self._cv = threading.Condition(threading.RLock())
+        self._executor = None
+        self._retired: list = []      # executors awaiting teardown
+        self._queue: deque = deque()  # entries ready to dispatch
+        self._delayed: list = []      # entries waiting out a retry delay
+        self._running: dict = {}      # entry -> None, in dispatch order
+        self._wake_at = -math.inf     # supervisor wake time; -inf: awake
+        self._closed = False
+        self._thread = threading.Thread(target=self._supervise, daemon=True)
+        self._thread.start()
+
+    def submit(self, job) -> Future:
+        """Queue ``job``, dispatching it at once if a slot is free."""
+        entry = _Entry(0, job, future=Future())
+        with self._cv:
+            if self._closed:
+                raise RuntimeError("submit() on a closed SupervisedPool")
+            self._queue.append(entry)
+            self._fill()
+        return entry.future
+
+    def close(self) -> None:
+        """Cancel every pending future and reap every worker: an idle
+        pool's workers exit cleanly, busy ones are killed."""
+        with self._cv:
+            if self._closed:
+                return
+            self._closed = True
+            pending = [*self._queue, *self._delayed, *self._running]
+            for entry in pending:
+                entry.worker = None
+            live, retired = self._executor, self._retired
+            self._cv.notify_all()
+        self._thread.join()
+        if live is not None and not pending:
+            live.shutdown(wait=True)        # idle workers exit cleanly
+        elif live is not None:
+            retired.append(live)
+        for executor in retired:
+            _terminate_pool(executor)
+        for entry in pending:
+            entry.future.cancel()
+
+    # -- state transitions (pool lock held) -----------------------------
+    def _fill(self) -> None:
+        """Dispatch queued entries into free slots.  A suspect runs
+        alone, so a pool it breaks again is attributable."""
+        while self._queue and len(self._running) < self.workers:
+            entry = self._queue[0]
+            if entry.future.cancelled():
+                self._queue.popleft()
+                continue
+            if (entry.suspect and self._running) or any(
+                    other.suspect for other in self._running):
+                return
+            if self._executor is None:
+                self._executor = self._make_executor(self.workers)
+            try:
+                worker = self._executor.submit(execute_job, entry.job)
+            except BrokenExecutor:
+                self._broken()
+                continue
+            self._queue.popleft()
+            entry.worker = worker
+            entry.deadline = (time.monotonic()
+                              + self.policy.attempt_timeout(entry.attempts))
+            self._running[entry] = None
+            if entry.deadline < self._wake_at:
+                self._cv.notify()
+            worker.add_done_callback(partial(self._landed, entry))
+
+    def _charge(self, entry: _Entry, kind: str, tb: str) -> None:
+        """One failed attempt: quarantine on exhaustion, else retry."""
         entry.attempts += 1
-        if entry.attempts >= policy.max_attempts:
-            failures.append(JobFailure(entry.index, _label(entry), kind,
-                                       entry.attempts, tb))
-            note(f"job {_label(entry)} quarantined after "
-                 f"{entry.attempts} attempt(s) [{kind}]")
-        else:
-            events["retries"] += 1
-            delayed.append((time.monotonic()
-                            + policy.attempt_delay(entry.attempts), entry))
-
-    def handle_break() -> None:
-        """The pool died under us: requeue casualties (charged — the
-        culprit is unattributable), then rebuild once or, on a repeat
-        break, fall back to serial in-parent execution."""
-        nonlocal pool, serial_rest
-        events["pool_breaks"] += 1
-        casualties = [entry for entry, _dl in in_flight.values()]
-        in_flight.clear()
-        _terminate_pool(pool)
-        pool = None
-        for entry in casualties:
-            charge(entry, "worker-lost",
-                   "worker process died unexpectedly (pool broken) — "
-                   "no child traceback available")
-        if events["pool_breaks"] > 1:
-            events["serial_fallback"] = True
-            note("worker pool broke again — finishing the sweep "
-                 "serially in the parent process")
-            rest = sorted([e for _r, e in delayed] + list(queue),
-                          key=lambda e: e.index)
-            queue.clear()
-            delayed.clear()
-            serial_rest = deque(rest)
+        if entry.attempts >= self.policy.max_attempts:
+            label = _label(entry.job)
+            self.note(f"job {label} quarantined after {entry.attempts} "
+                      f"attempt(s) [{kind}]")
+            with suppress(InvalidStateError):       # the caller cancelled
+                entry.future.set_exception(JobFailed(
+                    [JobFailure(0, label, kind, entry.attempts, tb)]))
             return
-        events["rebuilds"] += 1
-        remaining = len(queue) + len(delayed)
-        note(f"worker pool broken — rebuilding it and requeuing "
-             f"{len(casualties)} in-flight job(s)")
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, max(remaining, 1)))
+        self.events["retries"] += 1
+        self.note(f"job {_label(entry.job)} failed [{kind}] (attempt "
+                  f"{entry.attempts}/{self.policy.max_attempts}); retrying")
+        entry.deadline = (time.monotonic()
+                          + self.policy.attempt_delay(entry.attempts))
+        self._delayed.append(entry)
+        if entry.deadline < self._wake_at:
+            self._cv.notify()
 
-    try:
-        while queue or delayed or in_flight:
-            now = time.monotonic()
-            if delayed:
-                due = [pair for pair in delayed if pair[0] <= now]
-                if due:
-                    delayed = [p for p in delayed if p[0] > now]
-                    queue.extend(entry for _r, entry in due)
+    def _retire(self) -> list:
+        """Hand the executor to the supervision thread for teardown;
+        returns the entries that were in flight on it."""
+        self.events["rebuilds"] += 1
+        in_flight = list(self._running)
+        for entry in in_flight:
+            entry.worker = None
+        self._running.clear()
+        self._retired.append(self._executor)
+        self._executor = None
+        self._cv.notify()
+        return in_flight
 
-            while queue and len(in_flight) < workers:
-                entry = queue.popleft()
-                try:
-                    future = pool.submit(execute_job, entry.job)
-                except BrokenProcessPool:
-                    queue.appendleft(entry)
-                    handle_break()
-                    break
-                deadline = now + policy.attempt_timeout(entry.attempts)
-                in_flight[future] = (entry, deadline)
-            if serial_rest is not None:
-                break
+    def _broken(self) -> None:
+        """A dead worker broke the pool: charge every in-flight job one
+        ``worker-lost`` attempt (the culprit is unknown), as a suspect."""
+        self.events["pool_breaks"] += 1
+        casualties = self._retire()
+        self.note(f"worker pool broken — rebuilding it and requeuing "
+                  f"{len(casualties)} in-flight job(s)")
+        for entry in casualties:
+            entry.suspect = True
+            self._charge(entry, "worker-lost",
+                         "worker process died unexpectedly (pool broken) "
+                         "— no child traceback available")
 
-            if not in_flight:
-                if delayed:
-                    time.sleep(max(0.0, min(r for r, _e in delayed)
-                                   - time.monotonic()))
-                continue
+    def _expire(self, now: float) -> None:
+        """Watchdog: kill the pool that jobs past their deadline wedged,
+        requeue the bystanders uncharged and charge the expired jobs."""
+        expired = [e for e in self._running if e.deadline <= now]
+        if not expired:
+            return
+        self._queue.extendleft(reversed(
+            [e for e in self._retire() if e not in expired]))
+        for entry in expired:
+            limit = self.policy.attempt_timeout(entry.attempts)
+            self.note(f"job {_label(entry.job)} exceeded its {limit:g}s "
+                      f"watchdog; killing the worker pool")
+            self._charge(entry, "timeout", f"job exceeded its {limit:g}s "
+                                           f"wall-clock watchdog")
 
-            horizon = min(dl for _e, dl in in_flight.values())
-            if delayed:
-                horizon = min(horizon, min(r for r, _e in delayed))
-            wait_s = horizon - time.monotonic()
-            if not math.isfinite(wait_s) or wait_s > 0.5:
-                wait_s = 0.5
-            done, _not_done = wait(set(in_flight), timeout=max(wait_s, 0.01),
-                                   return_when=FIRST_COMPLETED)
+    # -- pool threads ---------------------------------------------------
+    def _landed(self, entry: _Entry, worker: Future) -> None:
+        """Done-callback of a worker future: settle the attempt."""
+        with self._cv:
+            if entry.worker is not worker:
+                return                  # an attempt its pool outlived
+            error = worker.exception()
+            if isinstance(error, BrokenExecutor):
+                self._broken()
+                return
+            del self._running[entry]
+            entry.worker = None
+            outcome = worker.result() if error is None else WorkerFailure(
+                repr(error), "".join(traceback_mod.format_exception(error)))
+            if isinstance(outcome, WorkerFailure):
+                self._charge(entry, "error", outcome.traceback)
+            else:
+                with suppress(InvalidStateError):   # the caller cancelled
+                    entry.future.set_result((outcome, entry.attempts + 1))
+            if self._queue or not (self._running or self._delayed):
+                self._cv.notify()       # a free slot, or nothing to time
 
-            broke = False
-            for future in done:
-                entry, deadline = in_flight.pop(future)
-                exc = future.exception()
-                if isinstance(exc, BrokenProcessPool):
-                    # Handled wholesale below: leave the entry with the
-                    # other casualties so the break is charged once.
-                    in_flight[future] = (entry, deadline)
-                    broke = True
+    def _supervise(self) -> None:
+        """Relaunch due retries, enforce watchdogs, reap retired pools
+        before any rebuild, dispatch; then sleep until a deadline, or
+        without a timeout when nothing is left to time: an idle thread
+        parked in a timed wait measurably slowed a serving loop."""
+        while True:
+            with self._cv:
+                if self._closed:
+                    return
+                now = time.monotonic()
+                self._queue.extend(e for e in self._delayed
+                                   if e.deadline <= now)
+                self._delayed = [e for e in self._delayed if e.deadline > now]
+                self._expire(now)
+                if not self._retired:
+                    self._fill()
+                retired, self._retired = self._retired, []
+                if not retired:
+                    self._wake_at = min((e.deadline for e in (
+                        *self._running, *self._delayed)), default=math.inf)
+                    self._cv.wait(None if self._wake_at == math.inf
+                                  else self._wake_at - now)
+                    self._wake_at = -math.inf
                     continue
-                if exc is not None:
-                    charge(entry, "error", "".join(
-                        traceback_mod.format_exception(
-                            type(exc), exc, exc.__traceback__)))
-                    continue
-                outcome = future.result()
-                if isinstance(outcome, WorkerFailure):
-                    if entry.attempts + 1 < policy.max_attempts:
-                        note(f"job {_label(entry)} raised "
-                             f"{outcome.error} (attempt "
-                             f"{entry.attempts + 1}/"
-                             f"{policy.max_attempts}); retrying")
-                    charge(entry, "error", outcome.traceback)
-                else:
-                    on_result(entry.index, outcome, entry.attempts + 1)
-            if broke:
-                handle_break()
-                if serial_rest is not None:
-                    break
-                continue
-
-            now = time.monotonic()
-            expired = [future for future, (_e, dl) in in_flight.items()
-                       if dl <= now]
-            if expired:
-                # A hung job has wedged its worker; the only reclaim is
-                # to kill the pool.  Innocent in-flight jobs are
-                # requeued uncharged.
-                events["rebuilds"] += 1
-                for future in expired:
-                    entry, _dl = in_flight.pop(future)
-                    note(f"job {_label(entry)} exceeded its "
-                         f"{policy.attempt_timeout(entry.attempts):g}s "
-                         f"watchdog (attempt {entry.attempts + 1}/"
-                         f"{policy.max_attempts}); killing the worker "
-                         f"pool")
-                    charge(entry, "timeout",
-                           f"job exceeded its "
-                           f"{policy.attempt_timeout(entry.attempts):g}s "
-                           f"wall-clock watchdog")
-                bystanders = [entry for entry, _dl in in_flight.values()]
-                in_flight.clear()
-                _terminate_pool(pool)
-                queue.extend(bystanders)
-                remaining = len(queue) + len(delayed)
-                pool = ProcessPoolExecutor(
-                    max_workers=min(workers, max(remaining, 1)))
-        if serial_rest is not None:
-            failures.extend(_run_serial(serial_rest, policy, on_result,
-                                        note, events))
-    except BaseException:
-        # KeyboardInterrupt (possibly raised by the caller's progress
-        # callback) or any internal error: leave no orphan workers.
-        _terminate_pool(pool)
-        raise
-    else:
-        if pool is not None:
-            pool.shutdown(wait=True)
-    return failures
+            for executor in retired:
+                _terminate_pool(executor)

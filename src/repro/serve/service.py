@@ -16,10 +16,10 @@
   drained round-robin, so a flood from one tenant cannot starve
   another past its fairness bound (one extra job per competing
   client per dispatch round);
-* a **shared supervised worker pool** — misses execute on a process
-  (or thread) pool under the same :class:`~repro.runner.supervisor.
-  RetryPolicy` semantics as ``run_jobs``: per-attempt wall-clock
-  watchdogs (a hung worker gets its pool killed and rebuilt), bounded
+* one :class:`~repro.runner.supervisor.SupervisedPool` for its
+  lifetime — the same supervised pool ``run_jobs`` uses, so misses get
+  its per-attempt wall-clock watchdogs (a hung worker gets its pool
+  killed and rebuilt, in-flight bystanders requeued uncharged), bounded
   retries with exponential backoff, and quarantine behind a typed
   :class:`~repro.runner.supervisor.JobFailed` that surfaces to the
   client as a structured error response;
@@ -34,18 +34,14 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.runner import Job, ResultCache, default_cache, key_digest
 from repro.runner.cache import MISS, _json_default
-from repro.runner.supervisor import (JobFailed, JobFailure, RetryPolicy,
-                                     WorkerFailure, _terminate_pool,
-                                     execute_job)
+from repro.runner.supervisor import JobFailed, RetryPolicy, SupervisedPool
 from repro.sim.stats import Histogram
 
 
@@ -164,13 +160,6 @@ class CircuitBreaker:
                 self.trips += 1
             self._opened_at = self.clock()
             self._probing = False
-
-
-def _swallow_future(future) -> None:
-    """Retrieve an abandoned future's exception so asyncio never logs
-    an "exception was never retrieved" warning for it."""
-    if not future.cancelled():
-        future.exception()
 
 
 def result_body(digest: str, result: Any) -> bytes:
@@ -466,8 +455,7 @@ class SimulationService:
         self._buckets: dict[str, TokenBucket] = {}
         self._records: dict[str, JobRecord] = {}
         self._next_id = 0
-        self._pool = None
-        self._pool_generation = 0
+        self._pool: Optional[SupervisedPool] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._scheduler: Optional[asyncio.Task] = None
@@ -479,9 +467,14 @@ class SimulationService:
         """Create the worker pool and the fair-queue scheduler."""
         if self._started:
             return
+        loop = asyncio.get_running_loop()
         self._slots = asyncio.Semaphore(self.workers)
         self._wakeup = asyncio.Event()
-        self._pool = self._make_pool()
+        self._pool_seen = {"retries": 0, "rebuilds": 0}
+        self._pool = SupervisedPool(
+            self.workers, self.config.policy, kind=self.config.executor,
+            note=lambda _msg: loop.call_soon_threadsafe(
+                self._count_pool_events))
         self._scheduler = asyncio.create_task(self._schedule(),
                                               name="serve-scheduler")
         self._started = True
@@ -512,37 +505,16 @@ class SimulationService:
         self._client_queues.clear()
         self._rr.clear()
         self._queued = 0
-        self._shutdown_pool()
+        if self._pool is not None:
+            self._pool.close()
 
-    def _make_pool(self):
-        if self.config.executor == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="serve-worker")
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _shutdown_pool(self) -> None:
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        if isinstance(pool, ProcessPoolExecutor):
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _reclaim_pool(self, generation: int) -> None:
-        """Kill and rebuild the pool after a watchdog expiry or break.
-
-        Guarded by a generation counter so concurrent failures rebuild
-        once; thread pools cannot be killed, so their expired futures
-        are simply abandoned."""
-        if generation != self._pool_generation:
-            return
-        self._pool_generation += 1
-        self.breaker.record_failure()
-        if isinstance(self._pool, ProcessPoolExecutor):
-            _terminate_pool(self._pool)
-            self._pool = self._make_pool()
+    def _count_pool_events(self) -> None:
+        """Mirror pool events on the loop thread: each reclaim (watchdog
+        kill or broken pool) is a breaker failure, each relaunch a retry."""
+        seen, self._pool_seen = self._pool_seen, dict(self._pool.events)
+        self.metrics.retries += self._pool_seen["retries"] - seen["retries"]
+        for _ in range(self._pool_seen["rebuilds"] - seen["rebuilds"]):
+            self.breaker.record_failure()
 
     # -- submission ----------------------------------------------------
     def _bucket(self, client: str) -> TokenBucket:
@@ -764,50 +736,7 @@ class SimulationService:
 
     # -- supervised execution -----------------------------------------
     async def _execute(self, job: Job) -> Any:
-        """One job on the shared pool under the retry policy.
-
-        Mirrors :func:`repro.runner.supervisor.run_supervised` for a
-        single job: watchdog timeout -> pool kill + rebuild + retry;
-        job exception (a :class:`WorkerFailure` value) -> retry with
-        backoff; lost worker -> retry; exhaustion -> :class:`JobFailed`.
-        """
-        loop = asyncio.get_running_loop()
-        policy = self.config.policy
-        label = job.label or getattr(job.fn, "__name__", "job")
-        attempts = 0
-        while True:
-            timeout = policy.attempt_timeout(attempts)
-            generation = self._pool_generation
-            future = loop.run_in_executor(self._pool, execute_job, job)
-            try:
-                outcome = await asyncio.wait_for(
-                    asyncio.shield(future),
-                    timeout if math.isfinite(timeout) else None)
-            except asyncio.TimeoutError:
-                kind = "timeout"
-                tb = (f"job exceeded its {timeout:g}s wall-clock "
-                      f"watchdog")
-                self._reclaim_pool(generation)
-                future.cancel()
-                # The abandoned future resolves later (usually with
-                # BrokenProcessPool); consume it silently.
-                future.add_done_callback(_swallow_future)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # BrokenProcessPool and kin
-                kind = "worker-lost"
-                tb = (f"worker lost before the job returned "
-                      f"({type(exc).__name__}: {exc})")
-                self._reclaim_pool(generation)
-            else:
-                if isinstance(outcome, WorkerFailure):
-                    kind, tb = "error", outcome.traceback
-                else:
-                    return outcome
-            attempts += 1
-            if attempts >= policy.max_attempts:
-                raise JobFailed([JobFailure(index=0, label=label,
-                                            kind=kind, attempts=attempts,
-                                            traceback=tb)])
-            self.metrics.retries += 1
-            await asyncio.sleep(policy.attempt_delay(attempts))
+        """One job on the shared :class:`SupervisedPool`: its result, or
+        :class:`JobFailed` once the retry policy is exhausted."""
+        result, _attempts = await asyncio.wrap_future(self._pool.submit(job))
+        return result

@@ -288,6 +288,8 @@ def test_serve_parser_defaults():
     ["--max-connections", "-1"],
     ["--drain", "-1"],
     ["--cache-quota-mib", "-1"],
+    ["--job-retries", "-1"],
+    ["--job-timeout", "-5"],
 ])
 def test_serve_rejects_bad_config(capsys, flags):
     code = main(["serve", *flags])

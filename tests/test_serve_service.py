@@ -15,6 +15,7 @@ import asyncio
 import json
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -73,6 +74,11 @@ def _flaky_job(name: str):
     if calls == 1:
         raise RuntimeError(f"transient: {name}")
     return {"name": name, "calls": calls}
+
+
+def _sleep_job(name: str, seconds: float):
+    time.sleep(seconds)
+    return {"name": name}
 
 
 def _job(fn, name: str) -> Job:
@@ -272,6 +278,32 @@ def test_transient_failure_retries_then_succeeds():
         assert service.metrics.completed == 1
     serve_run(body, policy=RetryPolicy(timeout=0, max_retries=2,
                                        retry_delay=0.001))
+
+
+def test_watchdog_kill_requeues_an_in_flight_bystander_uncharged():
+    """A hung job's watchdog kills the process pool; the innocent miss
+    running beside it is requeued uncharged and completes, instead of
+    failing as ``worker-lost``."""
+    def sleeper(name: str, seconds: float) -> Job:
+        return Job(fn=_sleep_job, args=(name, seconds),
+                   key={"fn": "serve-service-test", "job": "sleep",
+                        "name": name},
+                   label=f"test:{name}")
+
+    async def body(service):
+        hung = await service.submit(sleeper("hung", 60.0), "a")
+        await asyncio.sleep(0.7)
+        bystander = await service.submit(sleeper("bystander", 0.6), "b")
+        await service.wait(hung, timeout=30.0)
+        await service.wait(bystander, timeout=30.0)
+        assert hung.status == "failed"
+        assert hung.flight.error["kind"] == "timeout"
+        assert bystander.status == "done", bystander.flight.error
+        assert json.loads(bystander.flight.body)["result"] == \
+            {"name": "bystander"}
+        assert service.metrics.retries == 0
+    serve_run(body, executor="process",
+              policy=RetryPolicy(timeout=1.0, max_retries=0))
 
 
 # -- metrics / plumbing ----------------------------------------------------

@@ -9,9 +9,15 @@ Faults are injected through one-shot flag files (workers fork, so they
 share the test's filesystem), keeping every scenario deterministic.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from concurrent.futures import wait
 
 import pytest
 
@@ -21,7 +27,7 @@ from repro.runner import (JobFailed, Job, ResultCache, RetryPolicy,
                           journal_info, key_digest, resolve_policy,
                           run_jobs, run_supervised)
 from repro.runner.journal import sweep_id
-from repro.runner.supervisor import _Entry, execute_job
+from repro.runner.supervisor import SupervisedPool, _Entry, execute_job
 
 FAST = RetryPolicy(timeout=30.0, max_retries=2, backoff=1.0,
                    retry_delay=0.01)
@@ -69,6 +75,32 @@ def _kill_n_times(x, flag_dir, times):
     return x * 2
 
 
+class _Concurrency:
+    """What one stress test's thread-pool jobs share."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.running = self.peak = 0
+        self.raised = set()
+
+
+def _stress_job(x, flaky, state):
+    """Record the concurrency; if ``flaky``, raise on the first call."""
+    with state.lock:
+        state.running += 1
+        state.peak = max(state.peak, state.running)
+        first = x not in state.raised
+        state.raised.add(x)
+    try:
+        time.sleep(0.0005)
+        if flaky and first:
+            raise ValueError(f"flaky {x}")
+        return x * 2
+    finally:
+        with state.lock:
+            state.running -= 1
+
+
 def _jobs(n, keyed=True):
     return [Job(fn=_double, args=(i,),
                 key={"fn": "supervisor-test", "i": i} if keyed else None,
@@ -94,6 +126,18 @@ class _InterruptAfter:
 # ----------------------------------------------------------------------
 # RetryPolicy / knob plumbing
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("bad", [
+    {"timeout": -5.0},
+    {"max_retries": -1},
+    {"backoff": 0.5},
+    {"retry_delay": -0.1},
+    {"max_delay": -1.0},
+])
+def test_retry_policy_validation(bad):
+    with pytest.raises(ConfigError):
+        RetryPolicy(**bad)
+
+
 def test_retry_policy_schedules():
     policy = RetryPolicy(timeout=10.0, max_retries=3, backoff=2.0,
                          retry_delay=0.1, max_delay=1.0)
@@ -220,7 +264,77 @@ def test_persistent_hang_quarantines_as_timeout(tmp_path):
     assert "watchdog" in err.value.child_traceback
 
 
-def test_double_pool_break_falls_back_to_serial(tmp_path):
+def test_lone_pooled_job_keeps_its_watchdog(tmp_path):
+    """``workers > 1`` with one job left must still run it in the pool,
+    under its watchdog, not in the parent."""
+    jobs = [Job(fn=_always_hang, args=(0,),
+                key={"fn": "supervisor-test", "lone": True}, label="lone")]
+    with pytest.raises(JobFailed) as err:
+        run_jobs(jobs, workers=2,
+                 policy=RetryPolicy(timeout=1.0, max_retries=0),
+                 journal_dir=str(tmp_path / "journal"))
+    assert err.value.kind == "timeout"
+    assert err.value.attempts == 1
+
+
+#: Runs in a child interpreter: if a SIGKILLing job ever ran in the
+#: sweep's own process, the sweep would die with -9 instead of failing
+#: typed, and must not take pytest down with it.
+_WORKER_KILLER_SWEEP = textwrap.dedent("""
+    import json, os, signal, sys
+
+    from repro.runner import (MISS, Job, JobFailed, ResultCache,
+                              RetryPolicy, journal_info, run_jobs)
+
+    def killer(x):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def double(x):
+        return x * 2
+
+    if __name__ == "__main__":
+        root = sys.argv[1]
+        jobs = [Job(fn=double, args=(i,), key={"killer-test": i},
+                    label=f"ok{i}") for i in range(5)]
+        jobs.insert(2, Job(fn=killer, args=(0,),
+                           key={"killer-test": "killer"}, label="killer"))
+        cache = ResultCache(os.path.join(root, "cache"))
+        try:
+            run_jobs(jobs, workers=2, cache=cache,
+                     policy=RetryPolicy(timeout=30.0, max_retries=2,
+                                        backoff=1.0, retry_delay=0.01))
+            failure = None
+        except JobFailed as exc:
+            failure = {"kind": exc.kind, "attempts": exc.attempts,
+                       "label": exc.label, "count": len(exc.failures)}
+        healthy = [cache.load(cache.digest(job.key), job.key)
+                   for job in jobs if job.label != "killer"]
+        print(json.dumps({
+            "failure": failure,
+            "healthy": [None if r is MISS else r for r in healthy],
+            "journaled": journal_info(
+                os.path.join(root, "cache", "journal"))["entries"]}))
+""")
+
+
+def test_worker_killer_fails_typed_beside_healthy_jobs(tmp_path):
+    script = tmp_path / "killer_sweep.py"
+    script.write_text(_WORKER_KILLER_SWEEP)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["failure"] == {"kind": "worker-lost", "attempts": 3,
+                                  "label": "killer", "count": 1}
+    assert summary["healthy"] == [0, 2, 4, 6, 8]
+    assert summary["journaled"] == 5
+
+
+def test_double_pool_break_rebuilds_twice(tmp_path):
     flag_dir = tmp_path / "flags"
     flag_dir.mkdir()
     entries = [_Entry(index=0, job=Job(fn=_kill_n_times,
@@ -235,8 +349,84 @@ def test_double_pool_break_falls_back_to_serial(tmp_path):
         on_result=lambda i, result, attempts: landed.__setitem__(i, result))
     assert failures == []
     assert landed == {0: 14, 1: 2}
-    assert events["pool_breaks"] == 2
-    assert events["serial_fallback"] is True
+    assert events["pool_breaks"] == events["rebuilds"] == 2
+
+
+def test_pool_stress_keeps_slots_and_settles_every_future():
+    """More workers than cores, a tiny switch interval, and retries
+    racing fresh submissions: every future settles exactly once with
+    the right attempt count, and no more than ``workers`` jobs ever run
+    at once."""
+    state = _Concurrency()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    pool = SupervisedPool(4, RetryPolicy(timeout=30.0, max_retries=1,
+                                         backoff=1.0, retry_delay=0.001),
+                          kind="thread")
+    try:
+        futures = [pool.submit(Job(fn=_stress_job,
+                                   args=(i, i % 3 == 0, state)))
+                   for i in range(300)]
+        _done, pending = wait(futures, timeout=60.0)
+        assert not pending
+        assert [f.result() for f in futures] == \
+            [(i * 2, 2 if i % 3 == 0 else 1) for i in range(300)]
+        assert pool.events == {"retries": 100, "rebuilds": 0,
+                               "pool_breaks": 0}
+        assert state.peak <= 4
+    finally:
+        pool.close()
+        sys.setswitchinterval(switch)
+
+
+def test_cancelled_queued_job_never_runs():
+    gate = threading.Event()
+    ran = []
+    pool = SupervisedPool(1, FAST, kind="thread")
+    try:
+        first = pool.submit(Job(fn=gate.wait, args=(30,)))
+        queued = pool.submit(Job(fn=ran.append, args=("queued",)))
+        assert queued.cancel()
+        gate.set()
+        assert first.result(30) == (True, 1)
+        later = pool.submit(Job(fn=ran.append, args=("later",)))
+        assert later.result(30) == (None, 1)
+        assert ran == ["later"]
+    finally:
+        pool.close()
+
+
+def test_worker_dying_while_idle_breaks_and_rebuilds_the_pool():
+    pool = SupervisedPool(1, FAST)
+    try:
+        assert pool.submit(Job(fn=_double, args=(1,))).result(30) == (2, 1)
+        executor = pool._executor
+        (worker,) = executor._processes.values()
+        os.kill(worker.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # The next submit meets the broken executor: nothing was in
+        # flight to charge, so the job runs first time on a new pool.
+        assert pool.submit(Job(fn=_double, args=(2,))).result(30) == (4, 1)
+        assert pool.events == {"retries": 0, "rebuilds": 1,
+                               "pool_breaks": 1}
+    finally:
+        pool.close()
+
+
+def test_close_cancels_pending_jobs_and_reaps_workers():
+    pool = SupervisedPool(1, FAST, kind="process")
+    running = pool.submit(Job(fn=_always_hang, args=(0,)))
+    queued = pool.submit(Job(fn=_double, args=(1,)))
+    workers = list(pool._executor._processes.values())
+    supervisor = pool._thread           # timing the hung job's watchdog
+    pool.close()
+    assert running.cancelled() and queued.cancelled()
+    assert workers and not any(proc.is_alive() for proc in workers)
+    assert supervisor is not None and not supervisor.is_alive()
+    with pytest.raises(RuntimeError):
+        pool.submit(Job(fn=_double, args=(2,)))
 
 
 def test_interrupt_flushes_journal_then_resume_is_identical(tmp_path):
