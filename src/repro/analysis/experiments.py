@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.analysis.analytical import (estimate_latency, plan_message_count,
                                        plan_traffic)
-from repro.config import SystemParameters, paper_parameters
+from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.coherence.processor import run_program
 from repro.coherence.system import DSMSystem
 from repro.core.engine import InvalidationEngine
@@ -30,7 +30,7 @@ from repro.network import MeshNetwork
 from repro.runner import (Job, params_key, resolve_execution,
                           resolve_policy, run_jobs)
 from repro.sim import Simulator, Tally
-from repro.workloads.patterns import make_pattern
+from repro.workloads.patterns import PATTERN_KINDS, make_pattern
 
 
 # ----------------------------------------------------------------------
@@ -46,6 +46,30 @@ def _draw_patterns(params: SystemParameters, degrees: Sequence[int],
     return {d: [make_pattern(kind, _mesh_of(params), d, rng, home=home)
                 for _ in range(per_degree)]
             for d in degrees}
+
+
+def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
+                per_degree: int = 1, degrees: Sequence[int] = (),
+                nodes: int = 0, drop_probs: Sequence[float] = ()) -> None:
+    """Raise :class:`ConfigError` for bad sweep axes before any job is
+    built (inside a job they would end in a retried ``JobFailed``)."""
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme!r}; choose from "
+                              f"{sorted(SCHEMES)}")
+    if kind not in PATTERN_KINDS:
+        raise ConfigError(f"unknown pattern kind {kind!r}; choose from "
+                          f"{list(PATTERN_KINDS)}")
+    if per_degree < 1:
+        raise ConfigError(f"need >= 1 transaction per point, got "
+                          f"{per_degree}")
+    for degree in degrees:
+        if not 1 <= degree <= nodes - 1:
+            raise ConfigError(f"degree {degree} is outside 1..{nodes - 1} "
+                              f"on a {nodes}-node mesh")
+    for prob in drop_probs:
+        if not 0 <= prob <= 1:
+            raise ConfigError(f"drop probability {prob} is outside [0, 1]")
 
 
 def _invalidation_scheme_job(scheme: str, degrees: tuple[int, ...],
@@ -100,8 +124,11 @@ def run_invalidation_sweep(schemes: Sequence[str], degrees: Sequence[int],
     bit-identical for every worker count, on cache replay, and on a
     journal ``resume`` of an interrupted sweep.  Supervision follows
     the ``job_timeout``/``job_max_retries``/``job_backoff`` knobs.
+    Bad axes raise :class:`ConfigError` (:func:`check_sweep`).
     """
     params = params or paper_parameters()
+    check_sweep(schemes, kind=kind, per_degree=per_degree, degrees=degrees,
+                nodes=params.num_nodes)
     degrees = tuple(degrees)
     workers, cache = resolve_execution(params, jobs, use_cache, cache)
     job_list = [
@@ -159,6 +186,8 @@ def run_analytical_sweep(schemes: Sequence[str], degrees: Sequence[int],
     """Analytical counterpart of :func:`run_invalidation_sweep`
     (identical pattern stream, closed-form measures)."""
     params = params or paper_parameters()
+    check_sweep(schemes, kind=kind, per_degree=per_degree, degrees=degrees,
+                nodes=params.num_nodes)
     degrees = tuple(degrees)
     workers, cache = resolve_execution(params, jobs, use_cache, cache)
     job_list = [
@@ -209,6 +238,8 @@ def miss_latency_micro(params: Optional[SystemParameters] = None,
     params = params or paper_parameters()
     mesh = _mesh_of(params)
     n = params.num_nodes
+    if n < 3:
+        raise ConfigError(f"Table 4 needs a mesh of >= 3 nodes, got {n}")
     # Block homed at node 1 => requester 0 is its west neighbor.
     neighbor_block = 1
     # Requester 0 and a home at roughly average distance.
@@ -307,12 +338,12 @@ def run_application_experiment(app: str, scheme: str,
     try:
         module, default_cfg = generators[app]
     except KeyError:
-        raise ValueError(f"unknown app {app!r}; "
-                         f"choose from {sorted(generators)}") from None
+        raise ConfigError(f"unknown app {app!r}; "
+                          f"choose from {sorted(generators)}") from None
     config = app_config if app_config is not None else default_cfg()
     if config.processors > params.num_nodes:
-        raise ValueError(f"{config.processors} processors exceed the "
-                         f"{params.num_nodes}-node mesh")
+        raise ConfigError(f"{config.processors} processors exceed the "
+                          f"{params.num_nodes}-node mesh")
     node_ids = list(range(config.processors))
     traces, info = module.generate_traces(config, node_ids)
     sim = Simulator()

@@ -15,9 +15,10 @@ import os
 from typing import Callable, Optional
 
 from repro.chaos.bundle import make_bundle, write_bundle
-from repro.chaos.scenario import (ChaosResult, ChaosScenario,
+from repro.chaos.scenario import (MUTATIONS, ChaosResult, ChaosScenario,
                                   generate_scenario, run_scenario)
 from repro.chaos.shrink import shrink
+from repro.config import ConfigError
 from repro.runner import Job, run_jobs
 
 
@@ -80,10 +81,16 @@ def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
     does invalidate on any source change, a fresh run is the
     conservative default for a bug-hunting loop.  ``resume=True``
     replays the journal of an interrupted soak of the identical seed
-    set first (``docs/RUNNER.md``).
+    set first (``docs/RUNNER.md``).  ``seeds < 1`` or an unknown
+    ``mutation`` raises :class:`~repro.config.ConfigError`.
     """
     from repro.runner import default_cache
 
+    if seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {seeds}")
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ConfigError(f"unknown mutation {mutation!r}; choose from "
+                          f"{sorted(MUTATIONS)}")
     if use_cache and cache is None:
         cache = default_cache()
     elif not use_cache:

@@ -309,7 +309,8 @@ async def _scenario_sigterm(spec, baseline, workdir) -> tuple[bool, str]:
     address: asyncio.Future = asyncio.get_running_loop().create_future()
     server_task = asyncio.create_task(
         run_server(service, "127.0.0.1", 0,
-                   ready=address.set_result, drain=10.0))
+                   ready=address.set_result,
+                   config=ServeConfig(drain=10.0)))
     host, port = await asyncio.wait_for(address, 10.0)
     stream_reader = stream_writer = None
     pipeline_reader = pipeline_writer = None

@@ -28,10 +28,14 @@ Commands:
   requests/s, latency quantiles, and the observed cache-hit rate.
 
 The sweep-shaped commands (``sweep``/``figs``, ``report``, ``faults``,
-``chaos``) all accept ``--jobs N`` (``0`` = one worker process per CPU
-core), ``--no-cache``, and ``--resume`` (replay an interrupted run's
-journal, then finish the rest) — see :mod:`repro.runner` and
-``docs/RUNNER.md``.
+``chaos``, ``atlas``) all accept ``--jobs N`` (``0`` = one worker
+process per CPU core), ``--no-cache``, and ``--resume`` (replay an
+interrupted run's journal, then finish the rest) — see
+:mod:`repro.runner` and ``docs/RUNNER.md``.
+
+``repro serve``'s config flags come from the config dataclass fields
+that carry help metadata.  The library validates every value; a
+:class:`ConfigError` from any command exits 2 (:func:`main`).
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ from repro.analysis import (format_table, miss_latency_micro,
                             run_application_experiment,
                             run_invalidation_sweep)
 from repro.analysis.experiments import run_analytical_sweep
-from repro.config import ConfigError, paper_parameters
+from repro.config import DEFAULT_PARAMETERS, ConfigError, paper_parameters
 from repro.core.grouping import SCHEMES
 from repro.explore.grid import DEFAULT_SCHEMES
+from repro.runner.supervisor import RetryPolicy
+from repro.serve import ServeConfig, ServiceConfig
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -64,6 +70,29 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "journal of an interrupted identical run "
                              "(.repro-cache/journal/), then finish the "
                              "rest")
+
+
+def _flag_fields(cls):
+    """``(field, flag name)`` for each field of the config dataclass
+    ``cls`` that carries help metadata (the flag is the field name
+    unless the metadata names one)."""
+    return [(f, f.metadata.get("flag", f.name.replace("_", "-")))
+            for f in dataclasses.fields(cls) if "help" in f.metadata]
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """Add ``cls``'s flags, typed and defaulted like their fields."""
+    for f, flag in _flag_fields(cls):
+        kind = ({"action": "store_true"} if isinstance(f.default, bool)
+                else {"type": type(f.default), "default": f.default})
+        parser.add_argument(f"--{flag}", help=f.metadata["help"], **kind)
+
+
+def _config(cls, args, **extra):
+    """Build ``cls`` back from the flags :func:`_add_config_flags`
+    added (plus ``extra`` fields)."""
+    return cls(**extra, **{f.name: getattr(args, flag.replace("-", "_"))
+                           for f, flag in _flag_fields(cls)})
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -174,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="route with the fault-aware '+ft' wrapper "
                                "(reroute around known faults before "
                                "downgrading MI to UI)")
-    p_faults.add_argument("--detour-limit", type=int, default=8,
+    p_faults.add_argument("--detour-limit", type=int,
+                          default=DEFAULT_PARAMETERS.detour_limit,
                           help="misroute budget per worm under "
                                "--fault-aware (0 = prune-only)")
     _add_execution_flags(p_faults)
@@ -198,19 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "catch/shrink/replay pipeline)")
     p_chaos.add_argument("--max-shrink-runs", type=int, default=48,
                          help="shrink budget per failing scenario")
-    p_chaos.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the soak (0 = one "
-                              "per CPU core; default: serial)")
     p_chaos.add_argument("--cache", action="store_true", dest="use_cache",
                          help="replay already-soaked seeds from the "
                               "result cache (fresh runs are the "
                               "default for a bug hunt)")
-    p_chaos.add_argument("--no-cache", action="store_true",
-                         help="force fresh runs (the default; present "
-                              "for symmetry with the other sweeps)")
-    p_chaos.add_argument("--resume", action="store_true",
-                         help="replay completed seeds from the journal "
-                              "of an interrupted identical soak")
+    _add_execution_flags(p_chaos)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the sweep result cache")
@@ -226,27 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8642,
                          help="TCP port (0 = ephemeral)")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="worker processes for cache misses "
-                              "(0 = one per CPU core)")
-    p_serve.add_argument("--executor", default="process",
-                         choices=["process", "thread"],
-                         help="worker pool kind (process = isolated, "
-                              "watchdog can reclaim hung workers)")
-    p_serve.add_argument("--queue-depth", type=int, default=256,
-                         help="max pending cache misses before "
-                              "requests are rejected 429 queue-full")
-    p_serve.add_argument("--rate", type=float, default=0.0,
-                         help="per-client admission rate in requests/s "
-                              "(token bucket; 0 = unlimited)")
-    p_serve.add_argument("--burst", type=int, default=16,
-                         help="per-client token-bucket burst capacity")
-    p_serve.add_argument("--job-timeout", type=float, default=300.0,
-                         help="per-attempt wall-clock watchdog seconds "
-                              "for a simulation job (0 = none)")
-    p_serve.add_argument("--job-retries", type=int, default=2,
-                         help="retries before a job is quarantined "
-                              "and surfaces as a 500 job-failed")
     p_serve.add_argument("--cache-dir", default=None,
                          help="result-cache root (default: "
                               "$REPRO_CACHE_DIR or .repro-cache/)")
@@ -255,36 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "are evicted past it (0 = unbounded, "
                               "overriding $REPRO_CACHE_QUOTA; "
                               "default: $REPRO_CACHE_QUOTA or 0)")
-    p_serve.add_argument("--breaker-threshold", type=int, default=0,
-                         help="consecutive pool failures that trip "
-                              "the circuit breaker (0 = disabled)")
-    p_serve.add_argument("--breaker-cooldown", type=float, default=30.0,
-                         help="seconds the breaker stays open before "
-                              "a half-open probe (default 30)")
-    p_serve.add_argument("--degraded", action="store_true",
-                         help="answer sweeps from the analytical "
-                              "model (marked 'degraded') while the "
-                              "breaker is open, instead of 503")
-    p_serve.add_argument("--header-timeout", type=float, default=10.0,
-                         help="deadline for a request's header block "
-                              "(seconds; 0 disables)")
-    p_serve.add_argument("--body-timeout", type=float, default=20.0,
-                         help="deadline for reading a declared body "
-                              "(seconds; 0 disables)")
-    p_serve.add_argument("--idle-timeout", type=float, default=60.0,
-                         help="keep-alive idle deadline between "
-                              "requests (seconds; 0 disables)")
-    p_serve.add_argument("--write-timeout", type=float, default=20.0,
-                         help="deadline for each response write "
-                              "(seconds; 0 disables)")
-    p_serve.add_argument("--max-connections", type=int, default=256,
-                         help="concurrent connection cap; excess "
-                              "gets an immediate 503 (0 = unbounded)")
-    p_serve.add_argument("--drain", type=float, default=10.0,
-                         help="graceful-drain deadline on "
-                              "SIGTERM/SIGINT: seconds in-flight "
-                              "requests may finish (0 = cancel "
-                              "immediately)")
+    for cls in (ServiceConfig, RetryPolicy, ServeConfig):
+        _add_config_flags(p_serve, cls)
 
     p_load = sub.add_parser(
         "load", help="load-test a running repro serve endpoint")
@@ -387,21 +360,11 @@ def _execution_params(args, **overrides):
 
 def cmd_sweep(args) -> int:
     """``repro sweep``: invalidation-cost sweep (simulated/analytical)."""
-    for scheme in args.schemes:
-        if scheme not in SCHEMES:
-            print(f"unknown scheme {scheme!r}; choose from "
-                  f"{sorted(SCHEMES)}", file=sys.stderr)
-            return 2
-    try:
-        params = _execution_params(args)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
     runner = run_analytical_sweep if args.analytical \
         else run_invalidation_sweep
     rows = runner(args.schemes, args.degrees, per_degree=args.per_degree,
-                  params=params, kind=args.kind, seed=args.seed,
-                  resume=args.resume)
+                  params=_execution_params(args), kind=args.kind,
+                  seed=args.seed, resume=args.resume)
     mode = "analytical" if args.analytical else "simulated"
     print(format_table(rows, title=f"Invalidation sweep ({mode}, "
                                    f"{args.mesh}x{args.mesh}, "
@@ -470,29 +433,14 @@ def cmd_faults(args) -> int:
     """``repro faults``: chaos sweep of the recovery protocol."""
     from repro.faults.sweep import run_fault_sweep
 
-    for scheme in args.schemes:
-        if scheme not in SCHEMES:
-            print(f"unknown scheme {scheme!r}; choose from "
-                  f"{sorted(SCHEMES)}", file=sys.stderr)
-            return 2
-    try:
-        params = _execution_params(
-            args, fault_aware_routing=args.fault_aware,
-            detour_limit=args.detour_limit)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = run_fault_sweep(args.schemes, args.drop_probs,
-                               degree=args.degree, per_point=args.per_point,
-                               params=params, link_faults=args.link_faults,
-                               router_faults=args.router_faults,
-                               seed=args.seed,
-                               fault_aware=args.fault_aware,
-                               resume=args.resume)
-    except ValueError as exc:
-        print(f"invalid fault configuration: {exc}", file=sys.stderr)
-        return 2
+    params = _execution_params(args, fault_aware_routing=args.fault_aware,
+                               detour_limit=args.detour_limit)
+    rows = run_fault_sweep(args.schemes, args.drop_probs,
+                           degree=args.degree, per_point=args.per_point,
+                           params=params, link_faults=args.link_faults,
+                           router_faults=args.router_faults,
+                           seed=args.seed, fault_aware=args.fault_aware,
+                           resume=args.resume)
     for row in rows:
         # %g, not the table's %.2f: 0.001 must not print as 0.00.
         row["drop_prob"] = f"{row['drop_prob']:g}"
@@ -509,24 +457,16 @@ def cmd_faults(args) -> int:
 
 def cmd_chaos(args) -> int:
     """``repro chaos``: soak seeded scenarios; bundle any failures."""
-    from repro.chaos import MUTATIONS, run_chaos
+    from repro.chaos import run_chaos
 
-    if args.mutation is not None and args.mutation not in MUTATIONS:
-        print(f"unknown mutation {args.mutation!r}; choose from "
-              f"{sorted(MUTATIONS)}", file=sys.stderr)
-        return 2
-    try:
-        summary = run_chaos(args.seeds, smoke=args.smoke, audit=args.audit,
-                            out_dir=args.out_dir, base_seed=args.base_seed,
-                            mutation=args.mutation,
-                            max_shrink_runs=args.max_shrink_runs,
-                            log=lambda msg: print(f"[chaos] {msg}"),
-                            jobs=1 if args.jobs is None else args.jobs,
-                            use_cache=args.use_cache and not args.no_cache,
-                            resume=args.resume)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    summary = run_chaos(args.seeds, smoke=args.smoke, audit=args.audit,
+                        out_dir=args.out_dir, base_seed=args.base_seed,
+                        mutation=args.mutation,
+                        max_shrink_runs=args.max_shrink_runs,
+                        log=lambda msg: print(f"[chaos] {msg}"),
+                        jobs=1 if args.jobs is None else args.jobs,
+                        use_cache=args.use_cache and not args.no_cache,
+                        resume=args.resume)
     print(f"chaos soak: {summary['passed']}/{summary['seeds']} passed, "
           f"{summary['failed']} failed "
           f"({summary['expected_txn_failures']} expected transaction "
@@ -579,43 +519,18 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from repro.runner import ResultCache, default_cache
-    from repro.runner.supervisor import RetryPolicy
-    from repro.serve import (ServeConfig, ServiceConfig,
-                             SimulationService, run_server)
+    from repro.serve import SimulationService, run_server
 
-    try:
-        # None = flag not given (ResultCache falls back to
-        # $REPRO_CACHE_QUOTA); an explicit 0 disables any env quota.
-        quota = None
-        if args.cache_quota_mib is not None:
-            if args.cache_quota_mib < 0:
-                raise ValueError("--cache-quota-mib must be >= 0 "
-                                 "(0 = unbounded)")
-            quota = int(args.cache_quota_mib * (1 << 20))
-        config = ServiceConfig(
-            workers=args.workers, executor=args.executor,
-            queue_depth=args.queue_depth, rate=args.rate,
-            burst=args.burst,
-            policy=RetryPolicy(timeout=args.job_timeout,
-                               max_retries=args.job_retries),
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            degraded=args.degraded)
-        serve_config = ServeConfig(
-            header_timeout=args.header_timeout,
-            body_timeout=args.body_timeout,
-            idle_timeout=args.idle_timeout,
-            write_timeout=args.write_timeout,
-            max_connections=args.max_connections)
-        if args.drain < 0:
-            raise ValueError("--drain must be >= 0")
-        if args.cache_dir is not None or quota is not None:
-            cache = ResultCache(args.cache_dir, quota_bytes=quota)
-        else:
-            cache = default_cache()
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    config = _config(ServiceConfig, args, policy=_config(RetryPolicy, args))
+    serve_config = _config(ServeConfig, args)
+    # None = flag not given (ResultCache falls back to
+    # $REPRO_CACHE_QUOTA); an explicit 0 disables any env quota.
+    if args.cache_dir is not None or args.cache_quota_mib is not None:
+        quota = (None if args.cache_quota_mib is None
+                 else int(args.cache_quota_mib * (1 << 20)))
+        cache = ResultCache(args.cache_dir, quota_bytes=quota)
+    else:
+        cache = default_cache()
     service = SimulationService(cache=cache, config=config)
 
     def ready(address):
@@ -628,11 +543,10 @@ def cmd_serve(args) -> int:
 
     try:
         asyncio.run(run_server(service, args.host, args.port,
-                               ready=ready, config=serve_config,
-                               drain=args.drain))
+                               ready=ready, config=serve_config))
     except KeyboardInterrupt:
         print("interrupted — shutting down")
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 2
@@ -766,11 +680,6 @@ def cmd_atlas(args) -> int:
     from repro.explore.grid import ScreenGrid, screen
     from repro.explore.refine import refine
 
-    for scheme in args.schemes:
-        if scheme not in SCHEMES:
-            print(f"unknown scheme {scheme!r}; choose from "
-                  f"{sorted(SCHEMES)}", file=sys.stderr)
-            return 2
     axes: dict[str, tuple] = {}
     if args.encodings:
         axes["multidest_encoding"] = tuple(args.encodings)
@@ -778,23 +687,14 @@ def cmd_atlas(args) -> int:
         axes["consumption_channels"] = tuple(args.channels)
     for spec in args.axis:
         name, _, values = spec.partition("=")
-        if not values:
-            print(f"bad --axis {spec!r} (want NAME=V1,V2)",
-                  file=sys.stderr)
-            return 2
         axes[name] = tuple(int(v) if v.lstrip("-").isdigit() else v
                            for v in values.split(",") if v)
-    try:
-        grid = ScreenGrid.make(
-            meshes=tuple(tuple(m) for m in args.meshes),
-            degrees=tuple(args.degrees),
-            schemes=tuple(args.schemes), kind=args.kind,
-            per_degree=args.per_degree, seed=args.seed,
-            axes=axes)
-        result = screen(grid)
-    except (ConfigError, ValueError) as exc:
-        print(f"invalid atlas grid: {exc}", file=sys.stderr)
-        return 2
+    grid = ScreenGrid.make(meshes=tuple(tuple(m) for m in args.meshes),
+                           degrees=tuple(args.degrees),
+                           schemes=tuple(args.schemes), kind=args.kind,
+                           per_degree=args.per_degree, seed=args.seed,
+                           axes=axes)
+    result = screen(grid)
     stats = result.stats
     print(f"screened {result.n_configs:,} configurations "
           f"({len(result)} analytical cells) in "
@@ -874,11 +774,16 @@ def _run_profiled(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 for a bad
+    configuration, from any command)."""
     args = build_parser().parse_args(argv)
-    if args.profile:
-        return _run_profiled(args)
-    return _COMMANDS[args.command](args)
+    try:
+        if args.profile:
+            return _run_profiled(args)
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,7 +30,10 @@ from repro.core.plan import (ACT_ACK,
                              FINAL_TERMINAL, GatherSpec, InvalGroup,
                              InvalidationPlan, JUNCTION_DEPOSIT,
                              JUNCTION_LAUNCH, JUNCTION_UNICAST)
-from repro.faults import TransactionFailed, degrade_plan
+# A module handle, not ``degrade_plan`` itself: when ``repro.faults``
+# is imported first, fallback is still initialising at this point.
+from repro.faults import fallback
+from repro.faults.plan import TransactionFailed
 from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.worm import VNET_REPLY, VNET_REQUEST
 from repro.sim import Event, Facility, Simulator, Timeout, Timer
@@ -160,7 +163,7 @@ class InvalidationEngine:
     def _start(self, st: _TxnState) -> None:
         faults = self.net.faults
         if faults is not None:
-            degraded, downgraded, rerouted = degrade_plan(
+            degraded, downgraded, rerouted = fallback.degrade_plan(
                 st.plan, self.net.mesh, faults, self.sim.now)
             st.reroutes += rerouted
             if downgraded:

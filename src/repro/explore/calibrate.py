@@ -27,6 +27,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.analysis.experiments import _invalidation_scheme_job
+from repro.config import ConfigError
 from repro.runner import (Job, params_key, resolve_execution,
                           resolve_policy, run_jobs)
 
@@ -218,6 +219,8 @@ def calibrate(result: ScreenResult, per_scheme: int = 4, seed: int = 0,
               use_cache: Optional[bool] = None,
               cache=None) -> Calibration:
     """Fit per-scheme error bands from a stratified simulated sample."""
+    if per_scheme < 1:
+        raise ConfigError(f"per_scheme must be >= 1, got {per_scheme}")
     calib = Calibration(meta={
         "per_scheme": per_scheme, "seed": seed,
         "grid_configs": result.n_configs,

@@ -27,18 +27,23 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.config import SystemParameters, paper_parameters
-from repro.core.grouping import SCHEMES
+from repro.analysis.experiments import check_sweep
+from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.explore.vectorized import (ANALYTICAL_FIELDS, ParamVector,
                                       PlanBatch, compiled_plan,
                                       evaluate_batch, welford_means)
 from repro.network.topology import Mesh2D
 from repro.workloads.patterns import make_pattern
+
+#: SystemParameters fields a grid may sweep or fix (all but the mesh
+#: shape, which is the ``meshes`` axis).
+_AXIS_FIELDS = frozenset(f.name for f in fields(SystemParameters)) - {
+    "mesh_width", "mesh_height"}
 
 #: Default grouping schemes for screening: the paper's contenders.
 DEFAULT_SCHEMES = ("ui-ua", "mi-ua-ec", "mi-ua-tm", "ui-ma-ec",
@@ -72,12 +77,14 @@ class ScreenGrid:
                    base=tuple(sorted((base or {}).items())), **kw)
 
     def __post_init__(self) -> None:
-        for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}")
+        check_sweep(self.schemes, kind=self.kind, per_degree=self.per_degree)
+        for name, _ in self.axes + self.base:
+            if name not in _AXIS_FIELDS:
+                raise ConfigError(f"unknown axis {name!r}; choose from "
+                                  f"{sorted(_AXIS_FIELDS)}")
         for name, values in self.axes:
             if not values:
-                raise ValueError(f"axis {name!r} has no values")
+                raise ConfigError(f"axis {name!r} has no values")
 
     # -- axis partitioning ---------------------------------------------
     @property

@@ -20,10 +20,12 @@ with exponential backoff) lives in
 :class:`~repro.core.engine.InvalidationEngine`; see ``docs/FAULTS.md``.
 """
 
-from repro.faults.fallback import degrade_plan
+# plan and state before fallback: fallback imports repro.core, whose
+# engine imports TransactionFailed back from repro.faults.plan.
 from repro.faults.plan import (FaultPlan, LinkFault, RouterFault,
                                TransactionFailed)
 from repro.faults.state import FaultState
+from repro.faults.fallback import degrade_plan
 
 __all__ = [
     "FaultPlan",

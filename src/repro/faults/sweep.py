@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.config import SystemParameters, paper_parameters
+from repro.analysis.experiments import check_sweep
+from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.faults.plan import FaultPlan, TransactionFailed
@@ -58,15 +59,16 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
     ``jobs``/``use_cache`` override ``params.jobs`` /
     ``params.result_cache`` (``jobs=0`` = one worker per core);
     ``resume=True`` replays an interrupted sweep's journal first
-    (``docs/RUNNER.md``).
+    (``docs/RUNNER.md``).  Bad axes raise :class:`ConfigError`
+    (:func:`~repro.analysis.experiments.check_sweep`).
     """
     params = params or paper_parameters()
     if fault_aware and not params.fault_aware_routing:
         params = params.evolve(fault_aware_routing=True)
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; "
-                             f"choose from {sorted(SCHEMES)}")
+    check_sweep(schemes, kind=kind, per_degree=per_point, degrees=(degree,),
+                nodes=params.num_nodes, drop_probs=drop_probs)
+    if link_faults < 0 or router_faults < 0:
+        raise ConfigError("link_faults and router_faults must be >= 0")
     workers, cache = resolve_execution(params, jobs, use_cache, cache)
     grid = [(scheme, prob) for scheme in schemes for prob in drop_probs]
     job_list = [

@@ -51,6 +51,8 @@ import tempfile
 import threading
 from typing import Any, Optional
 
+from repro.config import ConfigError
+
 #: Bumped whenever the on-disk entry layout changes; part of every key.
 #: Schema 2 added the per-entry checksum header line.
 CACHE_SCHEMA = 2
@@ -159,7 +161,9 @@ class ResultCache:
     unbounded) bounds the total entry bytes: after each store the
     least-recently-used entries are evicted until the total fits.
     Loads refresh an entry's recency (mtime), so a serving hot set
-    survives eviction pressure.
+    survives eviction pressure.  A negative quota, or a
+    ``REPRO_CACHE_QUOTA`` that is not a byte count, raises
+    :class:`~repro.config.ConfigError`.
     """
 
     def __init__(self, root: Optional[str] = None,
@@ -167,10 +171,13 @@ class ResultCache:
         self.root = os.path.abspath(
             root or os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
         if quota_bytes is None:
-            quota_bytes = int(os.environ.get("REPRO_CACHE_QUOTA", "0")
-                              or 0)
+            env = os.environ.get("REPRO_CACHE_QUOTA") or "0"
+            if not env.isdecimal():
+                raise ConfigError(f"REPRO_CACHE_QUOTA={env!r} must be a "
+                                  f"byte count >= 0 (0 = unbounded)")
+            quota_bytes = int(env)
         if quota_bytes < 0:
-            raise ValueError("quota_bytes must be >= 0 (0 = unbounded)")
+            raise ConfigError("quota_bytes must be >= 0 (0 = unbounded)")
         self.quota_bytes = quota_bytes
         self.hits = 0
         self.misses = 0

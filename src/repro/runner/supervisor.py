@@ -21,7 +21,7 @@ from concurrent.futures import (BrokenExecutor, Future, InvalidStateError,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 as_completed)
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from queue import SimpleQueue
 from typing import Any, Callable, Optional
@@ -33,16 +33,22 @@ from repro.config import ConfigError
 class RetryPolicy:
     """Failure-handling knobs for one sweep (see ``SystemParameters``).
 
-    ``timeout`` is the base per-job wall-clock watchdog in seconds
-    (``0`` disables it); it and the parent-side relaunch delay both
+    The watchdog ``timeout`` and the parent-side relaunch delay both
     scale by ``backoff`` on every successive attempt, mirroring the
     ``txn_timeout``/``txn_max_retries``/``txn_backoff`` family of the
-    simulated recovery protocol.  ``max_retries=0`` quarantines on the
-    first failure.  Out-of-range values raise :class:`ConfigError`.
+    simulated recovery protocol.  Out-of-range values raise
+    :class:`ConfigError`.  The two fields with help metadata are also
+    ``repro serve`` flags.
     """
 
-    timeout: float = 300.0
-    max_retries: int = 2
+    timeout: float = field(default=300.0, metadata={
+        "flag": "job-timeout",
+        "help": "per-attempt wall-clock watchdog seconds for a "
+                "simulation job (0 = none)"})
+    max_retries: int = field(default=2, metadata={
+        "flag": "job-retries",
+        "help": "retries before a job is quarantined (serve answers "
+                "500 job-failed)"})
     backoff: float = 2.0
     #: Base parent-side settle delay before a retry, in seconds (scaled
     #: by ``backoff`` per attempt, capped at :attr:`max_delay`).

@@ -47,9 +47,10 @@ import json
 import math
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from repro.config import ConfigError
 from repro.serve.jobspec import JobSpec, SpecError
 from repro.serve.service import (AdmissionError, BreakerOpen,
                                  SimulationService)
@@ -74,33 +75,38 @@ _PARSE_ERRORS = {400: "bad-request", 408: "request-timeout",
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Connection-lifecycle knobs for :class:`ServeServer`.
+    """Connection-lifecycle knobs for :class:`ServeServer` and
+    :func:`run_server`; each field is the ``repro serve`` flag of the
+    same name.  An ``idle_timeout`` expiry reaps the connection
+    silently (there is no request to answer); a ``write_timeout``
+    expiry aborts the transport, so a non-reading peer cannot wedge a
+    handler on a full socket buffer.  Negative values raise
+    :class:`ConfigError`."""
 
-    All timeouts are seconds; ``0`` disables that deadline (and
-    ``max_connections=0`` means unbounded).  ``header_timeout`` is one
-    shared budget for the whole header block of a request, not
-    per-line; ``idle_timeout`` bounds how long a keep-alive connection
-    may sit between requests (an expiry reaps the connection silently
-    — there is no request to answer); ``body_timeout`` bounds reading
-    a declared body; ``write_timeout`` bounds every response write
-    (streamed chunks included), aborting the transport on expiry so a
-    non-reading peer cannot wedge a handler on a full socket buffer.
-    """
-
-    header_timeout: float = 10.0
-    body_timeout: float = 20.0
-    idle_timeout: float = 60.0
-    write_timeout: float = 20.0
-    max_connections: int = 256
+    header_timeout: float = field(default=10.0, metadata={
+        "help": "one shared deadline for a request's whole header "
+                "block (seconds; 0 disables)"})
+    body_timeout: float = field(default=20.0, metadata={
+        "help": "deadline for reading a declared body (seconds; 0 "
+                "disables)"})
+    idle_timeout: float = field(default=60.0, metadata={
+        "help": "keep-alive idle deadline between requests (seconds; "
+                "0 disables)"})
+    write_timeout: float = field(default=20.0, metadata={
+        "help": "deadline for each response write, streamed chunks "
+                "included (seconds; 0 disables)"})
+    max_connections: int = field(default=256, metadata={
+        "help": "concurrent connection cap; excess gets an immediate "
+                "503 (0 = unbounded)"})
+    drain: float = field(default=10.0, metadata={
+        "help": "graceful-drain deadline on SIGTERM/SIGINT: seconds "
+                "in-flight requests may finish (0 = cancel "
+                "immediately)"})
 
     def __post_init__(self) -> None:
-        for name in ("header_timeout", "body_timeout", "idle_timeout",
-                     "write_timeout"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (0 = disabled)")
-        if self.max_connections < 0:
-            raise ValueError("max_connections must be >= 0 "
-                             "(0 = unbounded)")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be >= 0")
 
 
 @dataclass
@@ -574,35 +580,35 @@ class ServeServer:
 
 
 async def run_server(service: SimulationService, host: str, port: int,
-                     ready=None, config: Optional[ServeConfig] = None,
-                     drain: float = 10.0) -> None:
+                     ready=None, config: Optional[ServeConfig] = None
+                     ) -> None:
     """Start the service + server and run until stopped.
 
     ``ready`` (optional callable) receives the bound ``(host, port)``
     once listening — used by the CLI to print the address and by tests
     to learn an ephemeral port.  SIGTERM/SIGINT trigger a graceful
-    drain of up to ``drain`` seconds (where the platform supports
-    loop signal handlers; elsewhere cancellation still tears down
-    cleanly through the ``finally``).
+    drain of up to ``config.drain`` seconds (where the platform
+    supports loop signal handlers; elsewhere cancellation still tears
+    down cleanly through the ``finally``).
     """
-    await service.start()
     server = ServeServer(service, host, port, config=config)
-    await server.start()
-    if ready is not None:
-        ready(server.address)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError, ValueError):
-            continue
-        installed.append(sig)
+    await service.start()
     try:
+        await server.start()
+        if ready is not None:
+            ready(server.address)
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, stop.set)
+            except (NotImplementedError, RuntimeError, ValueError):
+                continue
+            installed.append(sig)
         await stop.wait()
     finally:
         for sig in installed:
             loop.remove_signal_handler(sig)
-        await server.close(drain=drain)
+        await server.close(drain=server.config.drain)
         await service.close()

@@ -20,6 +20,8 @@ import math
 import time
 from typing import Optional, Sequence
 
+from repro.config import ConfigError
+
 
 async def open_http(host: str, port: int):
     """One keep-alive client connection."""
@@ -147,8 +149,12 @@ async def run_load(host: str, port: int, specs: Sequence[dict],
 
     Every client cycles through ``specs`` (staggered starting offsets,
     so concurrent identical submissions — the coalescing path — occur
-    naturally).  Returns an aggregate stats dict.
+    naturally).  Returns an aggregate stats dict.  ``clients`` or
+    ``requests`` below 1 raise :class:`~repro.config.ConfigError`.
     """
+    if clients < 1 or requests < 1:
+        raise ConfigError(f"clients and requests must be >= 1, got "
+                          f"{clients} and {requests}")
     out = {"latencies": [], "sources": {}, "errors": 0}
     t0 = time.monotonic()
     await asyncio.gather(*[

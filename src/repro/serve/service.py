@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.config import ConfigError
 from repro.runner import Job, ResultCache, default_cache, key_digest
 from repro.runner.cache import MISS, _json_default
 from repro.runner.supervisor import JobFailed, RetryPolicy, SupervisedPool
@@ -220,55 +221,53 @@ class TokenBucket:
 class ServiceConfig:
     """Serving knobs (transport-independent).
 
-    ``workers=0`` sizes the pool at one per CPU core.  ``executor``
-    selects the pool kind: ``"process"`` (real isolation — a hung or
-    crashed simulation cannot take the service down, and the watchdog
-    can reclaim its worker) or ``"thread"`` (cheap, used by tests and
-    tiny deployments; a watchdog expiry abandons the thread instead of
-    killing it).  ``rate=0`` disables per-client token buckets.
-    ``queue_depth`` bounds the total *pending* misses across all
-    clients (running jobs do not count).  ``policy`` mirrors the
-    ``job_timeout``/``job_max_retries``/``job_backoff`` supervision
-    family of ``run_jobs``.
-
-    ``breaker_threshold`` consecutive failure events (quarantined jobs,
-    pool reclaims) trip a :class:`CircuitBreaker` open for
-    ``breaker_cooldown`` seconds (``0`` disables the breaker); while
-    open, new misses fast-fail with :class:`BreakerOpen` → HTTP 503 +
-    ``Retry-After``.  With ``degraded=True`` the service instead
-    answers sweep specs from the contention-free analytical model
-    (:mod:`repro.analysis.analytical`) while the breaker is open —
-    marked ``"degraded": true``, never cached — so it sheds simulation
-    load without going dark.
+    Each field with help metadata is the ``repro serve`` flag of the
+    same name; ``policy`` is the ``run_jobs`` supervision family.
+    While the :class:`CircuitBreaker` is open, misses fast-fail with
+    :class:`BreakerOpen` (HTTP 503 + ``Retry-After``) or, with
+    ``degraded=True``, are answered from the contention-free analytical
+    model (:mod:`repro.analysis.analytical`), marked ``"degraded":
+    true`` and never cached.  Bad values raise :class:`ConfigError`.
     """
 
-    workers: int = 0
-    executor: str = "process"
-    queue_depth: int = 256
-    rate: float = 0.0
-    burst: int = 16
+    workers: int = field(default=0, metadata={
+        "help": "worker processes for cache misses (0 = one per CPU "
+                "core)"})
+    executor: str = field(default="process", metadata={
+        "help": "worker pool kind: process (isolated; the watchdog can "
+                "reclaim a hung worker) or thread (cheap; a watchdog "
+                "expiry abandons the thread)"})
+    queue_depth: int = field(default=256, metadata={
+        "help": "max pending cache misses over all clients (running "
+                "jobs do not count) before requests are rejected 429 "
+                "queue-full"})
+    rate: float = field(default=0.0, metadata={
+        "help": "per-client admission rate in requests/s (token "
+                "bucket; 0 = unlimited)"})
+    burst: int = field(default=16, metadata={
+        "help": "per-client token-bucket burst capacity"})
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 0
-    breaker_cooldown: float = 30.0
-    degraded: bool = False
+    breaker_threshold: int = field(default=0, metadata={
+        "help": "consecutive pool failures (quarantined jobs, pool "
+                "reclaims) that trip the circuit breaker (0 = "
+                "disabled)"})
+    breaker_cooldown: float = field(default=30.0, metadata={
+        "help": "seconds the breaker stays open before a half-open "
+                "probe"})
+    degraded: bool = field(default=False, metadata={
+        "help": "answer sweeps from the analytical model (marked "
+                "'degraded') while the breaker is open, instead of 503"})
     clock: Callable[[], float] = time.monotonic
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = one per core)")
-        if self.executor not in ("process", "thread"):
-            raise ValueError("executor must be 'process' or 'thread'")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0 (0 = unlimited)")
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0 "
-                             "(0 = disabled)")
+        for name, low in (("workers", 0), ("queue_depth", 1), ("rate", 0),
+                          ("burst", 1), ("breaker_threshold", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.breaker_cooldown <= 0:
-            raise ValueError("breaker_cooldown must be > 0")
+            raise ConfigError("breaker_cooldown must be > 0")
+        if self.executor not in ("process", "thread"):
+            raise ConfigError("executor must be 'process' or 'thread'")
 
 
 class ServiceMetrics:

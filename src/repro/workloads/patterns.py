@@ -100,6 +100,9 @@ _GENERATORS = {
     "row": pattern_row_clustered,
 }
 
+#: The pattern kinds :func:`make_pattern` accepts.
+PATTERN_KINDS = tuple(_GENERATORS)
+
 
 def make_pattern(kind: str, mesh: Mesh2D, degree: int,
                  rng: np.random.Generator,

@@ -397,3 +397,157 @@ def test_atlas_smoke_writes_artifacts(capsys, tmp_path):
     atlas = _json.loads((tmp_path / "atlas" / "atlas.json").read_text())
     assert atlas["meta"]["n_regions"] == 2
     assert (tmp_path / "atlas" / "atlas.md").exists()
+
+
+#: Every (command, flag, default) of the CLI; "" holds the global flags.
+#: Positional arguments are listed by their dest.
+INVENTORY = {
+    "": {"--profile": False},
+    "info": {"--mesh": 8},
+    "sweep": {"--schemes": ["ui-ua", "mi-ua-ec", "mi-ma-ec"],
+              "--degrees": [2, 4, 8, 16], "--mesh": 8, "--per-degree": 5,
+              "--kind": "uniform", "--seed": 0, "--analytical": False,
+              "--jobs": None, "--no-cache": False, "--resume": False},
+    "app": {"--name": None, "--scheme": "ui-ua", "--mesh": 4,
+            "--paper-scale": False},
+    "tables": {"--which": 4, "--mesh": 8},
+    "report": {"--out": "results.md", "--scale": "ci", "--seed": 11,
+               "--jobs": None, "--no-cache": False, "--resume": False},
+    "faults": {"--schemes": ["ui-ua", "mi-ua-ec", "mi-ma-ec"],
+               "--drop-probs": [0.0, 0.01, 0.05, 0.1], "--link-faults": 0,
+               "--router-faults": 0, "--degree": 8, "--per-point": 10,
+               "--mesh": 8, "--seed": 0, "--fault-aware": False,
+               "--detour-limit": 8, "--jobs": None, "--no-cache": False,
+               "--resume": False},
+    "chaos": {"--seeds": 25, "--base-seed": 0, "--smoke": False,
+              "--audit": "full", "--out-dir": "chaos-bundles",
+              "--mutation": None, "--max-shrink-runs": 48, "--jobs": None,
+              "--cache": False, "--no-cache": False, "--resume": False},
+    "cache": {"action": None, "--dir": None},
+    "serve": {"--host": "127.0.0.1", "--port": 8642, "--workers": 0,
+              "--executor": "process", "--queue-depth": 256, "--rate": 0.0,
+              "--burst": 16, "--job-timeout": 300.0, "--job-retries": 2,
+              "--cache-dir": None, "--cache-quota-mib": None,
+              "--breaker-threshold": 0, "--breaker-cooldown": 30.0,
+              "--degraded": False, "--header-timeout": 10.0,
+              "--body-timeout": 20.0, "--idle-timeout": 60.0,
+              "--write-timeout": 20.0, "--max-connections": 256,
+              "--drain": 10.0},
+    "load": {"--url": "http://127.0.0.1:8642", "--clients": 8,
+             "--requests": 50, "--schemes": ["ui-ua", "mi-ua-ec", "mi-ma-ec"],
+             "--mesh": 4, "--degrees": [2, 4], "--per-degree": 2, "--seed": 0,
+             "--out": None},
+    "replay": {"bundle": None, "--trail": 20},
+    "worms": {"--scheme": "mi-ua-ec", "--mesh": 8, "--home": (4, 3),
+              "--sharers": "1,1 1,5 3,6 6,2 6,5"},
+    "atlas": {"--meshes": [(4, 4), (8, 8)], "--degrees": [1, 2, 4, 8, 16],
+              "--schemes": ["ui-ua", "mi-ua-ec", "mi-ua-tm", "ui-ma-ec",
+                            "mi-ma-ec", "mi-ma-tm", "sci-chain"],
+              "--kind": "uniform", "--per-degree": 3, "--seed": 0,
+              "--encodings": ["bitstring", "list"], "--channels": [1, 2, 4],
+              "--axis": [], "--calibrate-per-scheme": 3,
+              "--budget-fraction": 0.05, "--tol": 0.02, "--max-rounds": 4,
+              "--no-refine": False, "--out": "results", "--jobs": None,
+              "--no-cache": False, "--resume": False},
+}
+INVENTORY["figs"] = INVENTORY["sweep"]
+
+
+def _flag_defaults(parser):
+    import argparse
+
+    return {(a.option_strings[-1] if a.option_strings else a.dest): a.default
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction,
+                                  argparse._SubParsersAction))}
+
+
+def test_cli_inventory_is_pinned():
+    """No flag appears, disappears, is renamed or changes its default
+    without this table changing too; every --help renders."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    seen = {"": _flag_defaults(parser)}
+    for name, subparser in sub.choices.items():
+        seen[name] = _flag_defaults(subparser)
+        # argparse %-formats help strings: a bare % would crash here.
+        assert subparser.format_help().startswith("usage: repro ")
+    assert seen == INVENTORY
+    assert parser.format_help().startswith("usage: repro ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--mesh", "0"],
+    ["tables", "--mesh", "0"],
+    ["tables", "--mesh", "1"],
+    ["app", "--name", "lu", "--mesh", "0"],
+    ["app", "--name", "lu", "--mesh", "2"],
+    ["report", "--jobs", "-3"],
+    ["atlas", "--jobs", "-3", "--meshes", "4x4", "--schemes", "ui-ua"],
+    ["atlas", "--per-degree", "0"],
+    ["atlas", "--calibrate-per-scheme", "0", "--meshes", "4x4",
+     "--schemes", "ui-ua"],
+    ["atlas", "--axis", "bogus=1,2"],
+    ["atlas", "--axis", "router_delay"],
+    ["atlas", "--schemes", "warp-speed"],
+    ["sweep", "--degrees", "100", "--mesh", "4"],
+    ["sweep", "--degrees", "0", "--mesh", "4"],
+    ["sweep", "--per-degree", "0"],
+    ["sweep", "--per-degree", "-1"],
+    ["sweep", "--schemes", "warp-speed"],
+    ["sweep", "--analytical", "--per-degree", "0"],
+    ["faults", "--degree", "100", "--mesh", "4"],
+    ["faults", "--drop-probs", "2"],
+    ["faults", "--per-point", "0"],
+    ["faults", "--link-faults", "-1"],
+    ["faults", "--schemes", "warp-speed"],
+    ["chaos", "--seeds", "-1"],
+    ["chaos", "--seeds", "1", "--mutation", "gremlins"],
+    ["load", "--clients", "0", "--url", "http://127.0.0.1:1"],
+    ["load", "--requests", "0", "--url", "http://127.0.0.1:1"],
+    ["serve", "--drain", "-1"],
+    ["serve", "--cache-quota-mib", "-1"],
+    ["serve", "--executor", "fork"],
+], ids=" ".join)
+def test_bad_values_exit_2_without_traceback(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_sweep_rejects_bad_input_before_any_job(monkeypatch):
+    from repro.analysis import experiments
+    from repro.config import ConfigError
+
+    def no_jobs(*args, **kwargs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(experiments, "run_jobs", no_jobs)
+    with pytest.raises(ConfigError, match="warp"):
+        experiments.run_invalidation_sweep(["warp"], [2], per_degree=1)
+
+
+@pytest.mark.parametrize("quota", ["abc", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["cache", "info"],
+    ["sweep", "--schemes", "ui-ua", "--degrees", "2", "--mesh", "4",
+     "--per-degree", "1"],
+])
+def test_bad_cache_quota_env_exits_2(capsys, monkeypatch, tmp_path, quota,
+                                     argv):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_CACHE_QUOTA", quota)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "REPRO_CACHE_QUOTA" in err
+
+
+def test_serve_unbindable_port_exits_2(capsys, tmp_path):
+    code = main(["serve", "--port", "99999", "--workers", "1",
+                 "--executor", "thread", "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "cannot bind" in capsys.readouterr().err
