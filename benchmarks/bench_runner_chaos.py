@@ -2,7 +2,7 @@
 """Runner chaos harness: fault-inject the sweep scheduler itself.
 
 Drives :func:`repro.chaos.run_runner_chaos` — SIGKILLed workers, hung
-and poison jobs, interrupted sweeps with corrupted journal lines, and
+and poison jobs, an interrupted cached sweep re-run from its cache, and
 corrupted result-cache entries — and verifies that every scenario
 recovers to the exact digest of a clean serial run (the bit-identity
 guarantee documented in ``docs/RUNNER.md``).
@@ -12,8 +12,8 @@ CI runs the smoke profile::
     PYTHONPATH=src python benchmarks/bench_runner_chaos.py --smoke \
         --workdir runner-chaos --out runner-chaos/summary.json
 
-and uploads ``--workdir`` (journals, flag files, the scenario cache) as
-an artifact when a scenario fails.  Exit status is 0 iff every scenario
+and uploads ``--workdir`` (flag files, the scenario cache) as an
+artifact when a scenario fails.  Exit status is 0 iff every scenario
 recovered.
 """
 
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for the sweep workload (default 0)")
     parser.add_argument("--workdir", default=None,
-                        help="directory for flags/journals/cache "
+                        help="directory for flags/cache "
                              "(default: a temp dir; pass a path so CI can "
                              "upload it on failure)")
     parser.add_argument("--out", default=None,
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     print()
     for scenario in summary["scenarios"]:
         mark = "ok " if scenario["ok"] else "FAIL"
-        print(f"  [{mark}] {scenario['name']:<8} {scenario['detail']}")
+        print(f"  [{mark}] {scenario['name']:<9} {scenario['detail']}")
     verdict = "recovered" if summary["ok"] else "FAILED"
     print(f"\nrunner chaos: {len(summary['scenarios'])} scenario(s) "
           f"{verdict}; baseline digest "

@@ -115,10 +115,10 @@ def _wl_latency_vs_sharing(scale: str):
                    "mi-ma-ec", "mi-ma-ec-u", "mi-ma-tm"]
         degrees = [1, 2, 4, 8, 16, 32]
         per = 5
-    # result_cache off: a timing run must simulate, never replay.
-    params = paper_parameters(8, result_cache=False)
+    # Cache off: a timing run must simulate, never replay.
     return run_invalidation_sweep(schemes, degrees, per_degree=per,
-                                  params=params, seed=11)
+                                  params=paper_parameters(8), seed=11,
+                                  use_cache=False)
 
 
 def _wl_column_traffic(scale: str):
@@ -129,9 +129,9 @@ def _wl_column_traffic(scale: str):
     schemes = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
     degrees = [2, 8] if scale == "smoke" else [2, 8, 16]
     per = 1 if scale == "smoke" else 4
-    params = paper_parameters(8, result_cache=False)
     return run_invalidation_sweep(schemes, degrees, per_degree=per,
-                                  params=params, kind="column", seed=7)
+                                  params=paper_parameters(8), kind="column",
+                                  seed=7, use_cache=False)
 
 
 def _wl_iack_buffers(scale: str):

@@ -6,10 +6,10 @@ print paper-style tables with :mod:`repro.analysis.tables`.
 The figure sweeps fan out across CPU cores through
 :func:`repro.runner.run_jobs` — one job per scheme, since each scheme
 runs on its own simulator instance — and replay unchanged configs from
-the content-addressed result cache.  ``jobs``/``use_cache`` arguments
-default to the :class:`SystemParameters` knobs; every decomposition is
-a pure function of the call arguments, so serial, parallel, and cached
-runs return bit-identical row lists (``tests/test_runner.py``).
+the content-addressed result cache (``jobs=1``/``use_cache=True`` by
+default).  Every decomposition is a pure function of the call
+arguments, so serial, parallel, and cached runs return bit-identical
+row lists (``tests/test_runner.py``).
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.core.metrics import aggregate_records
 from repro.network import MeshNetwork
-from repro.runner import (Job, params_key, resolve_execution,
-                          resolve_policy, run_jobs)
+from repro.runner import Job, params_key, resolve_execution, run_jobs
 from repro.sim import Simulator, Tally
-from repro.workloads.patterns import PATTERN_KINDS, make_pattern
+from repro.workloads.patterns import PATTERN_KINDS, make_pattern, max_degree
 
 
 # ----------------------------------------------------------------------
@@ -50,9 +49,12 @@ def _draw_patterns(params: SystemParameters, degrees: Sequence[int],
 
 def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
                 per_degree: int = 1, degrees: Sequence[int] = (),
-                nodes: int = 0, drop_probs: Sequence[float] = ()) -> None:
+                params: Optional[SystemParameters] = None,
+                drop_probs: Sequence[float] = ()) -> None:
     """Raise :class:`ConfigError` for bad sweep axes before any job is
-    built (inside a job they would end in a retried ``JobFailed``)."""
+    built (inside a job they would end in a retried ``JobFailed``).
+    ``degrees`` are bounded by what a ``kind`` pattern can draw on the
+    mesh of ``params``."""
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; choose from "
@@ -63,10 +65,13 @@ def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
     if per_degree < 1:
         raise ConfigError(f"need >= 1 transaction per point, got "
                           f"{per_degree}")
+    mesh = _mesh_of(params) if params is not None else None
     for degree in degrees:
-        if not 1 <= degree <= nodes - 1:
-            raise ConfigError(f"degree {degree} is outside 1..{nodes - 1} "
-                              f"on a {nodes}-node mesh")
+        limit = max_degree(kind, mesh)
+        if not 1 <= degree <= limit:
+            raise ConfigError(f"degree {degree} is outside 1..{limit} for "
+                              f"{kind} sharers on a {mesh.width}x"
+                              f"{mesh.height} mesh")
     for prob in drop_probs:
         if not 0 <= prob <= 1:
             raise ConfigError(f"drop probability {prob} is outside [0, 1]")
@@ -106,42 +111,61 @@ def _invalidation_scheme_job(scheme: str, degrees: tuple[int, ...],
     return rows
 
 
+def scheme_job(scheme: str, degrees: Sequence[int], per_degree: int,
+               params: SystemParameters, kind: str = "uniform",
+               seed: int = 0, home: Optional[int] = None,
+               analytical: bool = False, label: str = "") -> Job:
+    """The per-scheme sweep job: every degree of one scheme.
+
+    The one place that lays out this job's function, arguments and
+    cache-key material.  ``repro sweep``, ``repro serve`` and atlas
+    calibration share cache entries because they all build it here.
+    ``home`` pins the home node of the simulated job; the analytical
+    job draws its homes from the pattern stream.
+    """
+    degrees = tuple(degrees)
+    key = {"fn": ("analytical_sweep/scheme" if analytical
+                  else "invalidation_sweep/scheme"),
+           "params": params_key(params), "scheme": scheme,
+           "degrees": list(degrees), "per_degree": per_degree,
+           "kind": kind, "seed": seed}
+    if analytical:
+        return Job(fn=_analytical_scheme_job,
+                   args=(scheme, degrees, per_degree, params, kind, seed),
+                   key=key, label=label)
+    key["home"] = home
+    return Job(fn=_invalidation_scheme_job,
+               args=(scheme, degrees, per_degree, params, kind, seed, home),
+               key=key, label=label)
+
+
 def run_invalidation_sweep(schemes: Sequence[str], degrees: Sequence[int],
                            per_degree: int = 8,
                            params: Optional[SystemParameters] = None,
                            kind: str = "uniform", seed: int = 0,
-                           home: Optional[int] = None,
-                           jobs: Optional[int] = None,
-                           use_cache: Optional[bool] = None,
-                           cache=None, resume: bool = False) -> list[dict]:
+                           home: Optional[int] = None, jobs: int = 1,
+                           use_cache: bool = True,
+                           cache=None) -> list[dict]:
     """Measure the four performance measures per (scheme, degree).
 
     Each transaction runs on an otherwise idle network (the paper's
     microbenchmark methodology); patterns are shared across schemes so
-    the comparison is paired.  ``jobs``/``use_cache`` override the
-    ``params.jobs`` / ``params.result_cache`` knobs (``jobs=0`` = one
-    worker per core); the merged row order is scheme-major and
-    bit-identical for every worker count, on cache replay, and on a
-    journal ``resume`` of an interrupted sweep.  Supervision follows
-    the ``job_timeout``/``job_max_retries``/``job_backoff`` knobs.
-    Bad axes raise :class:`ConfigError` (:func:`check_sweep`).
+    the comparison is paired.  ``jobs`` workers (``0`` = one per core)
+    run one job per scheme; ``use_cache``/``cache`` select the result
+    cache (default: :func:`~repro.runner.default_cache`).  The merged
+    row order is scheme-major and bit-identical for every worker count
+    and on cache replay, so re-running an interrupted sweep replays its
+    finished schemes.  Bad axes raise :class:`ConfigError`
+    (:func:`check_sweep`).
     """
     params = params or paper_parameters()
     check_sweep(schemes, kind=kind, per_degree=per_degree, degrees=degrees,
-                nodes=params.num_nodes)
-    degrees = tuple(degrees)
-    workers, cache = resolve_execution(params, jobs, use_cache, cache)
-    job_list = [
-        Job(fn=_invalidation_scheme_job,
-            args=(scheme, degrees, per_degree, params, kind, seed, home),
-            key={"fn": "invalidation_sweep/scheme",
-                 "params": params_key(params), "scheme": scheme,
-                 "degrees": list(degrees), "per_degree": per_degree,
-                 "kind": kind, "seed": seed, "home": home},
-            label=f"sweep:{scheme}")
-        for scheme in schemes]
-    per_scheme = run_jobs(job_list, workers=workers, cache=cache,
-                          policy=resolve_policy(params), resume=resume)
+                params=params)
+    workers, cache = resolve_execution(jobs, use_cache, cache)
+    job_list = [scheme_job(scheme, degrees, per_degree, params, kind, seed,
+                           home, label=f"sweep:{scheme}")
+                for scheme in schemes]
+    per_scheme = run_jobs(job_list, workers=workers, cache=cache)
     return [row for rows in per_scheme for row in rows]
 
 
@@ -180,27 +204,18 @@ def run_analytical_sweep(schemes: Sequence[str], degrees: Sequence[int],
                          per_degree: int = 8,
                          params: Optional[SystemParameters] = None,
                          kind: str = "uniform", seed: int = 0,
-                         jobs: Optional[int] = None,
-                         use_cache: Optional[bool] = None,
-                         cache=None, resume: bool = False) -> list[dict]:
+                         jobs: int = 1, use_cache: bool = True,
+                         cache=None) -> list[dict]:
     """Analytical counterpart of :func:`run_invalidation_sweep`
     (identical pattern stream, closed-form measures)."""
     params = params or paper_parameters()
     check_sweep(schemes, kind=kind, per_degree=per_degree, degrees=degrees,
-                nodes=params.num_nodes)
-    degrees = tuple(degrees)
-    workers, cache = resolve_execution(params, jobs, use_cache, cache)
-    job_list = [
-        Job(fn=_analytical_scheme_job,
-            args=(scheme, degrees, per_degree, params, kind, seed),
-            key={"fn": "analytical_sweep/scheme",
-                 "params": params_key(params), "scheme": scheme,
-                 "degrees": list(degrees), "per_degree": per_degree,
-                 "kind": kind, "seed": seed},
-            label=f"analytical:{scheme}")
-        for scheme in schemes]
-    per_scheme = run_jobs(job_list, workers=workers, cache=cache,
-                          policy=resolve_policy(params), resume=resume)
+                params=params)
+    workers, cache = resolve_execution(jobs, use_cache, cache)
+    job_list = [scheme_job(scheme, degrees, per_degree, params, kind, seed,
+                           analytical=True, label=f"analytical:{scheme}")
+                for scheme in schemes]
+    per_scheme = run_jobs(job_list, workers=workers, cache=cache)
     return [row for rows in per_scheme for row in rows]
 
 

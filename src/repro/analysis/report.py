@@ -17,6 +17,7 @@ from repro.analysis.experiments import (miss_latency_micro,
 from repro.analysis.plotting import chart_from_rows
 from repro.analysis.tables import rows_to_markdown
 from repro.config import paper_parameters
+from repro.runner import resolve_jobs
 
 SWEEP_SCHEMES = ["ui-ua", "mi-ua-ec", "mi-ua-tm", "ui-ma-ec", "mi-ma-ec",
                  "mi-ma-ec-u", "mi-ma-tm", "mi-ua-fa", "mi-ma-fa",
@@ -50,26 +51,24 @@ def _app_configs(scale: str):
 
 
 def generate_report(scale: str = "ci", seed: int = 11,
-                    progress=None, jobs=None, use_cache=None,
-                    resume: bool = False) -> str:
+                    progress=None, jobs: int = 1,
+                    use_cache: bool = True) -> str:
     """Run the full evaluation; returns the markdown report text.
 
     ``scale``: ``"ci"`` (default), ``"paper"``, or ``"smoke"`` — the
     last runs a seconds-long miniature of everything, for tests.
     ``jobs``/``use_cache`` are forwarded to the sweep runners
     (:mod:`repro.runner`): ``jobs=0`` fans each sweep across every
-    core, and a warm result cache makes a repeat report near-free.
-    ``resume=True`` replays interrupted sweeps' journals first.
+    core, and a warm result cache makes a repeat (or interrupted)
+    report near-free.
     """
     if scale not in ("ci", "paper", "smoke"):
         raise ValueError("scale must be 'ci', 'paper', or 'smoke'")
+    resolve_jobs(jobs)
+    execution = {"jobs": jobs, "use_cache": use_cache}
     say = progress or (lambda msg: None)
     width = {"smoke": 4, "ci": 8, "paper": 16}[scale]
     params = paper_parameters(width)
-    if jobs is not None:
-        params = params.evolve(jobs=jobs)
-    if use_cache is not None:
-        params = params.evolve(result_cache=use_cache)
     degrees = sorted({min(d, params.num_nodes - 1)
                       for d in (1, 2, 4, 8, 16, 32)})
     parts: list[str] = [
@@ -87,7 +86,7 @@ def generate_report(scale: str = "ci", seed: int = 11,
 
     say("figures: invalidation sweeps")
     rows = run_invalidation_sweep(SWEEP_SCHEMES, degrees, per_degree=5,
-                                  params=params, seed=seed, resume=resume)
+                                  params=params, seed=seed, **execution)
     parts += ["## Invalidation cost vs degree of sharing", "",
               rows_to_markdown(rows, columns=[
                   "scheme", "degree", "latency", "messages", "flit_hops",
@@ -106,10 +105,10 @@ def generate_report(scale: str = "ci", seed: int = 11,
     say("analytical cross-validation")
     ana = run_analytical_sweep(["ui-ua", "mi-ma-ec"], [2, 8, degrees[-1]],
                                per_degree=5, params=params, seed=seed,
-                               resume=resume)
+                               **execution)
     sim = run_invalidation_sweep(["ui-ua", "mi-ma-ec"],
                                  [2, 8, degrees[-1]], per_degree=5,
-                                 params=params, seed=seed, resume=resume)
+                                 params=params, seed=seed, **execution)
     compare = [{"scheme": s["scheme"], "degree": s["degree"],
                 "simulated": s["latency"], "analytical": a["latency"],
                 "error_pct": (a["latency"] - s["latency"])

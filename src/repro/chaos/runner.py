@@ -19,7 +19,7 @@ from repro.chaos.scenario import (MUTATIONS, ChaosResult, ChaosScenario,
                                   generate_scenario, run_scenario)
 from repro.chaos.shrink import shrink
 from repro.config import ConfigError
-from repro.runner import Job, run_jobs
+from repro.runner import Job, resolve_execution, run_jobs
 
 
 def _slug(signature: str) -> str:
@@ -38,8 +38,8 @@ def _scenario_job(scenario: ChaosScenario, audit: str) -> dict:
 
 
 def _soak_results(scenarios: list[ChaosScenario], audit: str,
-                  checker: Optional[Callable], jobs: int,
-                  cache, resume: bool = False) -> list[ChaosResult]:
+                  checker: Optional[Callable], workers: int,
+                  cache) -> list[ChaosResult]:
     """Classify every scenario — fanned out and cache-replayed through
     :mod:`repro.runner` except when a custom ``checker`` is attached
     (an arbitrary callable can be neither pickled to a worker nor
@@ -53,7 +53,7 @@ def _soak_results(scenarios: list[ChaosScenario], audit: str,
                  "audit": audit},
             label=f"chaos:seed{scenario.seed}")
         for scenario in scenarios]
-    states = run_jobs(job_list, workers=jobs, cache=cache, resume=resume)
+    states = run_jobs(job_list, workers=workers, cache=cache)
     return [ChaosResult(scenario=scenario, **dict(state, trail=tuple(
         state["trail"]))) for scenario, state in zip(scenarios, states)]
 
@@ -65,7 +65,7 @@ def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
               max_shrink_runs: int = 48,
               log: Callable[[str], None] = lambda msg: None,
               jobs: int = 1, use_cache: bool = False,
-              cache=None, resume: bool = False) -> dict:
+              cache=None) -> dict:
     """Soak ``seeds`` scenarios; returns a summary dict.
 
     Summary keys: ``seeds``, ``passed``, ``failed``, ``expected_txn_
@@ -79,27 +79,24 @@ def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
     result cache is *opt-in* here (``use_cache=True``): a soak's job is
     to re-test the current code, and although the cache fingerprint
     does invalidate on any source change, a fresh run is the
-    conservative default for a bug-hunting loop.  ``resume=True``
-    replays the journal of an interrupted soak of the identical seed
-    set first (``docs/RUNNER.md``).  ``seeds < 1`` or an unknown
-    ``mutation`` raises :class:`~repro.config.ConfigError`.
+    conservative default for a bug-hunting loop; with it, a re-run of
+    an interrupted soak replays the seeds already soaked.
+    ``seeds < 1``, ``max_shrink_runs < 0`` or an unknown ``mutation``
+    raises :class:`~repro.config.ConfigError`.
     """
-    from repro.runner import default_cache
-
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
+    if max_shrink_runs < 0:
+        raise ConfigError(f"max_shrink_runs must be >= 0, got "
+                          f"{max_shrink_runs}")
     if mutation is not None and mutation not in MUTATIONS:
         raise ConfigError(f"unknown mutation {mutation!r}; choose from "
                           f"{sorted(MUTATIONS)}")
-    if use_cache and cache is None:
-        cache = default_cache()
-    elif not use_cache:
-        cache = None
+    workers, cache = resolve_execution(jobs, use_cache, cache)
     scenarios = [generate_scenario(base_seed + i, smoke=smoke,
                                    mutation=mutation)
                  for i in range(seeds)]
-    results = _soak_results(scenarios, audit, checker, jobs, cache,
-                            resume=resume)
+    results = _soak_results(scenarios, audit, checker, workers, cache)
 
     passed = failed = expected = 0
     bundles: list[str] = []

@@ -16,10 +16,10 @@ tests encode:
 * ``poison``  — a job fails deterministically on every attempt; it must
   be quarantined behind a typed
   :class:`~repro.runner.supervisor.JobFailed` carrying the child
-  traceback, *after* every healthy job's result has been journaled.
-* ``journal`` — a sweep is interrupted (``KeyboardInterrupt``) and one
-  journal line is corrupted on disk; ``resume`` must skip exactly that
-  entry, re-run it plus the unfinished jobs, and digest-match.
+  traceback, *after* every healthy job's result has been cached.
+* ``interrupt`` — a cached sweep is interrupted (``KeyboardInterrupt``)
+  after two results; a plain re-run must replay exactly those two as
+  cache hits, run only the unfinished job, and digest-match.
 * ``cache``   — a result-cache entry is corrupted on disk; the next
   sweep must purge it (counting it in ``ResultCache.corrupt``),
   re-simulate, and digest-match.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import signal
 import tempfile
 import time
@@ -42,11 +43,11 @@ from typing import Callable, Optional
 
 from repro.analysis.experiments import _invalidation_scheme_job
 from repro.config import paper_parameters
-from repro.runner import (Job, JobFailed, ResultCache, RetryPolicy,
-                          SweepJournal, key_digest, run_jobs)
+from repro.runner import (MISS, Job, JobFailed, ResultCache, RetryPolicy,
+                          key_digest, run_jobs)
 
 #: Scenario names in execution order.
-RUNNER_CHAOS_SCENARIOS = ("kill", "hang", "poison", "journal", "cache")
+RUNNER_CHAOS_SCENARIOS = ("kill", "hang", "poison", "interrupt", "cache")
 
 #: Seconds an injected hang sleeps — anything comfortably past the
 #: scenario watchdog (the pool kill interrupts the sleep long before).
@@ -101,7 +102,7 @@ class _Interrupter:
 def _build_jobs(schemes, degrees, per_degree, params, seed, nonce,
                 faults: dict, flag_dir: str) -> list[Job]:
     """The scenario's job list; ``faults`` maps job index -> fault
-    kind.  ``nonce`` isolates cache/journal identity per scenario.  The
+    kind.  ``nonce`` isolates cache identity per scenario.  The
     payload is the real per-scheme invalidation sweep job, so digests
     compare actual paper-figure rows."""
     jobs = []
@@ -128,16 +129,19 @@ def run_runner_chaos(*, smoke: bool = True, seed: int = 0,
     Summary keys: ``scenarios`` (one dict per scenario with ``name``,
     ``ok``, ``detail``), ``baseline_digest``, and ``ok`` (every
     scenario recovered to the clean serial digest).  ``workdir`` holds
-    flag files, journals, and the scenario cache (a temp dir by
-    default); pass a persistent path so CI can upload the journal as an
-    artifact on failure.
+    flag files and the scenario cache (a temp dir by default); pass a
+    persistent path so CI can upload both as an artifact on failure.
     """
     say = log or (lambda msg: None)
     workdir = workdir or tempfile.mkdtemp(prefix="repro-runner-chaos-")
     os.makedirs(workdir, exist_ok=True)
+    # A reused workdir starts clean: a stale flag would skip its fault
+    # and stale cache entries would turn fresh runs into hits.
     flag_dir = os.path.join(workdir, "flags")
-    journal_dir = os.path.join(workdir, "journal")
-    os.makedirs(flag_dir, exist_ok=True)
+    shutil.rmtree(flag_dir, ignore_errors=True)
+    os.makedirs(flag_dir)
+    cache = ResultCache(os.path.join(workdir, "cache"))
+    cache.clear()
 
     params = paper_parameters(4 if smoke else 8)
     schemes = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
@@ -152,8 +156,7 @@ def run_runner_chaos(*, smoke: bool = True, seed: int = 0,
                            nonce, faults, flag_dir)
 
     say("baseline: clean serial sweep")
-    baseline = _digest(run_jobs(jobs_for("base", {}), workers=1,
-                                journal_dir=journal_dir))
+    baseline = _digest(run_jobs(jobs_for("base", {}), workers=1))
     scenarios: list[dict] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -162,71 +165,54 @@ def run_runner_chaos(*, smoke: bool = True, seed: int = 0,
 
     # -- kill: SIGKILLed worker, pool rebuild, requeue -----------------
     rows = run_jobs(jobs_for("kill", {1: "kill"}), workers=2,
-                    policy=policy, journal_dir=journal_dir)
+                    policy=policy)
     check("kill", _digest(rows) == baseline,
           "worker SIGKILLed mid-sweep; rebuilt pool digest-matches "
           "serial baseline")
 
     # -- hang: watchdog timeout, retry ---------------------------------
     rows = run_jobs(jobs_for("hang", {0: "hang"}), workers=2,
-                    policy=policy, journal_dir=journal_dir)
+                    policy=policy)
     check("hang", _digest(rows) == baseline,
           f"hung job tripped the {watchdog:g}s watchdog and retried; "
           f"digest-matches serial baseline")
 
-    # -- poison: quarantine with traceback, healthy work journaled -----
+    # -- poison: quarantine with traceback, healthy work cached --------
     poison_jobs = jobs_for("poison", {2: "poison"})
     quarantined = traceback_ok = False
     try:
-        run_jobs(poison_jobs, workers=2,
+        run_jobs(poison_jobs, workers=2, cache=cache,
                  policy=RetryPolicy(timeout=watchdog, max_retries=1,
-                                    backoff=1.0, retry_delay=0.01),
-                 journal_dir=journal_dir)
+                                    backoff=1.0, retry_delay=0.01))
     except JobFailed as exc:
         quarantined = True
         traceback_ok = "injected poison job" in exc.child_traceback
-    journal = SweepJournal.for_digests(
-        journal_dir, [key_digest(j.key) for j in poison_jobs])
-    healthy = len(journal.load())
-    journal.close()
+    healthy = sum(cache.load(key_digest(j.key), j.key) is not MISS
+                  for j in poison_jobs)
     check("poison", quarantined and traceback_ok and healthy == 2,
           f"poison job quarantined with child traceback; "
-          f"{healthy}/2 healthy results preserved in the journal")
+          f"{healthy}/2 healthy results preserved in the cache")
 
-    # -- journal: interrupt, corrupt one line, resume ------------------
-    resume_jobs = jobs_for("journal", {})
+    # -- interrupt: a plain re-run replays the finished jobs -----------
+    interrupt_jobs = jobs_for("interrupt", {})
     interrupted = False
     try:
-        run_jobs(resume_jobs, workers=1, journal_dir=journal_dir,
+        run_jobs(interrupt_jobs, workers=1, cache=cache,
                  progress=_Interrupter(after=2))
     except KeyboardInterrupt:
         interrupted = True
-    journal = SweepJournal.for_digests(
-        journal_dir, [key_digest(j.key) for j in resume_jobs])
-    corrupted = False
-    if os.path.exists(journal.path):
-        with open(journal.path, "r+", encoding="utf-8") as fh:
-            lines = fh.readlines()
-            if lines:
-                lines[0] = lines[0][:40][::-1] + "garbled\n"
-                fh.seek(0)
-                fh.truncate()
-                fh.writelines(lines)
-                corrupted = True
-    progress_lines: list[str] = []
-    rows = run_jobs(resume_jobs, workers=1, journal_dir=journal_dir,
-                    resume=True, progress=progress_lines.append)
-    resumed = sum(ln.startswith("[") and "resumed from journal" in ln
-                  for ln in progress_lines)
-    check("journal",
-          interrupted and corrupted and _digest(rows) == baseline
-          and resumed == 1,
-          f"interrupted sweep resumed past a corrupt journal line "
-          f"({resumed} resumed, corrupt line re-ran); digest-matches "
-          f"serial baseline")
+    lines: list[str] = []
+    rows = run_jobs(interrupt_jobs, workers=1, cache=cache,
+                    progress=lines.append)
+    outcomes = [line.rsplit(": ", 1)[-1] for line in lines[:-1]]
+    check("interrupt",
+          interrupted and outcomes == ["cache hit", "cache hit", "ran"]
+          and _digest(rows) == baseline,
+          f"sweep interrupted after 2 of 3 results; the plain re-run "
+          f"replayed {outcomes.count('cache hit')} from the cache and ran "
+          f"{outcomes.count('ran')}; digest-matches serial baseline")
 
     # -- cache: corrupt entry purged, counted, re-simulated ------------
-    cache = ResultCache(os.path.join(workdir, "cache"))
     cache_jobs = jobs_for("cache", {})
     run_jobs(cache_jobs, workers=1, cache=cache)
     victim = cache._path(cache.digest(cache_jobs[0].key))

@@ -15,10 +15,9 @@ Commands:
   auditing; failures are shrunk into JSON repro bundles;
 * ``replay`` — re-run a repro bundle deterministically and check that
   its failure signature reproduces;
-* ``cache`` — inspect (``info``) or wipe (``clear``) the
-  content-addressed sweep result cache under ``.repro-cache/``,
-  including the sweep journals of interrupted runs and the corrupt-
-  entry purge tally;
+* ``cache`` — inspect (``info``), scrub (``fsck``) or wipe (``clear``)
+  the content-addressed sweep result cache under ``.repro-cache/``,
+  including the corrupt-entry purge tally;
 * ``serve`` — run the multi-tenant simulation service: an async HTTP
   front end that dedupes requests by cache digest, coalesces
   concurrent identical requests, queues misses fairly per client
@@ -29,9 +28,10 @@ Commands:
 
 The sweep-shaped commands (``sweep``/``figs``, ``report``, ``faults``,
 ``chaos``, ``atlas``) all accept ``--jobs N`` (``0`` = one worker
-process per CPU core), ``--no-cache``, and ``--resume`` (replay an
-interrupted run's journal, then finish the rest) — see
-:mod:`repro.runner` and ``docs/RUNNER.md``.
+process per CPU core) and ``--no-cache``.  Every finished job is
+cached as it lands, so re-running an interrupted command replays its
+finished jobs and runs only the rest — see :mod:`repro.runner` and
+``docs/RUNNER.md``.
 
 ``repro serve``'s config flags come from the config dataclass fields
 that carry help metadata.  The library validates every value; a
@@ -65,11 +65,12 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not populate the result "
                              "cache (.repro-cache/)")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay completed jobs from the sweep "
-                             "journal of an interrupted identical run "
-                             "(.repro-cache/journal/), then finish the "
-                             "rest")
+
+
+def _jobs(args) -> int:
+    """The ``jobs`` argument of a sweep entry point (``--jobs``; serial
+    when not given)."""
+    return 1 if args.jobs is None else args.jobs
 
 
 def _flag_fields(cls):
@@ -110,6 +111,10 @@ def _csv_floats(text: str) -> list[float]:
 def _xy(text: str) -> tuple[int, int]:
     x, y = text.split(",")
     return int(x), int(y)
+
+
+def _xy_list(text: str) -> list[tuple[int, int]]:
+    return [_xy(token) for token in text.split()]
 
 
 def _csv_meshes(text: str) -> list[tuple[int, int]]:
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worms.add_argument("--mesh", type=int, default=8)
     p_worms.add_argument("--home", type=_xy, default=(4, 3),
                          help="home coordinate, e.g. 4,3")
-    p_worms.add_argument("--sharers", type=str,
+    p_worms.add_argument("--sharers", type=_xy_list,
                          default="1,1 1,5 3,6 6,2 6,5",
                          help="space-separated x,y coordinates")
 
@@ -348,23 +353,14 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _execution_params(args, **overrides):
-    """``paper_parameters`` with the ``--jobs``/``--no-cache`` flags
-    folded in (so validation raises the usual :class:`ConfigError`)."""
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.no_cache:
-        overrides["result_cache"] = False
-    return paper_parameters(args.mesh, **overrides)
-
-
 def cmd_sweep(args) -> int:
     """``repro sweep``: invalidation-cost sweep (simulated/analytical)."""
     runner = run_analytical_sweep if args.analytical \
         else run_invalidation_sweep
     rows = runner(args.schemes, args.degrees, per_degree=args.per_degree,
-                  params=_execution_params(args), kind=args.kind,
-                  seed=args.seed, resume=args.resume)
+                  params=paper_parameters(args.mesh), kind=args.kind,
+                  seed=args.seed, jobs=_jobs(args),
+                  use_cache=not args.no_cache)
     mode = "analytical" if args.analytical else "simulated"
     print(format_table(rows, title=f"Invalidation sweep ({mode}, "
                                    f"{args.mesh}x{args.mesh}, "
@@ -420,9 +416,7 @@ def cmd_report(args) -> int:
 
     text = generate_report(scale=args.scale, seed=args.seed,
                            progress=lambda msg: print(f"[report] {msg}"),
-                           jobs=args.jobs,
-                           use_cache=False if args.no_cache else None,
-                           resume=args.resume)
+                           jobs=_jobs(args), use_cache=not args.no_cache)
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.out} ({len(text.splitlines())} lines)")
@@ -433,14 +427,15 @@ def cmd_faults(args) -> int:
     """``repro faults``: chaos sweep of the recovery protocol."""
     from repro.faults.sweep import run_fault_sweep
 
-    params = _execution_params(args, fault_aware_routing=args.fault_aware,
-                               detour_limit=args.detour_limit)
+    params = paper_parameters(args.mesh,
+                              fault_aware_routing=args.fault_aware,
+                              detour_limit=args.detour_limit)
     rows = run_fault_sweep(args.schemes, args.drop_probs,
                            degree=args.degree, per_point=args.per_point,
                            params=params, link_faults=args.link_faults,
                            router_faults=args.router_faults,
                            seed=args.seed, fault_aware=args.fault_aware,
-                           resume=args.resume)
+                           jobs=_jobs(args), use_cache=not args.no_cache)
     for row in rows:
         # %g, not the table's %.2f: 0.001 must not print as 0.00.
         row["drop_prob"] = f"{row['drop_prob']:g}"
@@ -464,9 +459,8 @@ def cmd_chaos(args) -> int:
                         mutation=args.mutation,
                         max_shrink_runs=args.max_shrink_runs,
                         log=lambda msg: print(f"[chaos] {msg}"),
-                        jobs=1 if args.jobs is None else args.jobs,
-                        use_cache=args.use_cache and not args.no_cache,
-                        resume=args.resume)
+                        jobs=_jobs(args),
+                        use_cache=args.use_cache and not args.no_cache)
     print(f"chaos soak: {summary['passed']}/{summary['seeds']} passed, "
           f"{summary['failed']} failed "
           f"({summary['expected_txn_failures']} expected transaction "
@@ -591,28 +585,19 @@ def cmd_load(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """``repro cache``: inspect or wipe the sweep result cache and the
-    sweep journals of interrupted runs."""
-    import os as _os
-
-    from repro.runner import ResultCache, clear_journals, default_cache, \
-        journal_info
+    """``repro cache``: inspect, scrub or wipe the sweep result cache."""
+    from repro.runner import ResultCache, default_cache
 
     # --dir gets its own handle; the default root shares the memoized
     # process-default instance (true lifetime counters).
     cache = ResultCache(args.dir) if args.dir is not None \
         else default_cache()
-    journal_root = _os.path.join(cache.root, "journal")
     if args.action == "info":
         info = cache.info()
-        journals = journal_info(journal_root)
         print(f"cache root: {info['root']}")
         print(f"entries:    {info['entries']}")
         print(f"bytes:      {info['bytes']}")
         print(f"corrupt entries purged: {info['corrupt_purged']}")
-        print(f"journals:   {journals['journals']} interrupted sweep(s) "
-              f"awaiting --resume ({journals['entries']} job result(s), "
-              f"{journals['bytes']} bytes)")
         return 0
     if args.action == "fsck":
         report = cache.fsck()
@@ -630,10 +615,8 @@ def cmd_cache(args) -> int:
                   f"({state})")
         return 0 if report["purged"] == 0 else 1
     removed = cache.clear()
-    journals = clear_journals(journal_root)
     print(f"cleared {removed} cache entr"
-          f"{'y' if removed == 1 else 'ies'} and {journals} "
-          f"journal(s) from {cache.root}")
+          f"{'y' if removed == 1 else 'ies'} from {cache.root}")
     return 0
 
 
@@ -646,7 +629,7 @@ def cmd_worms(args) -> int:
 
     mesh = Mesh2D(args.mesh, args.mesh)
     home = mesh.node_at(*args.home)
-    sharers = [mesh.node_at(*_xy(tok)) for tok in args.sharers.split()]
+    sharers = [mesh.node_at(*xy) for xy in args.sharers]
     plan = build_plan(args.scheme, mesh, home, sharers)
     routing = make_routing(plan.routing, mesh)
     grid = [["." for _ in range(mesh.width)] for _ in range(mesh.height)]
@@ -678,8 +661,10 @@ def cmd_atlas(args) -> int:
     from repro.explore.atlas import build_atlas, write_atlas
     from repro.explore.calibrate import calibrate
     from repro.explore.grid import ScreenGrid, screen
-    from repro.explore.refine import refine
+    from repro.explore.refine import check_refine, refine
 
+    if not args.no_refine:
+        check_refine(args.budget_fraction, args.tol, args.max_rounds)
     axes: dict[str, tuple] = {}
     if args.encodings:
         axes["multidest_encoding"] = tuple(args.encodings)
@@ -701,17 +686,16 @@ def cmd_atlas(args) -> int:
           f"{stats['elapsed_s']:.2f}s "
           f"({stats['configs_per_s']:,.0f} configs/s)")
 
-    use_cache = False if args.no_cache else None
     calib = calibrate(result, per_scheme=args.calibrate_per_scheme,
-                      seed=args.seed, jobs=args.jobs,
-                      use_cache=use_cache)
+                      seed=args.seed, jobs=_jobs(args),
+                      use_cache=not args.no_cache)
     print(f"calibrated {calib.meta['simulated_cells']} cells; "
           f"max band width {calib.max_width:.3f}")
     if not args.no_refine:
         report = refine(result, calib,
                         budget_fraction=args.budget_fraction,
                         tol=args.tol, max_rounds=args.max_rounds,
-                        jobs=args.jobs, use_cache=use_cache)
+                        jobs=_jobs(args), use_cache=not args.no_cache)
         print(f"refined {report.simulated_cells} cells over "
               f"{report.rounds} rounds "
               f"(sim fraction {report.sim_fraction * 100:.2f}%, "

@@ -27,7 +27,8 @@ def max_jobs() -> int:
 
 
 class ConfigError(ValueError):
-    """A :class:`SystemParameters` field has a nonsensical value.
+    """A configuration value is nonsensical: a :class:`SystemParameters`
+    field, a sweep axis, an execution setting or a mesh coordinate.
 
     Subclasses :class:`ValueError` so existing ``except ValueError``
     call sites keep working; raised from ``__post_init__`` so a bad
@@ -171,39 +172,6 @@ class SystemParameters:
     #: variable can raise (never lower) the effective level.
     audit: str = "off"
 
-    # ------------------------------------------------------------------
-    # Sweep execution (these knobs select *how* sweeps run, never what
-    # they compute — results are bit-identical for every setting, and
-    # they are excluded from result-cache keys; the job_* supervision
-    # family mirrors the txn_* transaction-recovery family above, one
-    # level up: worker processes instead of invalidation worms)
-    # ------------------------------------------------------------------
-    #: Worker processes for sweep entry points (``run_invalidation_
-    #: sweep``, ``run_fault_sweep``, ``run_chaos``, the perf harness):
-    #: ``1`` = in-process serial, ``N`` = a process pool of N, and the
-    #: sentinel ``0`` = one worker per CPU core.
-    jobs: int = 1
-    #: Consult/populate the content-addressed result cache under
-    #: ``.repro-cache/`` (see :mod:`repro.runner.cache`); ``False``
-    #: forces every config to re-simulate (the CLI ``--no-cache``).
-    result_cache: bool = True
-    #: Per-job wall-clock watchdog for pooled sweep execution, in
-    #: seconds; a job past its deadline has wedged its worker, so the
-    #: pool is killed and rebuilt and the job retried.  Scaled by
-    #: ``job_backoff`` per attempt (mirroring ``txn_timeout``); ``0``
-    #: disables the watchdog.  Serial (``jobs=1``) execution never has
-    #: a watchdog.
-    job_timeout: float = 300.0
-    #: Retry attempts for a failed, hung, or worker-killed sweep job
-    #: before it is quarantined with a typed
-    #: :class:`~repro.runner.supervisor.JobFailed` carrying the child
-    #: traceback (0 = never retry); mirrors ``txn_max_retries``.
-    job_max_retries: int = 2
-    #: Exponential backoff multiplier on the job watchdog and the
-    #: parent-side retry delay per successive attempt; mirrors
-    #: ``txn_backoff``.
-    job_backoff: int = 2
-
     def __post_init__(self) -> None:
         if self.mesh_width < 1 or self.mesh_height < 1:
             raise ConfigError("mesh dimensions must be >= 1")
@@ -249,18 +217,6 @@ class SystemParameters:
             raise ConfigError("detour_limit must be >= 0")
         if self.audit not in ("off", "cheap", "full"):
             raise ConfigError("audit must be 'off', 'cheap', or 'full'")
-        if self.jobs < 0:
-            raise ConfigError("jobs must be >= 0 (0 = one per CPU core)")
-        if self.jobs > max_jobs():
-            raise ConfigError(f"jobs must be <= {max_jobs()} on this "
-                              f"machine (0 = auto)")
-        if self.job_timeout < 0:
-            raise ConfigError("job_timeout must be >= 0 seconds "
-                              "(0 = no watchdog)")
-        if self.job_max_retries < 0:
-            raise ConfigError("job_max_retries must be >= 0")
-        if self.job_backoff < 1:
-            raise ConfigError("job_backoff must be >= 1")
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro.config import ConfigError
 from repro.network.worm import WormKind
 
 # ----------------------------------------------------------------------
@@ -128,7 +129,8 @@ class InvalidationPlan:
 
     def __post_init__(self) -> None:
         if self.home in self.sharers:
-            raise ValueError("home cannot be one of the invalidated sharers")
+            raise ConfigError("home cannot be one of the invalidated "
+                              "sharers")
         covered = [d for g in self.groups for d in g.dests
                    if d not in g.reserve_only]
         if sorted(covered) != sorted(self.sharers):

@@ -22,14 +22,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.analysis.experiments import _invalidation_scheme_job
+from repro.analysis.experiments import scheme_job
 from repro.config import ConfigError
-from repro.runner import (Job, params_key, resolve_execution,
-                          resolve_policy, run_jobs)
+from repro.runner import resolve_execution, run_jobs
 
 from repro.explore.grid import ScreenResult
 
@@ -138,12 +137,12 @@ def stratified_sample(result: ScreenResult, per_scheme: int,
 
 
 def simulate_cells(result: ScreenResult, cells: Sequence[int],
-                   jobs: Optional[int] = None,
-                   use_cache: Optional[bool] = None,
+                   jobs: int = 1, use_cache: bool = True,
                    cache=None) -> list[dict[str, Any]]:
     """Run the simulator for screened cells (one pooled ``run_jobs``
-    batch; keys match single-degree ``run_invalidation_sweep`` calls so
-    results land in — and replay from — the shared cache)."""
+    batch of :func:`~repro.analysis.experiments.scheme_job` jobs, so
+    results land in — and replay from — the cache entries of
+    single-degree ``run_invalidation_sweep`` calls)."""
     grid = result.grid
     bcombos = grid.combos(grid.broadcast_axes)
     bfirst = bcombos[0] if bcombos else {}
@@ -154,21 +153,13 @@ def simulate_cells(result: ScreenResult, cells: Sequence[int],
         d = int(result.degree[i])
         combo = {**result.acombos[result.acombo[i]], **bfirst}
         params = grid.params_for(w, h, **combo)
-        job_list.append(Job(
-            fn=_invalidation_scheme_job,
-            args=(scheme, (d,), grid.per_degree, params, grid.kind,
-                  grid.seed, None),
-            key={"fn": "invalidation_sweep/scheme",
-                 "params": params_key(params), "scheme": scheme,
-                 "degrees": [d], "per_degree": grid.per_degree,
-                 "kind": grid.kind, "seed": grid.seed, "home": None},
+        job_list.append(scheme_job(
+            scheme, (d,), grid.per_degree, params, grid.kind, grid.seed,
             label=f"calib:{scheme}:{w}x{h}:d{d}"))
     if not job_list:
         return []
-    params0 = grid.params_for(*grid.meshes[0])
-    workers, cache = resolve_execution(params0, jobs, use_cache, cache)
-    results = run_jobs(job_list, workers=workers, cache=cache,
-                       policy=resolve_policy(params0))
+    workers, cache = resolve_execution(jobs, use_cache, cache)
+    results = run_jobs(job_list, workers=workers, cache=cache)
     out = []
     for i, rows in zip(cells, results):
         row = rows[0]
@@ -215,8 +206,7 @@ def apply_samples(result: ScreenResult, calib: Calibration,
 
 
 def calibrate(result: ScreenResult, per_scheme: int = 4, seed: int = 0,
-              jobs: Optional[int] = None,
-              use_cache: Optional[bool] = None,
+              jobs: int = 1, use_cache: bool = True,
               cache=None) -> Calibration:
     """Fit per-scheme error bands from a stratified simulated sample."""
     if per_scheme < 1:

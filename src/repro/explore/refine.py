@@ -13,10 +13,11 @@ screened grid) is spent.  Everything still flows through the shared
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
+from repro.config import ConfigError
 from repro.explore.calibrate import (Calibration, apply_samples,
                                      simulate_cells)
 from repro.explore.grid import ScreenResult
@@ -92,10 +93,21 @@ class RefineReport:
                 "band_width_history": self.band_width_history}
 
 
+def check_refine(budget_fraction: float, tol: float,
+                 max_rounds: int) -> None:
+    """Raise :class:`ConfigError` for a ``budget_fraction`` outside
+    [0, 1] or a negative ``tol`` or ``max_rounds``."""
+    if not 0 <= budget_fraction <= 1:
+        raise ConfigError(f"budget_fraction must be in [0, 1], got "
+                          f"{budget_fraction}")
+    if tol < 0 or max_rounds < 0:
+        raise ConfigError(f"tol and max_rounds must be >= 0, got {tol} "
+                          f"and {max_rounds}")
+
+
 def refine(result: ScreenResult, calib: Calibration,
            budget_fraction: float = 0.05, tol: float = 0.02,
-           max_rounds: int = 4, jobs: Optional[int] = None,
-           use_cache: Optional[bool] = None,
+           max_rounds: int = 4, jobs: int = 1, use_cache: bool = True,
            cache=None) -> RefineReport:
     """Active-sampling loop: simulate ambiguous + Pareto cells until
     the bands converge or the budget is gone.
@@ -103,8 +115,10 @@ def refine(result: ScreenResult, calib: Calibration,
     ``budget_fraction`` bounds *total* simulated cells (including the
     initial calibration pass recorded in ``calib``) against the full
     screened grid, honoring the "simulate ≤ a few percent of what you
-    screen" contract.
+    screen" contract.  Bad settings raise :class:`ConfigError`
+    (:func:`check_refine`).
     """
+    check_refine(budget_fraction, tol, max_rounds)
     seen = {s["cell"] for s in calib.samples}
     budget = max(0, int(budget_fraction * result.n_configs) - len(seen))
     report = RefineReport(budget_cells=budget)
@@ -142,5 +156,5 @@ def refine(result: ScreenResult, calib: Calibration,
     return report
 
 
-__all__ = ["RefineReport", "ambiguous_cells", "pareto_cells", "refine",
-           "region_keys"]
+__all__ = ["RefineReport", "ambiguous_cells", "check_refine",
+           "pareto_cells", "refine", "region_keys"]

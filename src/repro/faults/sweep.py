@@ -33,8 +33,7 @@ from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.faults.plan import FaultPlan, TransactionFailed
 from repro.network import MeshNetwork
-from repro.runner import (Job, params_key, resolve_execution,
-                          resolve_policy, run_jobs)
+from repro.runner import Job, params_key, resolve_execution, run_jobs
 from repro.sim import Simulator, Tally
 from repro.workloads.patterns import make_pattern
 
@@ -44,10 +43,8 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
                     params: Optional[SystemParameters] = None,
                     link_faults: int = 0, router_faults: int = 0,
                     kind: str = "uniform", seed: int = 0,
-                    fault_aware: bool = False,
-                    jobs: Optional[int] = None,
-                    use_cache: Optional[bool] = None,
-                    cache=None, resume: bool = False) -> list[dict]:
+                    fault_aware: bool = False, jobs: int = 1,
+                    use_cache: bool = True, cache=None) -> list[dict]:
     """Row dicts for every (scheme, drop probability) grid point.
 
     ``link_faults``/``router_faults`` add that many permanent random
@@ -56,20 +53,24 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
     comparison is paired; everything is a pure function of ``seed``.
     ``fault_aware=True`` routes every point with the scheme's ``+ft``
     fault-aware routing (reroute before downgrade).
-    ``jobs``/``use_cache`` override ``params.jobs`` /
-    ``params.result_cache`` (``jobs=0`` = one worker per core);
-    ``resume=True`` replays an interrupted sweep's journal first
-    (``docs/RUNNER.md``).  Bad axes raise :class:`ConfigError`
+    ``jobs`` workers (``0`` = one per core) run one job per point;
+    ``use_cache``/``cache`` select the result cache (``docs/RUNNER.md``).
+    Bad axes, or more faults than the mesh has links or routers, raise
+    :class:`ConfigError`
     (:func:`~repro.analysis.experiments.check_sweep`).
     """
     params = params or paper_parameters()
     if fault_aware and not params.fault_aware_routing:
         params = params.evolve(fault_aware_routing=True)
     check_sweep(schemes, kind=kind, per_degree=per_point, degrees=(degree,),
-                nodes=params.num_nodes, drop_probs=drop_probs)
-    if link_faults < 0 or router_faults < 0:
-        raise ConfigError("link_faults and router_faults must be >= 0")
-    workers, cache = resolve_execution(params, jobs, use_cache, cache)
+                params=params, drop_probs=drop_probs)
+    w, h = params.mesh_width, params.mesh_height
+    links = w * (h - 1) + h * (w - 1)
+    if not (0 <= link_faults <= links and 0 <= router_faults <= w * h):
+        raise ConfigError(f"need 0..{links} link faults and 0..{w * h} "
+                          f"router faults on a {w}x{h} mesh, got "
+                          f"{link_faults} and {router_faults}")
+    workers, cache = resolve_execution(jobs, use_cache, cache)
     grid = [(scheme, prob) for scheme in schemes for prob in drop_probs]
     job_list = [
         Job(fn=_fault_point_job,
@@ -82,8 +83,7 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
                  "seed": seed},
             label=f"faults:{scheme}@{prob:g}")
         for scheme, prob in grid]
-    rows = run_jobs(job_list, workers=workers, cache=cache,
-                    policy=resolve_policy(params), resume=resume)
+    rows = run_jobs(job_list, workers=workers, cache=cache)
     # Latency inflation is relative to the scheme's fault-free point —
     # a cross-point measure, so it is derived at merge time (preserving
     # the historical iteration-order semantics: points before the

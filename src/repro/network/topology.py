@@ -10,6 +10,8 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterator, Optional
 
+from repro.config import ConfigError
+
 
 class Port(IntEnum):
     """Router port indices.  LOCAL is the processor-side port."""
@@ -42,11 +44,13 @@ PORT_DELTA = {
 
 
 class Mesh2D:
-    """Geometry helper for a ``width x height`` mesh."""
+    """Geometry helper for a ``width x height`` mesh.  Bad dimensions
+    and off-mesh coordinates raise :class:`~repro.config.ConfigError`
+    (they come from the user: ``repro worms --mesh 2 --home 4,3``)."""
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
-            raise ValueError("mesh dimensions must be >= 1")
+            raise ConfigError("mesh dimensions must be >= 1")
         self.width = width
         self.height = height
         self.num_nodes = width * height
@@ -63,7 +67,8 @@ class Mesh2D:
     def node_at(self, x: int, y: int) -> int:
         """Node id at ``(x, y)``."""
         if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"({x}, {y}) outside {self.width}x{self.height} mesh")
+            raise ConfigError(f"({x}, {y}) outside {self.width}x"
+                              f"{self.height} mesh")
         return y * self.width + x
 
     def contains(self, x: int, y: int) -> bool:

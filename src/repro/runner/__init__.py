@@ -16,9 +16,9 @@ Execution is *supervised*: :class:`SupervisedPool`
 (:mod:`repro.runner.supervisor`) is the one worker pool behind both
 ``run_jobs`` and ``repro serve``, with per-job wall-clock watchdogs,
 bounded retries with exponential backoff, poison-job quarantine behind
-a typed :class:`JobFailed`, and a rebuild after every broken pool.  A
-crash-safe JSON-lines sweep journal (:mod:`repro.runner.journal`)
-makes interrupted sweeps resumable with bit-identical results.
+a typed :class:`JobFailed`, and a rebuild after every broken pool.
+Every fresh result is cached as it lands, so re-running an interrupted
+sweep replays its finished jobs bit-identically and runs only the rest.
 
 See :mod:`repro.runner.jobs` for the determinism contract,
 :mod:`repro.runner.cache` for the cache-key layout and invalidation
@@ -29,17 +29,13 @@ from repro.runner.cache import (CACHE_SCHEMA, MISS, ResultCache,
                                 code_fingerprint, default_cache,
                                 key_digest, params_key)
 from repro.runner.jobs import (Job, resolve_execution, resolve_jobs,
-                               resolve_policy, run_jobs)
-from repro.runner.journal import (JOURNAL_SCHEMA, SweepJournal,
-                                  clear_journals, default_journal_root,
-                                  journal_info)
+                               run_jobs)
 from repro.runner.supervisor import (JobFailed, JobFailure, RetryPolicy,
                                      SupervisedPool, WorkerFailure,
                                      run_supervised)
 
 __all__ = [
     "CACHE_SCHEMA",
-    "JOURNAL_SCHEMA",
     "Job",
     "JobFailed",
     "JobFailure",
@@ -47,18 +43,13 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "SupervisedPool",
-    "SweepJournal",
     "WorkerFailure",
-    "clear_journals",
     "code_fingerprint",
     "default_cache",
-    "default_journal_root",
-    "journal_info",
     "key_digest",
     "params_key",
     "resolve_execution",
     "resolve_jobs",
-    "resolve_policy",
     "run_jobs",
     "run_supervised",
 ]

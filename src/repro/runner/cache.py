@@ -11,9 +11,9 @@ invalidates the whole cache rather than ever replaying stale results.
 
 Invalidation rules (any of these forces a re-simulation):
 
-* any :class:`~repro.config.SystemParameters` field changes, including
-  ``kernel`` — *except* the execution-only knobs ``jobs`` and
-  ``result_cache``, which cannot affect simulation output;
+* any :class:`~repro.config.SystemParameters` field changes (how a
+  sweep executes — worker count, cache use, supervision — is not a
+  field, so it never partitions the cache);
 * the workload description changes (scheme, degrees, seeds, pattern
   kind, fault-plan parameters, scenario fields, ...);
 * any file under ``src/repro`` changes (source digest), or the package
@@ -65,14 +65,6 @@ _MISS = object()
 #: other processes sharing the cache root.
 _QUOTA_RESCAN_INTERVAL = 64
 
-#: SystemParameters fields that select *how* a sweep executes, not what
-#: it computes — excluded from cache keys so ``jobs=1`` and ``jobs=8``
-#: runs of the same config share entries.  The supervision knobs
-#: (``job_timeout``/``job_max_retries``/``job_backoff``) only shape
-#: failure recovery, never results, so they live here too.
-EXECUTION_ONLY_FIELDS = frozenset({"jobs", "result_cache", "job_timeout",
-                                   "job_max_retries", "job_backoff"})
-
 _fingerprint_memo: Optional[dict] = None
 
 
@@ -115,14 +107,10 @@ def code_fingerprint() -> dict:
 
 
 def params_key(params) -> dict:
-    """A :class:`SystemParameters` as cache-key material.
-
-    All simulation-relevant fields, in field order, with the
-    execution-only knobs (:data:`EXECUTION_ONLY_FIELDS`) removed.
-    """
+    """A :class:`SystemParameters` as cache-key material: every field,
+    in field order."""
     return {f.name: getattr(params, f.name)
-            for f in dataclasses.fields(params)
-            if f.name not in EXECUTION_ONLY_FIELDS}
+            for f in dataclasses.fields(params)}
 
 
 def key_digest(key: dict) -> str:

@@ -16,17 +16,15 @@ executes such a list with four guarantees:
   skip the simulation entirely and replay the pickled result
   bit-identically.  Fresh results are stored *as each one lands* (in
   the parent process, so workers never contend on disk) — a crash
-  discards only in-flight work, never finished work.
+  discards only in-flight work, never finished work, and a plain
+  re-run of an interrupted sweep replays its finished jobs as hits.
 * **Supervised fault tolerance.**  With ``workers > 1`` every job runs
   on one :class:`~repro.runner.supervisor.SupervisedPool`, the pool
   ``repro serve`` uses: per-job wall-clock watchdogs, bounded retries
   with backoff, poison-job quarantine behind a typed
   :class:`~repro.runner.supervisor.JobFailed` (raised only after the
-  sweep drains), a rebuild after every broken pool, and — via
-  :mod:`repro.runner.journal` — a JSON-lines sweep journal under
-  ``.repro-cache/journal/`` that makes any interrupted sweep resumable
-  (``resume=True`` / CLI ``--resume``) with digest-identical results.
-  See ``docs/RUNNER.md``.
+  sweep drains), and a rebuild after every broken pool.  See
+  ``docs/RUNNER.md``.
 
 Jobs must be *picklable*: ``fn`` a module-level callable, arguments
 plain data.  The pool uses :class:`concurrent.futures.ProcessPoolExecutor`
@@ -42,7 +40,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.config import ConfigError, max_jobs
 from repro.runner.cache import MISS, ResultCache, default_cache, key_digest
-from repro.runner.journal import SweepJournal, default_journal_root
 from repro.runner.supervisor import (JobFailed, RetryPolicy, _Entry,
                                      run_supervised)
 
@@ -53,8 +50,8 @@ class Job:
 
     ``fn(*args, **kwargs)`` must be a pure, picklable computation.
     ``key`` is the JSON-able cache-key material (``None`` = never
-    cached or journaled — e.g. wall-clock timing runs).  ``label`` is
-    only for progress reporting.
+    cached — e.g. wall-clock timing runs).  ``label`` is only for
+    progress reporting.
     """
 
     fn: Callable[..., Any]
@@ -65,9 +62,8 @@ class Job:
 
 
 def resolve_jobs(jobs: int) -> int:
-    """Effective worker count for a ``jobs`` knob (``0`` = one per CPU
-    core).  Raises :class:`ConfigError` on out-of-range values, exactly
-    like :class:`~repro.config.SystemParameters` field validation."""
+    """Effective worker count for a ``jobs`` argument (``0`` = one per
+    CPU core).  Raises :class:`ConfigError` on out-of-range values."""
     if jobs < 0:
         raise ConfigError("jobs must be >= 0 (0 = one worker per core)")
     if jobs > max_jobs():
@@ -76,30 +72,21 @@ def resolve_jobs(jobs: int) -> int:
     return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
-def resolve_execution(params, jobs: Optional[int] = None,
-                      use_cache: Optional[bool] = None,
+def resolve_execution(jobs: int = 1, use_cache: bool = True,
                       cache: Optional[ResultCache] = None
                       ) -> tuple[int, Optional[ResultCache]]:
-    """``(workers, cache-or-None)`` for a sweep entry point.
+    """``(workers, cache-or-None)`` for a sweep entry point's
+    ``jobs``/``use_cache``/``cache`` arguments.
 
-    Explicit ``jobs``/``use_cache`` arguments win; ``None`` falls back
-    to the :class:`SystemParameters` knobs (``params.jobs`` /
-    ``params.result_cache``).  A disabled cache returns ``None`` so
-    :func:`run_jobs` skips lookups entirely.
+    ``jobs`` is validated here (:func:`resolve_jobs`), before any job
+    is built.  A disabled cache returns ``None`` so :func:`run_jobs`
+    skips lookups entirely; an enabled one defaults to
+    :func:`~repro.runner.cache.default_cache`.
     """
-    workers = params.jobs if jobs is None else jobs
-    caching = params.result_cache if use_cache is None else use_cache
-    if not caching:
+    workers = resolve_jobs(jobs)
+    if not use_cache:
         return workers, None
     return workers, (cache if cache is not None else default_cache())
-
-
-def resolve_policy(params) -> RetryPolicy:
-    """The :class:`RetryPolicy` selected by the ``job_timeout`` /
-    ``job_max_retries`` / ``job_backoff`` knobs of ``params``."""
-    return RetryPolicy(timeout=float(params.job_timeout),
-                       max_retries=params.job_max_retries,
-                       backoff=float(params.job_backoff))
 
 
 def _job_label(job: Job) -> str:
@@ -109,26 +96,19 @@ def _job_label(job: Job) -> str:
 def run_jobs(jobs: Sequence[Job], workers: int = 1,
              cache: Optional[ResultCache] = None,
              progress: Optional[Callable[[str], None]] = None,
-             policy: Optional[RetryPolicy] = None,
-             resume: bool = False,
-             journal_dir: Optional[str] = None) -> list:
+             policy: Optional[RetryPolicy] = None) -> list:
     """Execute ``jobs``; returns their results in submission order.
 
-    ``workers`` follows the :class:`SystemParameters.jobs` convention
-    (``0`` = one per core; validated through :func:`resolve_jobs`).
-    ``cache=None`` disables caching; pass a
+    ``workers`` is validated through :func:`resolve_jobs` (``0`` = one
+    per core).  ``cache=None`` disables caching; pass a
     :class:`~repro.runner.cache.ResultCache` (e.g.
     :func:`~repro.runner.cache.default_cache`) to reuse and persist
-    results.
+    results.  Every fresh result is stored before it is reported, so
+    re-running an interrupted or partly quarantined sweep with the same
+    cache replays the finished jobs as hits and runs only the rest.
 
     ``policy`` configures supervision (watchdog timeout, retries,
-    backoff — defaults match the ``SystemParameters`` knob defaults;
-    build one from a parameter set with :func:`resolve_policy`).
-    ``resume=True`` first replays results recorded in this sweep's
-    journal (from an earlier interrupted or partially-failed run of the
-    *identical* job list) and executes only the remainder.
-    ``journal_dir`` overrides the journal location (default:
-    ``<cache root>/journal`` or ``.repro-cache/journal``).
+    backoff; default :class:`~repro.runner.supervisor.RetryPolicy`).
 
     ``progress`` receives one short line per job *as each result
     lands* (labelled with the submission index), occasional supervision
@@ -136,8 +116,8 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
     hit/ran/retried/failed counts.
 
     Raises :class:`~repro.runner.supervisor.JobFailed` — after the
-    sweep drains, with every healthy result already cached and
-    journaled — if any job exhausted its retries.
+    sweep drains, with every healthy result already cached — if any
+    job exhausted its retries.
     """
     workers = resolve_jobs(workers)
     policy = policy if policy is not None else RetryPolicy()
@@ -145,88 +125,41 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
     n = len(jobs)
     results: list[Any] = [None] * n
     say = progress or (lambda msg: None)
+    digests = ({i: key_digest(job.key) for i, job in enumerate(jobs)
+                if job.key is not None} if cache is not None else {})
 
-    digests = {i: key_digest(job.key) for i, job in enumerate(jobs)
-               if job.key is not None}
-
-    journal: Optional[SweepJournal] = None
-    if digests:
-        root = journal_dir or (os.path.join(cache.root, "journal")
-                               if cache is not None
-                               else default_journal_root())
-        journal = SweepJournal.for_digests(
-            root, [digests.get(i) for i in range(n)])
-
-    counts = {"hit": 0, "resumed": 0, "ran": 0}
-    done: set[int] = set()
-
-    # Phase 0: journal replay (an interrupted run of this exact sweep).
-    if journal is not None and resume:
-        recovered = journal.load()
-        if journal.corrupt_lines:
-            say(f"journal: skipped {journal.corrupt_lines} corrupt "
-                f"line(s) — those jobs re-run")
-        for i in range(n):
-            d = digests.get(i)
-            if d is not None and d in recovered:
-                results[i] = recovered[d]
-                done.add(i)
-                counts["resumed"] += 1
-                say(f"[{i + 1}/{n}] {_job_label(jobs[i])}: resumed "
-                    f"from journal")
-
-    # Phase 1: cache lookups (parent process, submission order).
+    # Cache lookups (parent process, submission order).
+    hits = 0
     pending: list[int] = []
     for i, job in enumerate(jobs):
-        if i in done:
-            continue
-        if cache is not None and i in digests:
+        if i in digests:
             hit = cache.load(digests[i], job.key)
             if hit is not MISS:
                 results[i] = hit
-                counts["hit"] += 1
+                hits += 1
                 say(f"[{i + 1}/{n}] {_job_label(job)}: cache hit")
                 continue
         pending.append(i)
 
-    # Phase 2: supervised execution of the misses, with incremental
-    # stores — cache + journal writes happen per landing result, so a
-    # crash can only ever lose in-flight work.
+    # Supervised execution of the misses, storing each result as it
+    # lands, so a crash can only ever lose in-flight work.
     failures: list = []
     events = {"retries": 0}
     if pending:
         def on_result(i: int, result: Any, attempts: int) -> None:
             results[i] = result
-            counts["ran"] += 1
-            if cache is not None and i in digests:
+            if i in digests:
                 cache.store(digests[i], jobs[i].key, result)
-            if journal is not None and i in digests:
-                journal.record(digests[i], i, _job_label(jobs[i]), result)
             tag = "ran" if attempts == 1 else f"ran (attempt {attempts})"
             say(f"[{i + 1}/{n}] {_job_label(jobs[i])}: {tag}")
 
         entries = [_Entry(index=i, job=jobs[i]) for i in pending]
-        try:
-            failures, events = run_supervised(entries, workers, policy,
-                                              on_result, note=say)
-        except BaseException:
-            # KeyboardInterrupt & co.: the journal already holds every
-            # finished result — flush it and hand the interrupt up.
-            if journal is not None:
-                journal.close()
-            raise
+        failures, events = run_supervised(entries, workers, policy,
+                                          on_result, note=say)
 
-    summary = (f"done: {counts['hit']} hit / {counts['ran']} ran / "
-               f"{events.get('retries', 0)} retried / "
-               f"{len(failures)} failed ({n} job(s))")
-    if counts["resumed"]:
-        summary += f" — {counts['resumed']} resumed from journal"
-    say(summary)
-
+    say(f"done: {hits} hit / {len(pending) - len(failures)} ran / "
+        f"{events.get('retries', 0)} retried / "
+        f"{len(failures)} failed ({n} job(s))")
     if failures:
-        if journal is not None:
-            journal.close()   # keep: healthy results resume after a fix
         raise JobFailed(failures)
-    if journal is not None:
-        journal.discard()
     return results

@@ -31,7 +31,9 @@ from repro.config import ConfigError
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Failure-handling knobs for one sweep (see ``SystemParameters``).
+    """How supervision handles failing jobs: the one home of these
+    settings (``run_jobs(policy=...)``, ``SupervisedPool``, and
+    ``repro serve`` through ``ServiceConfig.policy``).
 
     The watchdog ``timeout`` and the parent-side relaunch delay both
     scale by ``backoff`` on every successive attempt, mirroring the
@@ -104,8 +106,8 @@ class JobFailed(RuntimeError):
     """A sweep finished with quarantined (poison) jobs.
 
     Raised *after* the sweep drains, so every healthy job's result has
-    already been stored incrementally — re-running with ``--resume``
-    (or a warm cache) only re-executes the quarantined jobs.  Carries
+    already been cached as it landed — re-running the sweep with the
+    same cache only re-executes the quarantined jobs.  Carries
     every :class:`JobFailure` in :attr:`failures`; the message embeds
     the first child traceback.
     """
@@ -239,28 +241,27 @@ def _run_serial(queue: deque, policy: RetryPolicy, on_result, note,
 def _terminate_pool(pool) -> None:
     """Forcefully stop a pool: cancel queued work, SIGTERM (then
     SIGKILL) every worker process (a thread pool's threads are
-    abandoned), and reap them, so no orphans survive."""
-    # _processes is CPython's worker table (stable since 3.3); fall
-    # back to a plain shutdown if a future version renames it.
+    abandoned), and wait until every worker is reaped, so no orphans
+    survive.
+
+    After a shutdown the executor's manager thread joins the workers
+    itself.  A second reaper would get ``ECHILD``, which ``Popen.poll``
+    reports as "still running" until the manager thread stores the
+    return code, so that thread does all the reaping and this waits
+    for it."""
+    # _processes and _executor_manager_thread are CPython internals
+    # (both stable since 3.9); without them this is a plain shutdown.
     procs = list((getattr(pool, "_processes", None) or {}).values())
-    try:
+    manager = getattr(pool, "_executor_manager_thread", None)
+    with suppress(Exception):             # pragma: no cover - best effort
         pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:                     # pragma: no cover - best effort
-        pass
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:                 # pragma: no cover - best effort
-            pass
-    deadline = time.monotonic() + 2.0
-    for proc in procs:
-        try:
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join(0.5)
-        except Exception:                 # pragma: no cover - best effort
-            pass
+    for stop in ("terminate", "kill"):
+        for proc in procs:
+            with suppress(Exception):     # pragma: no cover - best effort
+                getattr(proc, stop)()
+        if manager is None or not manager.is_alive():
+            return
+        manager.join(2.0)
 
 
 class SupervisedPool:

@@ -12,10 +12,10 @@ service's dedup work: N clients asking for the same config coalesce
 onto one simulation, and a cache warmed by ``repro sweep`` serves
 ``POST /jobs`` hits immediately (and vice versa).
 
-Validation is deliberately strict (unknown fields, out-of-range sizes,
-and execution-only parameter overrides are all rejected with a typed
-:class:`SpecError`): the service is multi-tenant, so a single request
-must not be able to ask for an unboundedly large simulation.
+Validation is deliberately strict (unknown fields and parameters,
+out-of-range sizes, and topology overrides are all rejected with a
+typed :class:`SpecError`): the service is multi-tenant, so a single
+request must not be able to ask for an unboundedly large simulation.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.analysis.experiments import (_analytical_scheme_job,
-                                        _invalidation_scheme_job)
+from repro.analysis.experiments import _analytical_scheme_job, scheme_job
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.core.grouping import SCHEMES
-from repro.runner import Job, key_digest, params_key
-from repro.runner.cache import EXECUTION_ONLY_FIELDS
+from repro.runner import Job, key_digest
 
 #: Hard per-request ceilings (admission control at the spec level).
 MAX_MESH = 16
@@ -103,13 +101,11 @@ class JobSpec:
         bad = set(overrides) - _PARAM_FIELDS
         if bad:
             raise SpecError(f"unknown parameter(s): {sorted(bad)}")
-        execution = set(overrides) & (EXECUTION_ONLY_FIELDS
-                                      | {"mesh_width", "mesh_height"})
-        if execution:
+        topology = set(overrides) & {"mesh_width", "mesh_height"}
+        if topology:
             raise SpecError(
-                f"parameter(s) {sorted(execution)} are not overridable "
-                f"per request (use 'mesh' for the topology; execution "
-                f"knobs belong to the server)")
+                f"parameter(s) {sorted(topology)} are not overridable "
+                f"per request (use 'mesh' for the topology)")
         try:
             params = paper_parameters(mesh, **dict(overrides))
         except (ConfigError, TypeError) as exc:
@@ -150,35 +146,16 @@ class JobSpec:
                    home=home, analytical=analytical, params=params)
 
     def to_job(self) -> Job:
-        """The :class:`~repro.runner.Job` this spec denotes.
-
-        Function, arguments, and cache-key material are *identical* to
-        the per-scheme jobs :func:`repro.analysis.experiments.
-        run_invalidation_sweep` / ``run_analytical_sweep`` build, so
-        digests are shared between the service and the CLI sweeps.
-        """
-        if self.analytical:
-            return Job(fn=_analytical_scheme_job,
-                       args=(self.scheme, self.degrees, self.per_degree,
-                             self.params, self.kind, self.seed),
-                       key={"fn": "analytical_sweep/scheme",
-                            "params": params_key(self.params),
-                            "scheme": self.scheme,
-                            "degrees": list(self.degrees),
-                            "per_degree": self.per_degree,
-                            "kind": self.kind, "seed": self.seed},
-                       label=f"serve:analytical:{self.scheme}")
-        return Job(fn=_invalidation_scheme_job,
-                   args=(self.scheme, self.degrees, self.per_degree,
-                         self.params, self.kind, self.seed, self.home),
-                   key={"fn": "invalidation_sweep/scheme",
-                        "params": params_key(self.params),
-                        "scheme": self.scheme,
-                        "degrees": list(self.degrees),
-                        "per_degree": self.per_degree,
-                        "kind": self.kind, "seed": self.seed,
-                        "home": self.home},
-                   label=f"serve:sweep:{self.scheme}")
+        """The :class:`~repro.runner.Job` this spec denotes: the
+        :func:`~repro.analysis.experiments.scheme_job` that
+        ``run_invalidation_sweep`` / ``run_analytical_sweep`` build for
+        the same config, so the service and the CLI sweeps share cache
+        digests."""
+        kind = "analytical" if self.analytical else "sweep"
+        return scheme_job(self.scheme, self.degrees, self.per_degree,
+                          self.params, self.kind, self.seed, self.home,
+                          analytical=self.analytical,
+                          label=f"serve:{kind}:{self.scheme}")
 
     def analytical_rows(self) -> list:
         """Closed-form surrogate rows for this spec (degraded mode).

@@ -104,6 +104,17 @@ _GENERATORS = {
 PATTERN_KINDS = tuple(_GENERATORS)
 
 
+def max_degree(kind: str, mesh: Mesh2D) -> int:
+    """The largest degree a ``kind`` pattern can draw on ``mesh``.  A
+    clustered pattern reaches it only when the home falls outside its
+    two columns (rows); a larger degree can never be drawn."""
+    if kind == "column":
+        return min(2, mesh.width) * mesh.height
+    if kind == "row":
+        return min(2, mesh.height) * mesh.width
+    return mesh.num_nodes - 1
+
+
 def make_pattern(kind: str, mesh: Mesh2D, degree: int,
                  rng: np.random.Generator,
                  home: Optional[int] = None) -> InvalidationPattern:

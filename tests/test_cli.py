@@ -95,9 +95,7 @@ def test_cache_info_and_clear(capsys, tmp_path):
     assert "entries:    0" in out
 
 
-def test_cache_info_reports_corruption_and_journals(capsys, tmp_path):
-    import os
-
+def test_cache_info_reports_corruption(capsys, tmp_path):
     import repro.runner as runner
 
     cache = runner.ResultCache(str(tmp_path))
@@ -106,20 +104,13 @@ def test_cache_info_reports_corruption_and_journals(capsys, tmp_path):
     with open(cache._path(d), "wb") as fh:
         fh.write(b"bit rot")
     assert cache.load(d, {"k": 1}) is runner.MISS  # purged + counted
-    journal = runner.SweepJournal.for_digests(
-        os.path.join(str(tmp_path), "journal"), ["a" * 64])
-    journal.record("a" * 64, 0, "j0", 1)
-    journal.close()
     code, out = run_cli(capsys, "cache", "info", "--dir", str(tmp_path))
     assert code == 0
     assert "corrupt entries purged: 1" in out
-    assert "1 interrupted sweep(s) awaiting --resume" in out
-    assert "1 job result(s)" in out
     code, out = run_cli(capsys, "cache", "clear", "--dir", str(tmp_path))
     assert code == 0
-    assert "1 journal(s)" in out
     code, out = run_cli(capsys, "cache", "info", "--dir", str(tmp_path))
-    assert "0 interrupted sweep(s)" in out
+    assert "corrupt entries purged: 0" in out
 
 
 def test_cache_fsck_scrubs_and_sets_exit_code(capsys, tmp_path):
@@ -141,24 +132,6 @@ def test_cache_fsck_scrubs_and_sets_exit_code(capsys, tmp_path):
     code, out = run_cli(capsys, "cache", "fsck", "--dir", str(tmp_path))
     assert code == 0
     assert "scanned:    1" in out and "purged:     0" in out
-
-
-def test_sweep_accepts_resume_flag(capsys):
-    argv = ["--schemes", "ui-ua", "--degrees", "2", "--per-degree", "2",
-            "--mesh", "4"]
-    code_a, out_a = run_cli(capsys, "sweep", *argv)
-    # With no journal on disk --resume is a no-op: identical output.
-    code_b, out_b = run_cli(capsys, "sweep", *argv, "--resume")
-    assert code_a == code_b == 0
-    assert out_a == out_b
-
-
-def test_faults_accepts_resume_flag(capsys):
-    code, out = run_cli(capsys, "faults", "--schemes", "ui-ua",
-                        "--drop-probs", "0.0", "--degree", "4",
-                        "--per-point", "2", "--mesh", "4", "--resume")
-    assert code == 0
-    assert "completion_rate" in out
 
 
 def test_tables(capsys):
@@ -407,22 +380,21 @@ INVENTORY = {
     "sweep": {"--schemes": ["ui-ua", "mi-ua-ec", "mi-ma-ec"],
               "--degrees": [2, 4, 8, 16], "--mesh": 8, "--per-degree": 5,
               "--kind": "uniform", "--seed": 0, "--analytical": False,
-              "--jobs": None, "--no-cache": False, "--resume": False},
+              "--jobs": None, "--no-cache": False},
     "app": {"--name": None, "--scheme": "ui-ua", "--mesh": 4,
             "--paper-scale": False},
     "tables": {"--which": 4, "--mesh": 8},
     "report": {"--out": "results.md", "--scale": "ci", "--seed": 11,
-               "--jobs": None, "--no-cache": False, "--resume": False},
+               "--jobs": None, "--no-cache": False},
     "faults": {"--schemes": ["ui-ua", "mi-ua-ec", "mi-ma-ec"],
                "--drop-probs": [0.0, 0.01, 0.05, 0.1], "--link-faults": 0,
                "--router-faults": 0, "--degree": 8, "--per-point": 10,
                "--mesh": 8, "--seed": 0, "--fault-aware": False,
-               "--detour-limit": 8, "--jobs": None, "--no-cache": False,
-               "--resume": False},
+               "--detour-limit": 8, "--jobs": None, "--no-cache": False},
     "chaos": {"--seeds": 25, "--base-seed": 0, "--smoke": False,
               "--audit": "full", "--out-dir": "chaos-bundles",
               "--mutation": None, "--max-shrink-runs": 48, "--jobs": None,
-              "--cache": False, "--no-cache": False, "--resume": False},
+              "--cache": False, "--no-cache": False},
     "cache": {"action": None, "--dir": None},
     "serve": {"--host": "127.0.0.1", "--port": 8642, "--workers": 0,
               "--executor": "process", "--queue-depth": 256, "--rate": 0.0,
@@ -448,7 +420,7 @@ INVENTORY = {
               "--axis": [], "--calibrate-per-scheme": 3,
               "--budget-fraction": 0.05, "--tol": 0.02, "--max-rounds": 4,
               "--no-refine": False, "--out": "results", "--jobs": None,
-              "--no-cache": False, "--resume": False},
+              "--no-cache": False},
 }
 INVENTORY["figs"] = INVENTORY["sweep"]
 
@@ -495,18 +467,27 @@ def test_cli_inventory_is_pinned():
     ["atlas", "--axis", "bogus=1,2"],
     ["atlas", "--axis", "router_delay"],
     ["atlas", "--schemes", "warp-speed"],
+    ["atlas", "--axis", "job_timeout=1"],
+    ["atlas", "--budget-fraction", "-1", "--tol", "-1"],
     ["sweep", "--degrees", "100", "--mesh", "4"],
     ["sweep", "--degrees", "0", "--mesh", "4"],
     ["sweep", "--per-degree", "0"],
     ["sweep", "--per-degree", "-1"],
     ["sweep", "--schemes", "warp-speed"],
     ["sweep", "--analytical", "--per-degree", "0"],
+    ["sweep", "--kind", "column", "--degrees", "12", "--mesh", "4"],
     ["faults", "--degree", "100", "--mesh", "4"],
     ["faults", "--drop-probs", "2"],
     ["faults", "--per-point", "0"],
     ["faults", "--link-faults", "-1"],
     ["faults", "--schemes", "warp-speed"],
+    ["faults", "--link-faults", "1000", "--drop-probs", "0.1", "--mesh",
+     "4"],
     ["chaos", "--seeds", "-1"],
+    ["chaos", "--max-shrink-runs", "-1"],
+    ["worms", "--mesh", "2"],
+    ["worms", "--mesh", "4", "--sharers", "9,9"],
+    ["worms", "--mesh", "4", "--home", "1,1", "--sharers", "1,1"],
     ["chaos", "--seeds", "1", "--mutation", "gremlins"],
     ["load", "--clients", "0", "--url", "http://127.0.0.1:1"],
     ["load", "--requests", "0", "--url", "http://127.0.0.1:1"],

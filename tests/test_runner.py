@@ -8,7 +8,9 @@ params change, a fault-plan change, and a code-fingerprint change must
 each force a re-simulation.
 """
 
+import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -17,12 +19,17 @@ import pytest
 
 from repro.analysis.experiments import (run_analytical_sweep,
                                         run_invalidation_sweep)
+from repro.analysis.report import generate_report
 from repro.chaos.runner import run_chaos
-from repro.config import ConfigError, max_jobs, paper_parameters
+from repro.cli import main
+from repro.config import (ConfigError, SystemParameters, max_jobs,
+                          paper_parameters)
+from repro.explore.calibrate import calibrate, simulate_cells
+from repro.explore.refine import refine
 from repro.faults.sweep import run_fault_sweep
 from repro.runner import (CACHE_SCHEMA, Job, MISS, ResultCache,
-                          code_fingerprint, resolve_execution,
-                          resolve_jobs, run_jobs)
+                          code_fingerprint, default_cache,
+                          resolve_execution, resolve_jobs, run_jobs)
 from repro.runner import cache as cache_mod
 
 PARAMS = paper_parameters(4)
@@ -108,11 +115,56 @@ def test_resolve_jobs_sentinel_and_validation():
 
 
 def test_resolve_execution_prefers_explicit_args(tmp_path):
-    params = PARAMS.evolve(jobs=2, result_cache=False)
-    assert resolve_execution(params) == (2, None)
-    workers, cache = resolve_execution(params, jobs=5, use_cache=True,
-                                       cache=ResultCache(str(tmp_path)))
-    assert workers == 5 and cache is not None
+    cache = ResultCache(str(tmp_path))
+    assert resolve_execution(2, use_cache=False, cache=cache) == (2, None)
+    assert resolve_execution(5, cache=cache) == (5, cache)
+    assert resolve_execution(0, use_cache=False) == \
+        (os.cpu_count() or 1, None)
+    assert resolve_execution() == (1, default_cache())
+    with pytest.raises(ConfigError):
+        resolve_execution(-1)
+
+
+@pytest.mark.parametrize("entry", [
+    run_invalidation_sweep, run_analytical_sweep, run_fault_sweep,
+    generate_report, calibrate, refine, simulate_cells])
+def test_execution_settings_are_arguments_not_parameters(entry):
+    """How a sweep executes is chosen per call (serial and cached by
+    default), never by a SystemParameters field, so it can neither
+    partition the cache nor become a screening axis."""
+    fields = {f.name for f in dataclasses.fields(SystemParameters)}
+    assert not fields & {"jobs", "result_cache", "job_timeout",
+                         "job_max_retries", "job_backoff"}
+    arguments = inspect.signature(entry).parameters
+    assert arguments["jobs"].default == 1
+    assert arguments["use_cache"].default is True
+    assert "resume" not in arguments
+
+
+def test_params_jobs_validation():
+    """``jobs`` is not a parameter field; the sweep entry points take it
+    as an argument with the same sentinel and range checks, raised
+    before any job runs."""
+    with pytest.raises(TypeError):
+        paper_parameters(4, jobs=0)
+    kwargs = dict(schemes=["ui-ua"], degrees=[2], per_degree=1,
+                  params=PARAMS, use_cache=False)
+    serial = run_analytical_sweep(jobs=1, **kwargs)
+    assert run_analytical_sweep(jobs=0, **kwargs) == serial
+    assert run_analytical_sweep(jobs=4, **kwargs) == serial
+    for bad in (-1, max_jobs() + 1):
+        with pytest.raises(ConfigError):
+            run_analytical_sweep(jobs=bad, **kwargs)
+
+
+def test_uncached_sweep_writes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    run_invalidation_sweep(["ui-ua", "mi-ma-ec"], [2], per_degree=1,
+                           params=PARAMS, use_cache=False)
+    assert main(["sweep", "--schemes", "ui-ua", "--degrees", "2",
+                 "--per-degree", "1", "--mesh", "4", "--no-cache"]) == 0
+    assert not root.exists()
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +277,11 @@ def test_cache_miss_on_seed_or_workload_change(tmp_path):
 
 
 def test_cache_hit_across_execution_knobs(tmp_path):
-    """jobs/result_cache select how a sweep runs, not what it computes,
-    so they must not partition the cache."""
+    """The worker count selects how a sweep runs, not what it computes,
+    so it must not partition the cache."""
     cache = ResultCache(str(tmp_path))
-    sweep_once(cache, params=PARAMS.evolve(jobs=1))
-    sweep_once(cache, params=PARAMS.evolve(jobs=4), jobs=4)
+    sweep_once(cache)
+    sweep_once(cache, jobs=4)
     assert cache.stores == 1 and cache.hits == 1
 
 
@@ -333,22 +385,3 @@ def test_default_cache_honors_environment(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-root"))
     assert default_cache().root == str(tmp_path / "env-root")
-
-
-# ----------------------------------------------------------------------
-# SystemParameters knobs
-# ----------------------------------------------------------------------
-def test_params_jobs_validation():
-    assert paper_parameters(4, jobs=0).jobs == 0
-    assert paper_parameters(4, jobs=4).jobs == 4
-    with pytest.raises(ConfigError):
-        paper_parameters(4, jobs=-1)
-    with pytest.raises(ConfigError):
-        paper_parameters(4, jobs=max_jobs() + 1)
-
-
-def test_params_knobs_default_and_thread_through():
-    p = paper_parameters(4)
-    assert p.jobs == 1 and p.result_cache is True
-    q = p.evolve(jobs=0, result_cache=False)
-    assert q.jobs == 0 and q.result_cache is False

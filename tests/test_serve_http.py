@@ -15,6 +15,8 @@ import tempfile
 
 import pytest
 
+from repro.analysis.experiments import (run_analytical_sweep,
+                                        run_invalidation_sweep)
 from repro.runner import ResultCache
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import (JobSpec, ServeConfig, ServeServer, ServiceConfig,
@@ -222,6 +224,21 @@ def test_status_streaming_emits_ndjson_until_terminal():
     serve_run(body)
 
 
+@pytest.mark.parametrize("analytical", [False, True])
+def test_spec_digest_is_the_digest_of_the_sweep_job(tmp_path, analytical):
+    """``repro sweep`` and a served spec of the same config build one
+    job, so the sweep's cache entry is the one the service looks up."""
+    spec = JobSpec.from_mapping(dict(SPEC, mesh=4, degrees=[2, 5],
+                                     kind="column", analytical=analytical))
+    sweep = run_analytical_sweep if analytical else run_invalidation_sweep
+    cache = ResultCache(str(tmp_path))
+    rows = sweep([spec.scheme], spec.degrees, per_degree=spec.per_degree,
+                 params=spec.params, kind=spec.kind, seed=spec.seed,
+                 cache=cache)
+    assert cache.stores == 1
+    assert cache.load(spec.digest, spec.to_job().key) == rows
+
+
 # -- typed errors ----------------------------------------------------------
 
 def test_malformed_json_is_400():
@@ -241,8 +258,9 @@ def test_malformed_json_is_400():
     (dict(SPEC, scheme="warp-speed"), "scheme"),
     (dict(SPEC, typo_field=1), "unknown field"),
     (dict(SPEC, mesh=999), "mesh"),
-    (dict(SPEC, params={"jobs": 4}), "not overridable"),
+    (dict(SPEC, params={"mesh_width": 4}), "not overridable"),
     (dict(SPEC, params={"kernel": "soa"}), "unknown parameter"),
+    (dict(SPEC, params={"jobs": 4}), "unknown parameter"),
 ])
 def test_invalid_spec_is_400_with_detail(spec, fragment):
     async def body(host, port, service):

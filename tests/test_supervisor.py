@@ -1,10 +1,10 @@
-"""Supervised sweep execution: watchdogs, retries, journaled resume.
+"""Supervised sweep execution: watchdogs, retries, cache replay.
 
 Fault-injection twins of the golden determinism tests in
 ``test_runner.py``: a SIGKILLed worker, a hung job, a poison job, an
-interrupted sweep, and a corrupted journal or cache entry must each
-recover to the *exact* result stream of an undisturbed serial run —
-or fail typed (:class:`repro.runner.JobFailed`), never silently.
+interrupted sweep, and a corrupted cache entry must each recover to
+the *exact* result stream of an undisturbed serial run — or fail typed
+(:class:`repro.runner.JobFailed`), never silently.
 Faults are injected through one-shot flag files (workers fork, so they
 share the test's filesystem), keeping every scenario deterministic.
 """
@@ -21,12 +21,9 @@ from concurrent.futures import wait
 
 import pytest
 
-from repro.config import ConfigError, paper_parameters
+from repro.config import ConfigError
 from repro.runner import (JobFailed, Job, ResultCache, RetryPolicy,
-                          SweepJournal, WorkerFailure, clear_journals,
-                          journal_info, key_digest, resolve_policy,
-                          run_jobs, run_supervised)
-from repro.runner.journal import sweep_id
+                          WorkerFailure, run_jobs, run_supervised)
 from repro.runner.supervisor import SupervisedPool, _Entry, execute_job
 
 FAST = RetryPolicy(timeout=30.0, max_retries=2, backoff=1.0,
@@ -124,7 +121,7 @@ class _InterruptAfter:
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy / knob plumbing
+# RetryPolicy
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bad", [
     {"timeout": -5.0},
@@ -150,28 +147,6 @@ def test_retry_policy_schedules():
     assert policy.attempt_delay(10) == 1.0       # capped
 
 
-def test_resolve_policy_maps_params_knobs():
-    params = paper_parameters(4, job_timeout=7.5, job_max_retries=5,
-                              job_backoff=3)
-    policy = resolve_policy(params)
-    assert policy.timeout == 7.5
-    assert policy.max_retries == 5
-    assert policy.backoff == 3.0
-
-
-def test_job_knob_validation():
-    params = paper_parameters(4)
-    assert params.job_timeout == 300.0
-    assert params.job_max_retries == 2
-    assert params.job_backoff == 2
-    with pytest.raises(ConfigError):
-        paper_parameters(4, job_timeout=-1.0)
-    with pytest.raises(ConfigError):
-        paper_parameters(4, job_max_retries=-1)
-    with pytest.raises(ConfigError):
-        paper_parameters(4, job_backoff=0)
-
-
 def test_execute_job_wraps_exceptions():
     outcome = execute_job(Job(fn=_always_raise, args=(3,)))
     assert isinstance(outcome, WorkerFailure)
@@ -183,23 +158,19 @@ def test_execute_job_wraps_exceptions():
 # Recovery scenarios: each must converge to the undisturbed stream
 # ----------------------------------------------------------------------
 def test_sigkilled_worker_recovers_bit_identical(tmp_path):
-    clean = run_jobs(_jobs(4), workers=1,
-                     journal_dir=str(tmp_path / "journal"))
+    clean = run_jobs(_jobs(4), workers=1)
     jobs = _jobs(4)
     jobs[1] = Job(fn=_fault_once,
                   args=(1, str(tmp_path / "kill-flag"), "kill"),
                   key=jobs[1].key, label="j1")
     notes = []
-    rows = run_jobs(jobs, workers=2, policy=FAST,
-                    journal_dir=str(tmp_path / "journal"),
-                    progress=notes.append)
+    rows = run_jobs(jobs, workers=2, policy=FAST, progress=notes.append)
     assert rows == clean
     assert any("rebuilding" in ln for ln in notes)
 
 
 def test_hung_job_times_out_and_retries(tmp_path):
-    clean = run_jobs(_jobs(3), workers=1,
-                     journal_dir=str(tmp_path / "journal"))
+    clean = run_jobs(_jobs(3), workers=1)
     jobs = _jobs(3)
     jobs[0] = Job(fn=_fault_once,
                   args=(0, str(tmp_path / "hang-flag"), "hang"),
@@ -208,7 +179,6 @@ def test_hung_job_times_out_and_retries(tmp_path):
     rows = run_jobs(jobs, workers=2,
                     policy=RetryPolicy(timeout=1.0, max_retries=2,
                                        backoff=1.0, retry_delay=0.01),
-                    journal_dir=str(tmp_path / "journal"),
                     progress=notes.append)
     assert rows == clean
     assert any("watchdog" in ln for ln in notes)
@@ -233,46 +203,47 @@ def test_poison_job_quarantines_with_child_traceback(tmp_path):
     jobs = _jobs(3)
     jobs[2] = Job(fn=_always_raise, args=(2,), key=jobs[2].key,
                   label="poison")
+    policy = RetryPolicy(timeout=30.0, max_retries=1, backoff=1.0,
+                         retry_delay=0.01)
     with pytest.raises(JobFailed) as err:
-        run_jobs(jobs, workers=2, cache=cache,
-                 policy=RetryPolicy(timeout=30.0, max_retries=1,
-                                    backoff=1.0, retry_delay=0.01))
+        run_jobs(jobs, workers=2, cache=cache, policy=policy)
     failure = err.value
     assert failure.label == "poison"
     assert failure.kind == "error"
     assert failure.attempts == 2
     assert "poison payload 2" in failure.child_traceback
     assert "RuntimeError" in str(failure)
-    # The sweep drained first: both healthy results are already stored.
+    # The sweep drained first: both healthy results are already stored,
+    # so a plain re-run replays them and runs only the poison job.
     assert cache.stores == 2
-    # The journal survives for --resume and holds the healthy results.
-    root = os.path.join(cache.root, "journal")
-    assert journal_info(root)["journals"] == 1
-    assert journal_info(root)["entries"] == 2
+    lines = []
+    with pytest.raises(JobFailed):
+        run_jobs(jobs, workers=2, cache=cache, policy=policy,
+                 progress=lines.append)
+    assert lines[-1] == "done: 2 hit / 0 ran / 1 retried / " \
+                        "1 failed (3 job(s))"
 
 
-def test_persistent_hang_quarantines_as_timeout(tmp_path):
+def test_persistent_hang_quarantines_as_timeout():
     jobs = [Job(fn=_always_hang, args=(0,),
                 key={"fn": "supervisor-test", "hang": True}, label="wedge"),
             _jobs(2)[1]]
     with pytest.raises(JobFailed) as err:
         run_jobs(jobs, workers=2,
                  policy=RetryPolicy(timeout=0.5, max_retries=1,
-                                    backoff=1.0, retry_delay=0.01),
-                 journal_dir=str(tmp_path / "journal"))
+                                    backoff=1.0, retry_delay=0.01))
     assert err.value.kind == "timeout"
     assert "watchdog" in err.value.child_traceback
 
 
-def test_lone_pooled_job_keeps_its_watchdog(tmp_path):
+def test_lone_pooled_job_keeps_its_watchdog():
     """``workers > 1`` with one job left must still run it in the pool,
     under its watchdog, not in the parent."""
     jobs = [Job(fn=_always_hang, args=(0,),
                 key={"fn": "supervisor-test", "lone": True}, label="lone")]
     with pytest.raises(JobFailed) as err:
         run_jobs(jobs, workers=2,
-                 policy=RetryPolicy(timeout=1.0, max_retries=0),
-                 journal_dir=str(tmp_path / "journal"))
+                 policy=RetryPolicy(timeout=1.0, max_retries=0))
     assert err.value.kind == "timeout"
     assert err.value.attempts == 1
 
@@ -284,7 +255,7 @@ _WORKER_KILLER_SWEEP = textwrap.dedent("""
     import json, os, signal, sys
 
     from repro.runner import (MISS, Job, JobFailed, ResultCache,
-                              RetryPolicy, journal_info, run_jobs)
+                              RetryPolicy, run_jobs)
 
     def killer(x):
         os.kill(os.getpid(), signal.SIGKILL)
@@ -311,9 +282,7 @@ _WORKER_KILLER_SWEEP = textwrap.dedent("""
                    for job in jobs if job.label != "killer"]
         print(json.dumps({
             "failure": failure,
-            "healthy": [None if r is MISS else r for r in healthy],
-            "journaled": journal_info(
-                os.path.join(root, "cache", "journal"))["entries"]}))
+            "healthy": [None if r is MISS else r for r in healthy]}))
 """)
 
 
@@ -331,7 +300,6 @@ def test_worker_killer_fails_typed_beside_healthy_jobs(tmp_path):
     assert summary["failure"] == {"kind": "worker-lost", "attempts": 3,
                                   "label": "killer", "count": 1}
     assert summary["healthy"] == [0, 2, 4, 6, 8]
-    assert summary["journaled"] == 5
 
 
 def test_double_pool_break_rebuilds_twice(tmp_path):
@@ -429,122 +397,30 @@ def test_close_cancels_pending_jobs_and_reaps_workers():
         pool.submit(Job(fn=_double, args=(2,)))
 
 
-def test_interrupt_flushes_journal_then_resume_is_identical(tmp_path):
-    journal_dir = str(tmp_path / "journal")
-    clean = run_jobs(_jobs(4), workers=1, journal_dir=journal_dir)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupted_cached_sweep_reruns_only_unfinished_jobs(tmp_path,
+                                                              workers):
+    cache = ResultCache(str(tmp_path))
+    clean = run_jobs(_jobs(4), workers=1)
     with pytest.raises(KeyboardInterrupt):
-        run_jobs(_jobs(4), workers=1, journal_dir=journal_dir,
+        run_jobs(_jobs(4), workers=workers, cache=cache,
                  progress=_InterruptAfter(after=2))
-    # The journal survived the interrupt with both finished results.
-    assert journal_info(journal_dir)["entries"] == 2
+    # Each result was stored before it was reported.
+    assert cache.stores == 2
     lines = []
-    rows = run_jobs(_jobs(4), workers=1, journal_dir=journal_dir,
-                    resume=True, progress=lines.append)
+    rows = run_jobs(_jobs(4), workers=workers, cache=cache,
+                    progress=lines.append)
     assert rows == clean
-    assert sum(ln.startswith("[") and "resumed from journal" in ln
-               for ln in lines) == 2
-    assert lines[-1].endswith("— 2 resumed from journal")
-    # A clean finish discards the journal.
-    assert journal_info(journal_dir)["journals"] == 0
+    assert lines[-1] == "done: 2 hit / 2 ran / 0 retried / " \
+                        "0 failed (4 job(s))"
 
 
-def test_resume_skips_exactly_the_corrupt_journal_line(tmp_path):
-    journal_dir = str(tmp_path / "journal")
-    clean = run_jobs(_jobs(3), workers=1, journal_dir=journal_dir)
-    with pytest.raises(KeyboardInterrupt):
-        run_jobs(_jobs(3), workers=1, journal_dir=journal_dir,
-                 progress=_InterruptAfter(after=2))
-    journal = SweepJournal.for_digests(
-        journal_dir, [key_digest(j.key) for j in _jobs(3)])
-    with open(journal.path, "r+", encoding="utf-8") as fh:
-        lines = fh.readlines()
-        lines[0] = "torn-halfway-through-a-write\n"
-        fh.seek(0)
-        fh.truncate()
-        fh.writelines(lines)
-    progress = []
-    rows = run_jobs(_jobs(3), workers=1, journal_dir=journal_dir,
-                    resume=True, progress=progress.append)
-    assert rows == clean
-    assert any("skipped 1 corrupt line(s)" in ln for ln in progress)
-    assert sum(ln.startswith("[") and "resumed from journal" in ln
-               for ln in progress) == 1
-
-
-def test_non_resume_run_truncates_stale_journal(tmp_path):
-    journal_dir = str(tmp_path / "journal")
-    with pytest.raises(KeyboardInterrupt):
-        run_jobs(_jobs(3), workers=1, journal_dir=journal_dir,
-                 progress=_InterruptAfter(after=1))
-    assert journal_info(journal_dir)["entries"] == 1
-    # Re-running *without* --resume must not trust the stale file.
-    lines = []
-    run_jobs(_jobs(3), workers=1, journal_dir=journal_dir,
-             progress=lines.append)
-    assert not any("resumed" in ln for ln in lines)
-    assert journal_info(journal_dir)["journals"] == 0
-
-
-def test_keyless_jobs_are_never_journaled(tmp_path):
-    journal_dir = str(tmp_path / "journal")
-    rows = run_jobs(_jobs(3, keyed=False), workers=1,
-                    journal_dir=journal_dir)
+def test_keyless_jobs_are_never_cached(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    rows = run_jobs(_jobs(3, keyed=False), workers=1, cache=cache)
     assert rows == [0, 2, 4]
-    assert not os.path.isdir(journal_dir)
-
-
-# ----------------------------------------------------------------------
-# Journal mechanics
-# ----------------------------------------------------------------------
-def test_sweep_id_tracks_digests():
-    a = sweep_id(["a" * 64, "b" * 64])
-    assert a == sweep_id(["a" * 64, "b" * 64])
-    assert a != sweep_id(["b" * 64, "a" * 64])     # order matters
-    assert a != sweep_id(["a" * 64, None])         # keyless slot matters
-
-
-def test_journal_roundtrip_info_and_clear(tmp_path):
-    root = str(tmp_path)
-    journal = SweepJournal.for_digests(root, ["a" * 64, "b" * 64])
-    journal.record("a" * 64, 0, "j0", {"rows": [1.5, "x"]})
-    journal.record("b" * 64, 1, "j1", [None, float("nan")])
-    journal.close()
-    loaded = SweepJournal.for_digests(root, ["a" * 64, "b" * 64]).load()
-    assert loaded["a" * 64] == {"rows": [1.5, "x"]}
-    assert loaded["b" * 64][0] is None
-    info = journal_info(root)
-    assert info["journals"] == 1 and info["entries"] == 2
-    assert info["bytes"] > 0
-    assert clear_journals(root) == 1
-    assert journal_info(root)["journals"] == 0
-
-
-def test_journal_load_counts_corrupt_lines(tmp_path):
-    root = str(tmp_path)
-    journal = SweepJournal.for_digests(root, ["a" * 64])
-    journal.record("a" * 64, 0, "j0", 42)
-    journal.close()
-    with open(journal.path, "a", encoding="utf-8") as fh:
-        fh.write("not json\n")
-        fh.write('{"journal": 99, "digest": "' + "a" * 64
-                 + '", "result": ""}\n')
-        fh.write('{"journal": 1, "digest": "short", "result": ""}\n')
-    fresh = SweepJournal.for_digests(root, ["a" * 64])
-    assert fresh.load() == {"a" * 64: 42}
-    assert fresh.corrupt_lines == 3
-
-
-def test_journal_resumed_writes_append(tmp_path):
-    root = str(tmp_path)
-    journal = SweepJournal.for_digests(root, ["a" * 64, "b" * 64])
-    journal.record("a" * 64, 0, "j0", 1)
-    journal.close()
-    resumed = SweepJournal.for_digests(root, ["a" * 64, "b" * 64])
-    assert resumed.load() == {"a" * 64: 1}
-    resumed.record("b" * 64, 1, "j1", 2)
-    resumed.close()
-    final = SweepJournal.for_digests(root, ["a" * 64, "b" * 64])
-    assert final.load() == {"a" * 64: 1, "b" * 64: 2}
+    assert cache.stores == cache.hits == cache.misses == 0
+    assert not os.path.exists(tmp_path / "objects")
 
 
 # ----------------------------------------------------------------------
