@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from repro.brcp.encoding import header_flit_count
+from repro.brcp.encoding import worm_flits
 from repro.brcp.model import path_length
 from repro.config import SystemParameters
 from repro.core.plan import (ACT_ACK, ACT_CHAIN_FINAL, ACT_LAUNCH,
@@ -73,22 +73,6 @@ def plan_message_count(plan: InvalidationPlan) -> int:
     return count
 
 
-def _multidest_size(params: SystemParameters, ndests: int,
-                    payload: int) -> int:
-    extra = header_flit_count(params.multidest_encoding,
-                              params.mesh_height, ndests) if ndests > 1 else 0
-    return params.header_flits + extra + payload
-
-
-def _worm_size(params: SystemParameters, kind: WormKind,
-               ndests: int) -> int:
-    if kind is WormKind.UNICAST:
-        return params.control_message_flits
-    if kind is WormKind.IGATHER:
-        return _multidest_size(params, ndests, params.gather_payload_flits)
-    return _multidest_size(params, ndests, params.control_flits)
-
-
 def plan_traffic(plan: InvalidationPlan, params: SystemParameters,
                  mesh: Mesh2D) -> int:
     """Exact flit-hops of a transaction on an idle network (every flit
@@ -97,11 +81,11 @@ def plan_traffic(plan: InvalidationPlan, params: SystemParameters,
     total = 0
     for group in plan.groups:
         hops = path_length(routing, plan.home, group.dests)
-        total += hops * _worm_size(params, group.kind, len(group.dests))
+        total += hops * worm_flits(params, group.kind, len(group.dests))
 
     def gather_traffic(spec: GatherSpec) -> int:
         hops = path_length(routing, spec.launcher, spec.dests)
-        t = hops * _worm_size(params, WormKind.IGATHER, len(spec.dests))
+        t = hops * worm_flits(params, WormKind.IGATHER, len(spec.dests))
         if spec.final_action == FINAL_TERMINAL:
             t += (mesh.manhattan(spec.dests[-1], plan.home)
                   * params.control_message_flits)
@@ -175,7 +159,7 @@ def estimate_latency(plan: InvalidationPlan,
     inject_free = 0
     for i, group in enumerate(plan.groups):
         oc_ready = (i + 1) * p.send_overhead
-        size = _worm_size(p, group.kind, len(group.dests))
+        size = worm_flits(p, group.kind, len(group.dests))
         t_send = max(oc_ready, inject_free)
         inject_free = t_send + size
         hops = _worm_leg_hops(routing, plan.home, group.dests)
@@ -213,7 +197,7 @@ def estimate_latency(plan: InvalidationPlan,
         home_arrivals.append((count, t, p.control_message_flits, src))
 
     def run_gather(spec: GatherSpec, t_launch: int, initial: int) -> None:
-        size = _worm_size(p, WormKind.IGATHER, len(spec.dests))
+        size = worm_flits(p, WormKind.IGATHER, len(spec.dests))
         hops = _worm_leg_hops(routing, spec.launcher, spec.dests)
         t = t_launch + p.router_delay  # source router
         acks = initial

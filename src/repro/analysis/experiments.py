@@ -56,7 +56,7 @@ def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
     ``degrees`` are bounded by what a ``kind`` pattern can draw on the
     mesh of ``params``."""
     for scheme in schemes:
-        if scheme not in SCHEMES:
+        if not isinstance(scheme, str) or scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; choose from "
                               f"{sorted(SCHEMES)}")
     if kind not in PATTERN_KINDS:

@@ -2,17 +2,19 @@
 
 One :class:`Auditor` instance observes one simulation run through
 synchronous hooks in the cache controllers, the directory entries, the
-invalidation engine, and (via counters) the network.  It never creates
-simulation events, never yields, and never mutates protocol state — an
-audited run is bit-identical to an unaudited one in every statistic,
-including the simulator's dispatched-callback count.
+invalidation engine, and the network, recording every event into one
+trail.  It never creates simulation events, never yields, and never
+mutates protocol state — an audited run is bit-identical to an
+unaudited one in every statistic, including the simulator's
+dispatched-callback count.
 
 Audit levels:
 
 * ``off``   — no auditor is constructed; every hook site is a single
   ``is None`` test (≈zero overhead, bit-identical output);
-* ``cheap`` — protocol-event trail + per-transaction conservation checks
-  at transaction completion + the final quiescence sweep;
+* ``cheap`` — protocol- and worm-event trail + per-transaction
+  conservation checks at transaction completion + the final quiescence
+  sweep;
 * ``full``  — ``cheap`` plus per-event global checks: SWMR scans on
   every exclusive grant and modified-line install, directory/cache
   agreement on every install, and WAITING-state discipline on every
@@ -77,7 +79,10 @@ class _TxnAudit:
 
 
 class Auditor:
-    """Pluggable invariant layer for one engine or DSM run."""
+    """Pluggable invariant layer for one engine or DSM run.
+
+    Constructing one attaches it to ``net``, so a bare network's worm
+    events are on :attr:`trail` with no further install step."""
 
     def __init__(self, level: str, *, sim, net,
                  engine: Optional["InvalidationEngine"] = None,
@@ -103,6 +108,7 @@ class Auditor:
         self.txns_checked = 0
         #: Final quiescence sweeps performed.
         self.final_checks = 0
+        net.audit = self
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -111,8 +117,8 @@ class Auditor:
     def install(cls, system: "DSMSystem", level: str,
                 trail_limit: int = 4096) -> Optional["Auditor"]:
         """Attach a full-system auditor (caches, directories, engine,
-        network) to ``system``; returns None when the resolved level is
-        ``off``."""
+        network) to ``system``; returns None when the resolved level
+        (the stricter of ``level`` and ``REPRO_AUDIT``) is ``off``."""
         level = resolve_level(level)
         if level == "off":
             return None
@@ -131,8 +137,9 @@ class Auditor:
     @classmethod
     def install_engine(cls, engine: "InvalidationEngine", level: str,
                        trail_limit: int = 4096) -> Optional["Auditor"]:
-        """Attach an engine-only auditor (no caches/directories: checks
-        transaction conservation and worm conservation)."""
+        """Attach an engine-only auditor (engine and network, no
+        caches/directories: checks transaction conservation and worm
+        conservation)."""
         level = resolve_level(level)
         if level == "off":
             return None
@@ -159,10 +166,12 @@ class Auditor:
 
     def _record(self, kind: str, node: Optional[int] = None,
                 block: Optional[int] = None, txn: Any = None,
-                detail: str = "") -> None:
-        self.trail.record(self.sim.now, kind, node, block, txn, detail)
+                detail: str = "", worm: Optional[int] = None) -> None:
+        self.trail.record(self.sim.now, kind, node, block, txn, detail,
+                          worm)
         if self.checkers:
-            event = TrailEvent(self.sim.now, kind, node, block, txn, detail)
+            event = TrailEvent(self.sim.now, kind, node, block, txn, detail,
+                               worm)
             for fn in self.checkers:
                 verdict = fn(self, event)
                 if verdict is not None:
@@ -338,14 +347,6 @@ class Auditor:
                             f"attempt={st.attempt}")
         del ledger  # recorded; populated by the hooks below
 
-    def on_worm_sent(self, st, worm) -> None:
-        ledger = self._txns.get(st.txn)
-        if ledger is not None:
-            ledger.sent += 1
-        self._record("txn.send", node=worm.src, txn=st.txn,
-                     detail=f"{worm.kind.value} -> {list(worm.dests)} "
-                            f"worm #{worm.uid}")
-
     def on_invalidated(self, st, node: int) -> None:
         ledger = self._txns.get(st.txn)
         if ledger is not None:
@@ -407,6 +408,38 @@ class Auditor:
                     f"{ledger.acks} acknowledgment(s) received for "
                     f"{len(ledger.sharers)} sharer(s) with no recorded "
                     f"losses", txn=st.txn)
+
+    # ------------------------------------------------------------------
+    # Network hooks (one per worm event; ``worm.*`` trail entries)
+    # ------------------------------------------------------------------
+    def _worm(self, kind: str, node: int, worm, detail: str = "") -> None:
+        """Record a worm event under the worm's txn and, for a coherence
+        message, its block."""
+        payload = worm.payload
+        block = payload.get("block") if type(payload) is dict else None
+        self._record(kind, node, block, worm.txn, detail, worm.uid)
+
+    def on_worm_inject(self, worm, fate) -> None:
+        """A worm offered at its source: injected, or lost to a fault
+        when ``fate`` is the ``(reason, hops)`` of its drop."""
+        ledger = self._txns.get(worm.txn)
+        if ledger is not None:
+            ledger.sent += 1
+        detail = f"{worm.kind.value} -> {list(worm.dests)}"
+        if fate is None:
+            self._worm("worm.inject", worm.src, worm, detail)
+        else:
+            self._worm("worm.drop", worm.src, worm, f"{detail} ({fate[0]})")
+
+    def on_worm_deliver(self, node: int, worm, final: bool) -> None:
+        self._worm("worm.deliver", node, worm, "final" if final else "absorb")
+
+    def on_worm_chain_wait(self, node: int, worm) -> None:
+        self._worm("worm.chain-wait", node, worm)
+
+    def on_worm_resume(self, node: int, worm) -> None:
+        """A parked i-gather worm is released to move on."""
+        self._worm("worm.resume", node, worm, f"acks={worm.acks_carried}")
 
     # ------------------------------------------------------------------
     # Final quiescence sweep

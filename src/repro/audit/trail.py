@@ -1,11 +1,13 @@
 """Bounded protocol-event trail.
 
 The auditor records every observed protocol event — cache installs and
-invalidations, directory transitions, transaction lifecycle — into one
-ring buffer per run.  When an invariant breaks, the tail of the trail
-(filtered to the offending block/transaction plus recent global events)
-rides on the :class:`~repro.audit.violations.InvariantViolation`, giving
-the repro bundle a causal story, not just an end state.
+invalidations, directory transitions, transaction lifecycle, and the
+network's worm events (injection or drop, absorb and final delivery,
+chain wait, parked-gather resume) — into one ring buffer per run.  When
+an invariant breaks, the tail of the trail (filtered to the offending
+block/transaction plus recent global events) rides on the
+:class:`~repro.audit.violations.InvariantViolation`, giving the repro
+bundle a causal story, not just an end state.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ class TrailEvent(NamedTuple):
     block: Optional[int]
     txn: Any
     detail: str
+    #: Uid of the worm a ``worm.*`` event is about (None otherwise).
+    worm: Optional[int] = None
 
     def format(self) -> str:
         parts = [f"@{self.cycle}", self.kind]
+        if self.worm is not None:
+            parts.append(f"worm=#{self.worm}")
         if self.node is not None:
             parts.append(f"node={self.node}")
         if self.block is not None:
@@ -53,10 +59,11 @@ class EventTrail:
 
     def record(self, cycle: int, kind: str, node: Optional[int] = None,
                block: Optional[int] = None, txn: Any = None,
-               detail: str = "") -> None:
+               detail: str = "", worm: Optional[int] = None) -> None:
         """Append one event (oldest events fall off past ``limit``)."""
         self.recorded += 1
-        self._events.append(TrailEvent(cycle, kind, node, block, txn, detail))
+        self._events.append(
+            TrailEvent(cycle, kind, node, block, txn, detail, worm))
 
     def events(self) -> list[TrailEvent]:
         """All retained events, oldest first."""

@@ -7,9 +7,10 @@ invariant name, cycle, node, block, transaction, and the tail of the
 protocol-event trail — to localize the bug without re-running.
 
 Audit levels order ``off < cheap < full``.  The effective level of a run
-is the *stricter* of the requested level and the ``REPRO_AUDIT``
-environment variable, so a CI leg can raise the whole test suite to
-``cheap`` without touching any call site.
+is the *stricter* of the level a run's auditor is installed with and
+the ``REPRO_AUDIT`` environment variable, so a CI leg can raise every
+DSM system and every installed auditor of the test suite to ``cheap``
+without touching any call site.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
+from repro.config import ConfigError
+
 #: Recognized audit levels, in increasing strictness.
 AUDIT_LEVELS = ("off", "cheap", "full")
 
 #: Environment variable raising the minimum audit level of every
-#: DSM/auditor construction (used by the CI ``REPRO_AUDIT=cheap`` leg).
+#: :class:`~repro.coherence.system.DSMSystem` and every explicitly
+#: installed auditor (used by the CI ``REPRO_AUDIT=cheap`` leg).
 AUDIT_ENV_VAR = "REPRO_AUDIT"
 
 
@@ -29,13 +33,14 @@ def resolve_level(requested: str = "off",
                   env: Optional[str] = None) -> str:
     """Effective audit level: the stricter of ``requested`` and the
     ``REPRO_AUDIT`` environment variable (``env`` overrides the real
-    environment, for tests)."""
+    environment, for tests).  The one check of an audit level: raises
+    :class:`~repro.config.ConfigError` naming a bad one."""
     if env is None:
         env = os.environ.get(AUDIT_ENV_VAR, "off")
     for value in (requested, env):
         if value not in AUDIT_LEVELS:
-            raise ValueError(f"audit level must be one of {AUDIT_LEVELS}, "
-                             f"got {value!r}")
+            raise ConfigError(f"audit level must be one of {AUDIT_LEVELS}, "
+                              f"got {value!r}")
     return max(requested, env, key=AUDIT_LEVELS.index)
 
 

@@ -14,9 +14,13 @@ destination and strips the leading flit at each intermediate destination.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.network.topology import Mesh2D
+from repro.network.worm import WormKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import SystemParameters
 
 
 def bitstring_header(mesh: Mesh2D, nodes: Sequence[int]) -> tuple[int, int]:
@@ -68,3 +72,23 @@ def header_flit_count(encoding: str, mesh_height: int, ndests: int,
     if encoding == "list":
         return max(0, ndests - 1)
     raise ValueError(f"unknown encoding {encoding!r}")
+
+
+def worm_flits(params: "SystemParameters", kind: WormKind,
+               ndests: int) -> int:
+    """Flits of an invalidation-transaction worm — the one sizing rule
+    of the engine and the analytical model.
+
+    A unicast is ``control_message_flits``.  Any other kind carries the
+    routing header, :func:`header_flit_count` extra header flits when it
+    has more than one destination, and its payload:
+    ``gather_payload_flits`` for an i-gather, ``control_flits``
+    otherwise.
+    """
+    if kind is WormKind.UNICAST:
+        return params.control_message_flits
+    payload = (params.gather_payload_flits if kind is WormKind.IGATHER
+               else params.control_flits)
+    extra = header_flit_count(params.multidest_encoding, params.mesh_height,
+                              ndests) if ndests > 1 else 0
+    return params.header_flits + extra + payload

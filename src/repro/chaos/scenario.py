@@ -172,14 +172,14 @@ def build_system(scenario: ChaosScenario, audit: str = "full") -> DSMSystem:
     """Construct the scenario's DSM system (auditor installed, mutation
     applied) without running it."""
     params = paper_parameters(
-        scenario.mesh_width, scenario.mesh_height, audit=audit,
+        scenario.mesh_width, scenario.mesh_height,
         fault_aware_routing=scenario.fault_aware,
         txn_timeout=2048)
     system = DSMSystem(
         Simulator(), params, scheme=scenario.scheme,
         cache_capacity=scenario.cache_capacity,
         directory_pointers=scenario.directory_pointers,
-        fault_plan=build_fault_plan(scenario))
+        fault_plan=build_fault_plan(scenario), audit=audit)
     if scenario.mutation is not None:
         MUTATIONS[scenario.mutation](system)
     return system

@@ -55,6 +55,7 @@ from repro.core.grouping import SCHEMES
 from repro.explore.grid import DEFAULT_SCHEMES
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import ServeConfig, ServiceConfig
+from repro.workloads.patterns import PATTERN_KINDS
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mesh", type=int, default=8)
     p_sweep.add_argument("--per-degree", type=int, default=5)
     p_sweep.add_argument("--kind", default="uniform",
-                         choices=["uniform", "column", "row"])
+                         choices=PATTERN_KINDS)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--analytical", action="store_true",
                          help="closed-form estimates instead of simulation")
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--schemes", type=_csv_strs,
                          default=list(DEFAULT_SCHEMES))
     p_atlas.add_argument("--kind", default="uniform",
-                         choices=["uniform", "column", "row"])
+                         choices=PATTERN_KINDS)
     p_atlas.add_argument("--per-degree", type=int, default=3)
     p_atlas.add_argument("--seed", type=int, default=0)
     p_atlas.add_argument("--encodings", type=_csv_strs,

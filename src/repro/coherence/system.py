@@ -50,7 +50,7 @@ class DSMSystem:
                  consistency: str = "sc",
                  directory_pointers: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 audit: Optional[str] = None) -> None:
+                 audit: str = "off") -> None:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; "
                              f"choose from {sorted(SCHEMES)}")
@@ -126,12 +126,11 @@ class DSMSystem:
         self.coh_resends = 0
 
         # Runtime invariant auditing (None when the effective level —
-        # the stricter of the ``audit`` argument, ``params.audit``, and
-        # the REPRO_AUDIT environment variable — is "off").  The auditor
-        # observes synchronously and never schedules events, so results
-        # are bit-identical at every level.
-        self.audit = Auditor.install(
-            self, audit if audit is not None else params.audit)
+        # the stricter of the ``audit`` argument and the REPRO_AUDIT
+        # environment variable — is "off").  The auditor observes
+        # synchronously and never schedules events, so results are
+        # bit-identical at every level.
+        self.audit = Auditor.install(self, audit)
 
     # ------------------------------------------------------------------
     # Address mapping

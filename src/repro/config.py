@@ -40,8 +40,11 @@ class ConfigError(ValueError):
 class SystemParameters:
     """Immutable bundle of simulation parameters.
 
-    Instances are hashable and comparable, so they can key result caches.
-    Use :meth:`evolve` to derive a modified copy.
+    Every field describes the modelled machine.  How a run executes or
+    is observed (worker count, result cache, audit level) is an argument
+    of the call that runs it, never a field here.  Instances are
+    hashable and comparable, so they can key result caches.  Use
+    :meth:`evolve` to derive a modified copy.
     """
 
     # ------------------------------------------------------------------
@@ -80,14 +83,11 @@ class SystemParameters:
     # ------------------------------------------------------------------
     # Message sizes (flits)
     # ------------------------------------------------------------------
-    #: Routing-header flits of a unicast message.
+    #: Routing-header flits of a unicast message.  A multidestination
+    #: worm adds :func:`repro.brcp.encoding.header_flit_count` flits
+    #: (one bit-string mask flit per 8 mesh rows under the default
+    #: encoding; see :func:`repro.brcp.encoding.worm_flits`).
     header_flits: int = 1
-    #: Nominal extra header flits of a multidestination message, used by
-    #: the derived :attr:`multidest_control_flits` size.  The engine and
-    #: the analytical model size real worms per destination count via
-    #: :func:`repro.brcp.encoding.header_flit_count` (one bit-string
-    #: mask flit per 8 mesh rows under the default encoding).
-    multidest_header_flits: int = 2
     #: Payload flits of a control message (request, inval, ack, grant).
     control_flits: int = 5
     #: Payload flits of an i-gather worm (accumulated ack count + tag).
@@ -165,12 +165,6 @@ class SystemParameters:
     #: Multidestination header encoding: ``"bitstring"`` keeps a fixed
     #: header; ``"list"`` strips one header flit per visited destination.
     multidest_encoding: str = "bitstring"
-    #: Runtime invariant auditing level: ``"off"`` (bit-identical,
-    #: ≈zero overhead), ``"cheap"`` (event trail + transaction
-    #: conservation + final sweep), or ``"full"`` (``cheap`` plus
-    #: per-event SWMR/agreement scans).  The REPRO_AUDIT environment
-    #: variable can raise (never lower) the effective level.
-    audit: str = "off"
 
     def __post_init__(self) -> None:
         if self.mesh_width < 1 or self.mesh_height < 1:
@@ -194,8 +188,7 @@ class SystemParameters:
             raise ConfigError("vc_buffer_depth must be >= 1")
         if self.header_flits < 1:
             raise ConfigError("header_flits must be >= 1")
-        for name in ("multidest_header_flits", "control_flits",
-                     "gather_payload_flits"):
+        for name in ("control_flits", "gather_payload_flits"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.cache_block_bytes < 1:
@@ -215,8 +208,6 @@ class SystemParameters:
             raise ConfigError("fault delays must be >= 0")
         if self.detour_limit < 0:
             raise ConfigError("detour_limit must be >= 0")
-        if self.audit not in ("off", "cheap", "full"):
-            raise ConfigError("audit must be 'off', 'cheap', or 'full'")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -240,11 +231,6 @@ class SystemParameters:
     def data_message_flits(self) -> int:
         """Total flits of a unicast data message."""
         return self.header_flits + self.control_flits + self.data_flits
-
-    @property
-    def multidest_control_flits(self) -> int:
-        """Total flits of a multidestination control worm."""
-        return self.header_flits + self.multidest_header_flits + self.control_flits
 
     def evolve(self, **changes: Any) -> "SystemParameters":
         """Return a copy with ``changes`` applied (validation re-runs)."""

@@ -21,7 +21,7 @@ import itertools
 from collections import deque
 from typing import Optional
 
-from repro.brcp.encoding import header_flit_count
+from repro.brcp.encoding import worm_flits
 from repro.config import SystemParameters
 from repro.core.metrics import TransactionRecord
 from repro.core.plan import (ACT_ACK,
@@ -105,9 +105,9 @@ class InvalidationEngine:
         #: Node processing facility (receive handling, cache ops).
         self.proc = [Facility(sim, f"proc.{i}") for i in range(n)]
         if attach:
-            net.on_deliver = self._on_deliver
-            net.on_chain_deliver = self._on_chain_deliver
-            net.on_worm_dropped = self._on_worm_dropped
+            net.on_deliver = self.handle_delivery
+            net.on_chain_deliver = self.handle_chain_delivery
+            net.on_worm_dropped = self.handle_worm_dropped
         self._txns: dict[int, _TxnState] = {}
         self._ids = itertools.count(1)
         #: Runtime invariant auditor, set by
@@ -120,9 +120,6 @@ class InvalidationEngine:
         #: Deliveries for already-finished transactions (stragglers of
         #: abandoned attempts; only possible under fault injection).
         self.stale_deliveries = 0
-        #: NACKs for payload roles this engine does not own are handed
-        #: to the surrounding protocol layer here: ``hook(worm, reason)``.
-        self.dropped_hook = lambda worm, reason: None
         #: Called as ``hook(node, txn)`` when a sharer's line is
         #: invalidated — the coherence layer clears its cache here.
         self.invalidate_hook = lambda node, txn: None
@@ -217,21 +214,11 @@ class InvalidationEngine:
     # ------------------------------------------------------------------
     # Worm construction
     # ------------------------------------------------------------------
-    def _multidest_flits(self, ndests: int, payload_flits: int) -> int:
-        p = self.params
-        extra = header_flit_count(p.multidest_encoding, p.mesh_height,
-                                  ndests) if ndests > 1 else 0
-        return p.header_flits + extra + payload_flits
-
     def _inval_worm(self, st: _TxnState, group: InvalGroup) -> Worm:
-        p = self.params
         payload: dict = {"role": "inval"}
         if group.kind is WormKind.CHAIN:
             payload["chain_count"] = len(group.dests)
-        if group.kind is WormKind.UNICAST:
-            size = p.control_message_flits
-        else:
-            size = self._multidest_flits(len(group.dests), p.control_flits)
+        size = worm_flits(self.params, group.kind, len(group.dests))
         return Worm(kind=group.kind, src=st.plan.home, dests=group.dests,
                     size_flits=size, vnet=VNET_REQUEST, txn=st.txn,
                     payload=payload, reserve_only=group.reserve_only,
@@ -240,8 +227,7 @@ class InvalidationEngine:
 
     def _gather_worm(self, st: _TxnState, spec: GatherSpec,
                      acks: int) -> Worm:
-        p = self.params
-        size = self._multidest_flits(len(spec.dests), p.gather_payload_flits)
+        size = worm_flits(self.params, WormKind.IGATHER, len(spec.dests))
         return Worm(kind=WormKind.IGATHER, src=spec.launcher,
                     dests=spec.dests, size_flits=size, vnet=VNET_REPLY,
                     txn=st.txn, payload={"role": "gather", "spec": spec},
@@ -256,8 +242,6 @@ class InvalidationEngine:
 
     def _inject(self, st: _TxnState, worm: Worm) -> None:
         st.worms.append(worm)
-        if self.audit is not None:
-            self.audit.on_worm_sent(st, worm)
         self.net.inject(worm)
 
     # ------------------------------------------------------------------
@@ -274,15 +258,8 @@ class InvalidationEngine:
     # Network delivery dispatch
     # ------------------------------------------------------------------
     def handle_delivery(self, node: int, worm: Worm, final: bool) -> None:
-        """Entry point for an outer protocol layer forwarding deliveries
-        whose payload role is in :attr:`ROLES`."""
-        self._on_deliver(node, worm, final)
-
-    def handle_chain_delivery(self, node: int, worm: Worm) -> None:
-        """Forwarding entry point for chain-worm header deliveries."""
-        self._on_chain_deliver(node, worm)
-
-    def _on_deliver(self, node: int, worm: Worm, final: bool) -> None:
+        """The network's delivery handler (an outer protocol layer
+        forwards the deliveries whose payload role is in :attr:`ROLES`)."""
         st = self._txns.get(worm.txn)
         if st is None:
             if self.net.faults is not None:
@@ -319,7 +296,8 @@ class InvalidationEngine:
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown payload role {role!r}")
 
-    def _on_chain_deliver(self, node: int, worm: Worm) -> None:
+    def handle_chain_delivery(self, node: int, worm: Worm) -> None:
+        """The network's chain-worm header-delivery handler."""
         st = self._txns.get(worm.txn)
         if st is None:
             if self.net.faults is not None:
@@ -456,18 +434,9 @@ class InvalidationEngine:
         self._recover(st, f"timeout after {self.sim.now - st.start} cycles")
 
     def handle_worm_dropped(self, worm: Worm, reason: str) -> None:
-        """Entry point for an outer protocol layer forwarding NACKs for
-        worms whose payload role is in :attr:`ROLES`."""
-        self._nack(worm, reason)
-
-    def _on_worm_dropped(self, worm: Worm, reason: str) -> None:
-        role = worm.payload.get("role") if worm.payload else None
-        if role not in self.ROLES:
-            self.dropped_hook(worm, reason)
-            return
-        self._nack(worm, reason)
-
-    def _nack(self, worm: Worm, reason: str) -> None:
+        """The network's loss-notification (NACK) handler: recover the
+        worm's transaction.  A NACK for a worm of no open transaction
+        (another layer's message, or a stale attempt) is ignored."""
         st = self._txns.get(worm.txn)
         if st is None or st.done.triggered:
             return  # transaction already over; stale notification

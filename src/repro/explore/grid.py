@@ -38,7 +38,7 @@ from repro.explore.vectorized import (ANALYTICAL_FIELDS, ParamVector,
                                       PlanBatch, compiled_plan,
                                       evaluate_batch, welford_means)
 from repro.network.topology import Mesh2D
-from repro.workloads.patterns import make_pattern
+from repro.workloads.patterns import make_pattern, max_degree
 
 #: SystemParameters fields a grid may sweep or fix (all but the mesh
 #: shape, which is the ``meshes`` axis).
@@ -105,8 +105,10 @@ class ScreenGrid:
         return mult
 
     def valid_degrees(self, width: int, height: int) -> list[int]:
-        """Degrees realizable on a mesh (need degree+1 distinct nodes)."""
-        return [d for d in self.degrees if 1 <= d <= width * height - 1]
+        """Degrees a ``kind`` pattern can draw on a mesh
+        (:func:`~repro.workloads.patterns.max_degree`)."""
+        limit = max_degree(self.kind, Mesh2D(width, height))
+        return [d for d in self.degrees if 1 <= d <= limit]
 
     def combos(self, axes: Sequence[tuple[str, tuple]]
                ) -> list[dict[str, Any]]:

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.analysis.experiments import check_sweep
+from repro.analysis.experiments import _draw_patterns, _mesh_of, check_sweep
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
@@ -35,7 +33,6 @@ from repro.faults.plan import FaultPlan, TransactionFailed
 from repro.network import MeshNetwork
 from repro.runner import Job, params_key, resolve_execution, run_jobs
 from repro.sim import Simulator, Tally
-from repro.workloads.patterns import make_pattern
 
 
 def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
@@ -104,15 +101,12 @@ def _fault_point_job(scheme: str, prob: float, degree: int,
                      seed: int) -> dict:
     """One grid point, reconstructing the shared pattern stream (a pure
     function of ``seed``) and its seeded fault plan in-process."""
-    from repro.network.topology import Mesh2D
-    mesh = Mesh2D(params.mesh_width, params.mesh_height)
-    rng = np.random.default_rng(seed)
-    patterns = [make_pattern(kind, mesh, degree, rng)
-                for _ in range(per_point)]
+    patterns = _draw_patterns(params, (degree,), per_point, kind, seed,
+                              None)[degree]
     plan = None
     if prob > 0:
         plan = FaultPlan.random(
-            mesh, seed=seed, link_faults=link_faults,
+            _mesh_of(params), seed=seed, link_faults=link_faults,
             router_faults=router_faults, drop_prob=prob)
     return _run_point(scheme, prob, plan, patterns, params)
 

@@ -124,7 +124,11 @@ class MeshNetwork:
         self.on_worm_dropped: Callable[[Worm, str], None] = \
             lambda worm, reason: None
         self.worms_dropped = 0
-        self.drop_log: list[tuple[int, int, str]] = []
+        #: Runtime invariant auditor, set when a
+        #: :class:`repro.audit.Auditor` is built on this network (None =
+        #: auditing off).  It records worm injections and drops,
+        #: deliveries, chain waits and parked-gather resumes.
+        self.audit = None
         #: Non-minimal detour hops allocated (fault-aware routing only).
         self.detours = 0
 
@@ -259,20 +263,24 @@ class MeshNetwork:
         """Hand a worm to its source router for injection.
 
         Under an installed fault plan the worm may instead be lost: its
-        traffic up to the failure point is charged, the loss is logged,
-        and (when NACKs are enabled) ``on_worm_dropped`` fires after the
-        notification delay.  A lost worm never reaches a router.
+        traffic up to the failure point is charged, the loss is counted
+        in ``worms_dropped``, and (when NACKs are enabled)
+        ``on_worm_dropped`` fires after the notification delay.  A lost
+        worm never reaches a router.
         """
         if not 0 <= worm.src < self.mesh.num_nodes:
             raise ValueError(f"source {worm.src} outside the mesh")
         for dest in worm.dests:
             if not 0 <= dest < self.mesh.num_nodes:
                 raise ValueError(f"destination {dest} outside the mesh")
+        fate = None
         if self.faults is not None:
             fate = self.faults.filter_injection(worm, self.sim.now)
-            if fate is not None:
-                self._drop(worm, *fate)
-                return
+        if self.audit is not None:
+            self.audit.on_worm_inject(worm, fate)
+        if fate is not None:
+            self._drop(worm, *fate)
+            return
         worm.injected_at = self.sim.now
         self._enqueue_inject(worm.src, worm)
         self.injected += 1
@@ -363,6 +371,8 @@ class MeshNetwork:
 
     def deliver_chain(self, node: int, worm: Worm) -> None:
         """Intermediate chain-worm delivery (header has arrived)."""
+        if self.audit is not None:
+            self.audit.on_worm_chain_wait(node, worm)
         handler = self.on_chain_deliver
         self.sim.call_at(self.sim.now, lambda: handler(node, worm))
 
@@ -372,18 +382,19 @@ class MeshNetwork:
             self.delivered += 1
             assert worm.injected_at is not None
             self.latency[worm.kind].add(self.sim.now - worm.injected_at)
+        if self.audit is not None:
+            self.audit.on_worm_deliver(node, worm, final)
         handler = self.on_deliver
         self.sim.call_at(self.sim.now, lambda: handler(node, worm, final))
 
     def _drop(self, worm: Worm, reason: str, hops: int) -> None:
         """Lose ``worm`` at injection: charge its flits' travel up to the
-        failure point, log, and schedule the NACK."""
+        failure point, count the loss, and schedule the NACK."""
         worm.injected_at = self.sim.now
         lost_hops = hops * worm.size_flits
         worm.flit_hops += lost_hops
         self.total_flit_hops += lost_hops
         self.worms_dropped += 1
-        self.drop_log.append((self.sim.now, worm.uid, reason))
         if self.params.fault_nack:
             handler = self.on_worm_dropped
             self.sim.call_after(self.params.fault_nack_delay,
@@ -405,6 +416,8 @@ class MeshNetwork:
     def _reinject(self, node: int, worm: Worm) -> None:
         """Resume a parked worm from this router's local port (it bypasses
         the node's outgoing controller: the router interface re-injects)."""
+        if self.audit is not None:
+            self.audit.on_worm_resume(node, worm)
         self._enqueue_inject(node, worm, front=True)
         self._mark_busy(node)
         self._wake()

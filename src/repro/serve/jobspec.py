@@ -23,17 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.analysis.experiments import _analytical_scheme_job, scheme_job
+from repro.analysis.experiments import (_analytical_scheme_job,
+                                        check_sweep, scheme_job)
 from repro.config import ConfigError, SystemParameters, paper_parameters
-from repro.core.grouping import SCHEMES
 from repro.runner import Job, key_digest
 
 #: Hard per-request ceilings (admission control at the spec level).
 MAX_MESH = 16
 MAX_DEGREES = 16
 MAX_PER_DEGREE = 64
-
-PATTERN_KINDS = ("uniform", "column", "row")
 
 #: Request fields accepted by :func:`JobSpec.from_mapping`; everything
 #: else is a typo or an attack surface and is rejected.
@@ -79,8 +77,10 @@ class JobSpec:
         """Validate a JSON request body into a :class:`JobSpec`.
 
         Raises :class:`SpecError` on any unknown field, wrong type,
-        out-of-range size, unknown scheme, or disallowed parameter
-        override.
+        out-of-range size, or disallowed parameter override, and on
+        every sweep axis :func:`~repro.analysis.experiments.check_sweep`
+        rejects (scheme, pattern kind, a degree the kind cannot draw on
+        the mesh).
         """
         if not isinstance(payload, Mapping):
             raise SpecError("request body must be a JSON object")
@@ -88,10 +88,6 @@ class JobSpec:
         if unknown:
             raise SpecError(f"unknown field(s): {sorted(unknown)}")
 
-        scheme = payload.get("scheme")
-        if scheme not in SCHEMES:
-            raise SpecError(f"scheme must be one of {sorted(SCHEMES)}, "
-                            f"got {scheme!r}")
         mesh = _require_int(payload, "mesh", 8, 2, MAX_MESH)
 
         overrides = payload.get("params", {})
@@ -116,21 +112,19 @@ class JobSpec:
                 or len(degrees_raw) > MAX_DEGREES):
             raise SpecError(f"degrees must be a list of 1..{MAX_DEGREES} "
                             f"integers")
-        degrees = []
-        for d in degrees_raw:
-            if isinstance(d, bool) or not isinstance(d, int):
-                raise SpecError("degrees must be integers")
-            if not 1 <= d < params.num_nodes:
-                raise SpecError(f"degree {d} out of range for a "
-                                f"{params.num_nodes}-node mesh")
-            degrees.append(d)
-
+        if any(isinstance(d, bool) or not isinstance(d, int)
+               for d in degrees_raw):
+            raise SpecError("degrees must be integers")
+        degrees = tuple(degrees_raw)
         per_degree = _require_int(payload, "per_degree", 2, 1,
                                   MAX_PER_DEGREE)
+        scheme = payload.get("scheme")
         kind = payload.get("kind", "uniform")
-        if kind not in PATTERN_KINDS:
-            raise SpecError(f"kind must be one of {PATTERN_KINDS}, "
-                            f"got {kind!r}")
+        try:
+            check_sweep([scheme], kind=kind, per_degree=per_degree,
+                        degrees=degrees, params=params)
+        except ConfigError as exc:
+            raise SpecError(str(exc)) from None
         seed = _require_int(payload, "seed", 0, 0, 2**32 - 1)
         home = payload.get("home")
         if home is not None:
@@ -141,7 +135,7 @@ class JobSpec:
             raise SpecError("analytical must be a boolean")
         if analytical and home is not None:
             raise SpecError("analytical sweeps do not take a home node")
-        return cls(scheme=scheme, degrees=tuple(degrees),
+        return cls(scheme=scheme, degrees=degrees,
                    per_degree=per_degree, kind=kind, seed=seed,
                    home=home, analytical=analytical, params=params)
 

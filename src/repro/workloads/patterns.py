@@ -58,22 +58,52 @@ def pattern_uniform(mesh: Mesh2D, degree: int,
     return InvalidationPattern(h, tuple(int(s) for s in sorted(sharers)))
 
 
+def _clustered(mesh: Mesh2D, degree: int, rng: np.random.Generator,
+               count: int, home: Optional[int],
+               axis: int) -> InvalidationPattern:
+    """Sharers packed into ``count`` random columns (``axis`` 0) or rows
+    (``axis`` 1).
+
+    When the picked lines cannot hold ``degree`` sharers besides the
+    home (the home lies in one of them), the draw is repeated so that it
+    does not: a drawn home is redrawn among the nodes outside the lines;
+    a given home keeps its place and the lines are redrawn among those
+    that do not hold it.  Only that case draws from ``rng`` again.
+    """
+    span, length = ((mesh.width, mesh.height) if axis == 0
+                    else (mesh.height, mesh.width))
+
+    def members(lines) -> list[int]:
+        return [mesh.node_at(int(line), i) if axis == 0
+                else mesh.node_at(i, int(line))
+                for line in lines for i in range(length)]
+
+    h = _pick_home(mesh, rng, home)
+    count = min(count, span)
+    lines = rng.choice(span, size=count, replace=False)
+    candidates = [n for n in members(lines) if n != h]
+    if len(candidates) < degree <= count * length and count < span:
+        if home is None:
+            inside = set(members(lines))
+            h = int(rng.choice([n for n in mesh.nodes() if n not in inside]))
+        else:
+            lines = rng.choice([line for line in range(span)
+                                if line != mesh.coords(h)[axis]],
+                               size=count, replace=False)
+        candidates = [n for n in members(lines) if n != h]
+    if degree > len(candidates):
+        raise ValueError(f"degree {degree} exceeds the {len(candidates)} "
+                         f"nodes in {count} {('columns', 'rows')[axis]}")
+    sharers = rng.choice(candidates, size=degree, replace=False)
+    return InvalidationPattern(h, tuple(int(s) for s in sorted(sharers)))
+
+
 def pattern_column_clustered(mesh: Mesh2D, degree: int,
                              rng: np.random.Generator,
                              columns: int = 2,
                              home: Optional[int] = None) -> InvalidationPattern:
     """Sharers packed into ``columns`` randomly chosen mesh columns."""
-    h = _pick_home(mesh, rng, home)
-    columns = min(columns, mesh.width)
-    cols = rng.choice(mesh.width, size=columns, replace=False)
-    candidates = [mesh.node_at(int(c), y)
-                  for c in cols for y in range(mesh.height)]
-    candidates = [n for n in candidates if n != h]
-    if degree > len(candidates):
-        raise ValueError(f"degree {degree} exceeds the {len(candidates)} "
-                         f"nodes in {columns} columns")
-    sharers = rng.choice(candidates, size=degree, replace=False)
-    return InvalidationPattern(h, tuple(int(s) for s in sorted(sharers)))
+    return _clustered(mesh, degree, rng, columns, home, axis=0)
 
 
 def pattern_row_clustered(mesh: Mesh2D, degree: int,
@@ -81,17 +111,7 @@ def pattern_row_clustered(mesh: Mesh2D, degree: int,
                           rows: int = 2,
                           home: Optional[int] = None) -> InvalidationPattern:
     """Sharers packed into ``rows`` randomly chosen mesh rows."""
-    h = _pick_home(mesh, rng, home)
-    rows = min(rows, mesh.height)
-    picked = rng.choice(mesh.height, size=rows, replace=False)
-    candidates = [mesh.node_at(x, int(r))
-                  for r in picked for x in range(mesh.width)]
-    candidates = [n for n in candidates if n != h]
-    if degree > len(candidates):
-        raise ValueError(f"degree {degree} exceeds the {len(candidates)} "
-                         f"nodes in {rows} rows")
-    sharers = rng.choice(candidates, size=degree, replace=False)
-    return InvalidationPattern(h, tuple(int(s) for s in sorted(sharers)))
+    return _clustered(mesh, degree, rng, rows, home, axis=1)
 
 
 _GENERATORS = {
@@ -105,14 +125,16 @@ PATTERN_KINDS = tuple(_GENERATORS)
 
 
 def max_degree(kind: str, mesh: Mesh2D) -> int:
-    """The largest degree a ``kind`` pattern can draw on ``mesh``.  A
-    clustered pattern reaches it only when the home falls outside its
-    two columns (rows); a larger degree can never be drawn."""
+    """The largest degree a ``kind`` pattern can draw on ``mesh``: every
+    node but the home, and for a clustered pattern at most every node of
+    its two columns (rows)."""
     if kind == "column":
-        return min(2, mesh.width) * mesh.height
-    if kind == "row":
-        return min(2, mesh.height) * mesh.width
-    return mesh.num_nodes - 1
+        limit = min(2, mesh.width) * mesh.height
+    elif kind == "row":
+        limit = min(2, mesh.height) * mesh.width
+    else:
+        limit = mesh.num_nodes
+    return min(limit, mesh.num_nodes - 1)
 
 
 def make_pattern(kind: str, mesh: Mesh2D, degree: int,

@@ -9,16 +9,17 @@ import pytest
 
 from repro.audit import (AUDIT_ENV_VAR, AUDIT_LEVELS, Auditor, EventTrail,
                          InvariantViolation, resolve_level)
-from repro.chaos import ChaosScenario, run_scenario
+from repro.chaos import (ChaosScenario, build_system, build_traces,
+                         run_scenario)
 from repro.coherence import DSMSystem
 from repro.coherence.processor import run_program
-from repro.config import paper_parameters
+from repro.config import ConfigError, paper_parameters
 from repro.sim import Simulator
 
 
 def small_system(audit="full", **kwargs):
-    params = paper_parameters(2, audit=audit)
-    return DSMSystem(Simulator(), params, scheme="ui-ua", **kwargs)
+    return DSMSystem(Simulator(), paper_parameters(2), scheme="ui-ua",
+                     audit=audit, **kwargs)
 
 
 def small_traces():
@@ -52,6 +53,9 @@ def test_resolve_level_rejects_unknown():
         resolve_level("paranoid")
     with pytest.raises(ValueError):
         resolve_level("off", env="paranoid")
+    # A DSM system's level goes through the same check.
+    with pytest.raises(ConfigError, match="'loud'"):
+        small_system(audit="loud")
 
 
 def test_env_var_raises_level(monkeypatch):
@@ -114,8 +118,8 @@ def test_clean_run_has_no_violations(audit):
 
 @pytest.mark.parametrize("scheme", ["ui-ua", "mi-ua-ec", "mi-ma-ec"])
 def test_clean_run_all_schemes_full_audit(scheme):
-    params = paper_parameters(4, audit="full")
-    system = DSMSystem(Simulator(), params, scheme=scheme)
+    system = DSMSystem(Simulator(), paper_parameters(4), scheme=scheme,
+                       audit="full")
     run_program(system, small_traces())
     assert system.audit.violations == []
 
@@ -159,6 +163,27 @@ def test_lost_invalidation_mutation_caught_as_conservation():
                              write_frac=0.6, mutation="lost-invalidation")
     result = run_scenario(scenario)
     assert result.signature == "InvariantViolation:txn-conservation"
+
+
+def test_violation_trail_keeps_only_its_own_worm_events():
+    """Worm events share the trail with the protocol events, and a
+    violation's tail keeps the worms of its own transaction or block."""
+    scenario = ChaosScenario(seed=1, mesh_width=4, mesh_height=4,
+                             scheme="mi-ma-ec", blocks=4, refs_per_node=6,
+                             write_frac=0.6, mutation="lost-invalidation")
+    system = build_system(scenario)
+    with pytest.raises(InvariantViolation) as exc_info:
+        run_program(system, build_traces(scenario), limit=scenario.limit)
+    exc = exc_info.value
+    own = {f"{label}={value}" for label, value in
+           (("txn", exc.txn), ("block", exc.block)) if value is not None}
+    worm_lines = [line.split() for line in exc.trail
+                  if line.split()[1].startswith("worm.")]
+    assert worm_lines
+    assert all(own & set(tokens) for tokens in worm_lines)
+    # The whole trail also holds other transactions' and blocks' worms.
+    assert any(e.worm is not None and e.txn != exc.txn
+               for e in system.audit.trail.events())
 
 
 def test_custom_checker_flags_violation():

@@ -357,6 +357,20 @@ def test_atlas_rejects_bad_axis(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degrees", ["2,12", "8"])
+def test_atlas_column_degrees_within_clusters(capsys, tmp_path, degrees):
+    """Degree 12 cannot be drawn from two columns of a 4x4 mesh and is
+    screened out; degree 8 fills them and draws."""
+    code, out = run_cli(
+        capsys, "atlas", "--meshes", "4x4", "--kind", "column",
+        "--degrees", degrees, "--per-degree", "1", "--schemes", "ui-ua",
+        "--calibrate-per-scheme", "1", "--no-refine", "--jobs", "1",
+        "--no-cache", "--encodings", "bitstring",
+        "--out", str(tmp_path / "atlas"))
+    assert code == 0
+    assert "atlas:" in out
+
+
 def test_atlas_smoke_writes_artifacts(capsys, tmp_path):
     code, out = run_cli(
         capsys, "atlas", "--meshes", "4x4", "--degrees", "1,2",
@@ -468,6 +482,8 @@ def test_cli_inventory_is_pinned():
     ["atlas", "--axis", "router_delay"],
     ["atlas", "--schemes", "warp-speed"],
     ["atlas", "--axis", "job_timeout=1"],
+    ["atlas", "--axis", "audit=off,full"],
+    ["atlas", "--axis", "multidest_header_flits=1,2"],
     ["atlas", "--budget-fraction", "-1", "--tol", "-1"],
     ["sweep", "--degrees", "100", "--mesh", "4"],
     ["sweep", "--degrees", "0", "--mesh", "4"],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit import AUDIT_ENV_VAR, resolve_level
 from repro.config import (ConfigError, DEFAULT_PARAMETERS, SystemParameters,
                           paper_parameters)
 
@@ -23,8 +24,6 @@ def test_derived_sizes():
     assert p.control_message_flits == p.header_flits + p.control_flits
     assert p.data_message_flits == \
         p.header_flits + p.control_flits + p.data_flits
-    assert p.multidest_control_flits == \
-        p.header_flits + p.multidest_header_flits + p.control_flits
 
 
 def test_paper_parameters_square_and_rect():
@@ -60,7 +59,6 @@ def test_validation_rejects_bad_values(field, value):
     ("proc_cycle", 0),
     ("router_delay", -1),
     ("header_flits", 0),
-    ("multidest_header_flits", -1),
     ("control_flits", -1),
     ("gather_payload_flits", -1),
     ("cache_block_bytes", 0),
@@ -72,7 +70,6 @@ def test_validation_rejects_bad_values(field, value):
     ("recv_overhead", -1),
     ("iack_deposit", -1),
     ("iack_pickup", -1),
-    ("audit", "paranoid"),
 ])
 def test_validation_raises_typed_config_error(field, value):
     with pytest.raises(ConfigError):
@@ -86,17 +83,24 @@ def test_config_error_is_a_value_error():
         SystemParameters(mesh_width=0)
 
 
-def test_audit_level_accepted_and_defaulted():
-    assert DEFAULT_PARAMETERS.audit == "off"
+def test_audit_level_accepted_and_defaulted(monkeypatch):
+    """The audit level is an argument of whatever installs a run's
+    auditor, not a parameter of the modelled machine."""
+    monkeypatch.delenv(AUDIT_ENV_VAR, raising=False)
+    assert resolve_level() == "off"
     for level in ("off", "cheap", "full"):
-        assert SystemParameters(audit=level).audit == level
+        assert resolve_level(level) == level
+    with pytest.raises(TypeError):
+        paper_parameters(4, audit="full")
+    with pytest.raises(TypeError):
+        paper_parameters(4, multidest_header_flits=3)
 
 
 def test_config_error_message_names_the_field():
     with pytest.raises(ConfigError, match="proc_cycle"):
         SystemParameters(proc_cycle=0)
-    with pytest.raises(ConfigError, match="audit"):
-        SystemParameters(audit="loud")
+    with pytest.raises(ConfigError, match="audit level"):
+        resolve_level("loud")
 
 
 def test_parameters_hashable_for_caching():

@@ -25,6 +25,7 @@ from repro.analysis.analytical import (estimate_latency,
                                        plan_message_count, plan_traffic,
                                        routing_for)
 from repro.analysis.experiments import run_analytical_sweep
+from repro.brcp.encoding import worm_flits
 from repro.config import SystemParameters, paper_parameters
 from repro.core import SCHEMES, build_plan
 from repro.explore import ANALYTICAL_FIELDS, ParamVector, evaluate_plans
@@ -33,7 +34,10 @@ from repro.explore.calibrate import (Calibration, SchemeBand, calibrate,
                                      stratified_sample)
 from repro.explore.grid import DEFAULT_SCHEMES, ScreenGrid, screen
 from repro.explore.refine import pareto_cells, refine, region_keys
+from repro.explore.vectorized import (_SZ_CMF, _SZ_IG, _SZ_MC, PlanBatch,
+                                      _sizes, compile_plan)
 from repro.network.topology import Mesh2D
+from repro.network.worm import WormKind
 from repro.runner import ResultCache
 from repro.sim.stats import Tally
 
@@ -86,6 +90,27 @@ def test_differential_vectorized_vs_scalar_200_random_configs():
             assert tfc[k] == plan_traffic(plan, params, mesh)
             checked += 1
     assert checked >= 200
+
+
+def test_vectorized_sizes_equal_worm_flits():
+    """``_sizes`` is the array form of the one worm-size rule the
+    engine and the scalar model share."""
+    rng = random.Random(99)
+    classes = [(WormKind.UNICAST, _SZ_CMF), (WormKind.MULTICAST, _SZ_MC),
+               (WormKind.IRESERVE, _SZ_MC), (WormKind.CHAIN, _SZ_MC),
+               (WormKind.IGATHER, _SZ_IG)]
+    nd = np.arange(1, 13)[None, :]
+    for width, height in [(4, 4), (8, 8), (5, 3), (1, 16), (16, 9)]:
+        mesh = Mesh2D(width, height)
+        plan = build_plan("mi-ma-ec", mesh, 0, [mesh.num_nodes - 1])
+        batch = PlanBatch([compile_plan(plan, mesh)])
+        for _ in range(6):
+            params = _random_params(rng, width, height)
+            pv = ParamVector.of(params)
+            for kind, code in classes:
+                got = _sizes(batch, pv, np.full(nd.shape, code), nd)
+                assert got[0].tolist() == [worm_flits(params, kind, int(d))
+                                           for d in nd[0]]
 
 
 def test_screen_rows_equal_scalar_sweep_rows_exactly():

@@ -261,6 +261,10 @@ def test_malformed_json_is_400():
     (dict(SPEC, params={"mesh_width": 4}), "not overridable"),
     (dict(SPEC, params={"kernel": "soa"}), "unknown parameter"),
     (dict(SPEC, params={"jobs": 4}), "unknown parameter"),
+    (dict(SPEC, scheme=["ui-ua"]), "scheme"),
+    (dict(SPEC, mesh=4, kind="column", degrees=[12]), "degree"),
+    (dict(SPEC, params={"audit": "full"}), "unknown parameter"),
+    (dict(SPEC, params={"multidest_header_flits": 3}), "unknown parameter"),
 ])
 def test_invalid_spec_is_400_with_detail(spec, fragment):
     async def body(host, port, service):

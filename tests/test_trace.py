@@ -1,19 +1,27 @@
-"""Network tracer tests."""
+"""Worm events on the auditor's trail.
 
-import pytest
+An :class:`~repro.audit.Auditor` built on a network records that
+network's worm events — injection (or fault drop), absorb and final
+delivery, chain wait, parked-gather resume — on the same trail as the
+protocol events, each tagged with the worm's uid.
+"""
 
+from repro.audit import Auditor
 from repro.config import SystemParameters
 from repro.core import InvalidationEngine, build_plan
 from repro.network import MeshNetwork, Worm, WormKind
-from repro.network.trace import NetworkTracer
 from repro.sim import Simulator
 
 
 def make():
     sim = Simulator()
     net = MeshNetwork(sim, SystemParameters(), "ecube")
-    tracer = NetworkTracer(net).install()
-    return sim, net, tracer
+    return sim, net, Auditor("cheap", sim=sim, net=net)
+
+
+def timeline(auditor, worm):
+    """The trail events of one worm, in order."""
+    return [e for e in auditor.trail.events() if e.worm == worm.uid]
 
 
 def drain(sim, net):
@@ -25,40 +33,38 @@ def drain(sim, net):
 
 
 def test_unicast_timeline():
-    sim, net, tracer = make()
+    sim, net, auditor = make()
     worm = Worm(kind=WormKind.UNICAST, src=0, dests=(9,), size_flits=4)
     net.inject(worm)
     drain(sim, net)
-    events = tracer.timeline(worm)
-    assert [e.event for e in events] == ["inject", "deliver"]
+    events = timeline(auditor, worm)
+    assert [e.kind for e in events] == ["worm.inject", "worm.deliver"]
     assert events[0].node == 0 and events[1].node == 9
     assert events[1].cycle > events[0].cycle
-    text = tracer.format_timeline(worm)
+    text = "\n".join(e.format() for e in events)
     assert "unicast" in text and "deliver" in text
 
 
 def test_multicast_timeline_orders_absorbs():
-    sim, net, tracer = make()
+    sim, net, auditor = make()
     mesh = net.mesh
     dests = tuple(mesh.node_at(2, y) for y in (2, 4, 6))
     worm = Worm(kind=WormKind.MULTICAST, src=mesh.node_at(2, 0),
                 dests=dests, size_flits=6)
     net.inject(worm)
     drain(sim, net)
-    events = tracer.timeline(worm)
-    kinds = [(e.event, e.node) for e in events]
-    assert kinds == [("inject", mesh.node_at(2, 0)),
-                     ("deliver", dests[0]), ("deliver", dests[1]),
-                     ("deliver", dests[2])]
+    events = timeline(auditor, worm)
+    kinds = [(e.kind, e.node) for e in events]
+    assert kinds == [("worm.inject", mesh.node_at(2, 0)),
+                     ("worm.deliver", dests[0]),
+                     ("worm.deliver", dests[1]),
+                     ("worm.deliver", dests[2])]
     assert events[1].detail == "absorb"
     assert events[-1].detail == "final"
 
 
 def test_parked_gather_resume_traced():
-    # Handlers must be set *before* installing the tracer (it wraps the
-    # hooks in place).
-    sim = Simulator()
-    net = MeshNetwork(sim, SystemParameters(), "ecube")
+    sim, net, auditor = make()
     mesh = net.mesh
     txn = "t"
     home, s1, s2 = (mesh.node_at(2, 0), mesh.node_at(2, 3),
@@ -72,49 +78,46 @@ def test_parked_gather_resume_traced():
             sim.call_after(1500, lambda: net.deposit_ack(s1, (txn, 0)))
 
     net.on_deliver = deliver
-    tracer = NetworkTracer(net).install()
     net.inject(Worm(kind=WormKind.IRESERVE, src=home, dests=(s1, s2),
                     size_flits=6, txn=txn))
     drain(sim, net)
-    events = tracer.timeline(gather)
-    assert [e.event for e in events] == ["inject", "resume", "deliver"]
+    events = timeline(auditor, gather)
+    assert [e.kind for e in events] == ["worm.inject", "worm.resume",
+                                        "worm.deliver"]
     assert events[1].node == s1
+    assert all(e.txn == txn for e in events)
     assert gather.acks_carried == 2
 
 
 def test_chain_wait_traced():
-    sim = Simulator()
-    net = MeshNetwork(sim, SystemParameters(), "ecube")
+    sim, net, auditor = make()
     mesh = net.mesh
     dests = (mesh.node_at(1, 2), mesh.node_at(1, 5))
     worm = Worm(kind=WormKind.CHAIN, src=mesh.node_at(1, 0), dests=dests,
                 size_flits=6, txn="c")
     net.on_chain_deliver = lambda node, w: sim.call_after(
         10, lambda: net.signal_chain_done(node, w.txn))
-    tracer = NetworkTracer(net).install()
     net.inject(worm)
     drain(sim, net)
-    events = [e.event for e in tracer.timeline(worm)]
-    assert events == ["inject", "chain-wait", "deliver"]
-
-
-def test_tracer_double_install_rejected():
-    sim, net, tracer = make()
-    with pytest.raises(RuntimeError):
-        tracer.install()
-    tracer.uninstall()
-    tracer.uninstall()  # idempotent
+    events = [e.kind for e in timeline(auditor, worm)]
+    assert events == ["worm.inject", "worm.chain-wait", "worm.deliver"]
 
 
 def test_tracer_with_engine_transaction():
     sim = Simulator()
     net = MeshNetwork(sim, SystemParameters(), "ecube")
     engine = InvalidationEngine(sim, net, SystemParameters())
-    tracer = NetworkTracer(net).install()
+    auditor = Auditor.install_engine(engine, "cheap")
     plan = build_plan("mi-ma-ec", net.mesh, 18, [2, 10, 34, 50])
     record = engine.run(plan, limit=5_000_000)
     assert record.latency > 0
-    # Every injected worm has a timeline starting with its injection.
-    assert len(tracer.events) == record.total_messages
-    for events in tracer.events.values():
-        assert events[0].event == "inject"
+    # Every injected worm has a timeline starting with its injection,
+    # on the transaction's own key.
+    worms: dict[int, list] = {}
+    for event in auditor.trail.events():
+        if event.worm is not None:
+            worms.setdefault(event.worm, []).append(event)
+    assert len(worms) == record.total_messages
+    for events in worms.values():
+        assert events[0].kind == "worm.inject"
+        assert all(e.txn == record.txn for e in events)

@@ -6,12 +6,14 @@ import pytest
 import scipy.sparse.csgraph
 from hypothesis import given, strategies as st
 
+from repro.analysis.experiments import check_sweep, run_invalidation_sweep
+from repro.config import ConfigError, paper_parameters
 from repro.network.topology import Mesh2D
 from repro.workloads import (BlockAllocator, pattern_column_clustered,
                              pattern_row_clustered, pattern_uniform,
                              sweep_degrees, trace_stats)
 from repro.workloads import apsp, barnes_hut, lu
-from repro.workloads.patterns import make_pattern
+from repro.workloads.patterns import make_pattern, max_degree
 from repro.workloads.traces import blocks_for_bytes
 
 
@@ -52,6 +54,40 @@ def test_pattern_degree_bounds():
         pattern_column_clustered(MESH, 17, rng, columns=2)
     with pytest.raises(ValueError):
         make_pattern("spiral", MESH, 2, rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_sweep_at_max_degree(seed):
+    """Degree 8 fills both picked columns of a 4x4 mesh; a home drawn
+    inside them is redrawn outside, so every seed draws."""
+    rows = run_invalidation_sweep(["ui-ua"], [8], per_degree=3,
+                                  params=paper_parameters(4), kind="column",
+                                  seed=seed, use_cache=False)
+    assert [row["degree"] for row in rows] == [8]
+
+
+def test_clustered_max_degree_leaves_room_for_the_home():
+    assert max_degree("column", Mesh2D(4, 4)) == 8
+    assert max_degree("column", Mesh2D(2, 4)) == 7
+    assert max_degree("row", Mesh2D(4, 1)) == 3
+    with pytest.raises(ConfigError, match="degree 8"):
+        check_sweep(["ui-ua"], kind="column", degrees=[8],
+                    params=paper_parameters(2, 4))
+    check_sweep(["ui-ua"], kind="column", degrees=[7],
+                params=paper_parameters(2, 4))
+    # The largest degree draws for any seed, with or without a home.
+    for mesh in (Mesh2D(2, 4), Mesh2D(4, 4), Mesh2D(5, 3)):
+        for kind in ("column", "row"):
+            degree = max_degree(kind, mesh)
+            for seed in range(10):
+                for home in (None, 0, mesh.num_nodes - 1):
+                    rng = np.random.default_rng(seed)
+                    p = make_pattern(kind, mesh, degree, rng, home=home)
+                    assert p.degree == degree and p.home not in p.sharers
+                    assert home is None or p.home == home
+                    axis = 0 if kind == "column" else 1
+                    assert len({mesh.coords(s)[axis]
+                                for s in p.sharers}) <= 2
 
 
 def test_sweep_is_reproducible():
