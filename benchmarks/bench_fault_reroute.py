@@ -36,10 +36,10 @@ def test_fault_reroute_dead_link(benchmark, scale):
 
     def sweep(recovery):
         p = params.evolve(txn_max_retries=0) if recovery == "none" \
-            else params
+            else params.evolve(fault_aware_routing=recovery == "ft")
         rows = run_fault_sweep(
             SCHEMES, PROBS, degree=12, per_point=per, params=p,
-            link_faults=1, seed=3, fault_aware=(recovery == "ft"))
+            link_faults=1, seed=3)
         for row in rows:
             row["recovery"] = recovery
         return rows

@@ -17,6 +17,8 @@ violation, so CI can gate on it:
 * warm cache-hit rate >= ``--min-hit-rate`` (default 0.95);
 * warm client-observed p99 <= ``--p99-ceiling-ms``;
 * zero client-visible errors;
+* each ``/metrics`` latency class with samples reads
+  ``p50_ms <= p99_ms <= max_ms``;
 * **byte-identity**: a ``GET /results/<digest>`` body must hash equal
   to the same job run serially through ``repro.runner.run_jobs`` in
   this process (the digest cross-check from the acceptance criteria).
@@ -196,6 +198,11 @@ def main(argv=None) -> int:
                         f"client-visible error(s)")
     if not check["match"]:
         failures.append("served body != serial run_jobs body")
+    for name, lat in metrics["latency"].items():
+        if lat["n"] and not lat["p50_ms"] <= lat["p99_ms"] <= lat["max_ms"]:
+            failures.append(f"/metrics {name} quantiles out of order: p50 "
+                            f"{lat['p50_ms']} p99 {lat['p99_ms']} max "
+                            f"{lat['max_ms']} ms")
 
     payload = {
         "schema": SCHEMA,

@@ -435,8 +435,8 @@ def cmd_faults(args) -> int:
                            degree=args.degree, per_point=args.per_point,
                            params=params, link_faults=args.link_faults,
                            router_faults=args.router_faults,
-                           seed=args.seed, fault_aware=args.fault_aware,
-                           jobs=_jobs(args), use_cache=not args.no_cache)
+                           seed=args.seed, jobs=_jobs(args),
+                           use_cache=not args.no_cache)
     for row in rows:
         # %g, not the table's %.2f: 0.001 must not print as 0.00.
         row["drop_prob"] = f"{row['drop_prob']:g}"

@@ -32,13 +32,13 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.experiments import check_sweep
+from repro.analysis.experiments import _draw_patterns, check_sweep
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.explore.vectorized import (ANALYTICAL_FIELDS, ParamVector,
                                       PlanBatch, compiled_plan,
                                       evaluate_batch, welford_means)
 from repro.network.topology import Mesh2D
-from repro.workloads.patterns import make_pattern, max_degree
+from repro.workloads.patterns import max_degree
 
 #: SystemParameters fields a grid may sweep or fix (all but the mesh
 #: shape, which is the ``meshes`` axis).
@@ -85,6 +85,12 @@ class ScreenGrid:
         for name, values in self.axes:
             if not values:
                 raise ConfigError(f"axis {name!r} has no values")
+        for w, h in self.meshes:
+            if not self.valid_degrees(w, h):
+                raise ConfigError(
+                    f"no requested degree fits the {w}x{h} mesh: {self.kind} "
+                    f"sharers there have max_degree "
+                    f"{max_degree(self.kind, Mesh2D(w, h))}")
 
     # -- axis partitioning ---------------------------------------------
     @property
@@ -183,19 +189,6 @@ class ScreenResult:
                 "messages": self.messages, "traffic": self.traffic}
 
 
-def _mesh_patterns(grid: ScreenGrid, mesh: Mesh2D) -> dict[int, list]:
-    """Pattern streams per degree — one fresh ``default_rng(seed)`` per
-    degree, matching ``_draw_patterns(params, (d,), ...)`` so screen
-    cells coincide with single-degree scalar sweep calls (and their
-    simulator cache keys)."""
-    out: dict[int, list] = {}
-    for d in grid.valid_degrees(mesh.width, mesh.height):
-        rng = np.random.default_rng(grid.seed)
-        out[d] = [make_pattern(grid.kind, mesh, d, rng, home=None)
-                  for _ in range(grid.per_degree)]
-    return out
-
-
 def screen(grid: ScreenGrid) -> ScreenResult:
     """Evaluate every analytical cell of ``grid``; see module doc for
     the exactness and broadcast guarantees."""
@@ -209,11 +202,14 @@ def screen(grid: ScreenGrid) -> ScreenResult:
     compile_s = eval_s = 0.0
 
     for w, h in grid.meshes:
-        mesh = Mesh2D(w, h)
         degrees = grid.valid_degrees(w, h)
-        if not degrees:
-            continue
-        patterns = _mesh_patterns(grid, mesh)
+        # One single-degree draw per degree, so screen cells coincide
+        # with single-degree scalar sweep calls (and their simulator
+        # cache keys).
+        params = grid.params_for(w, h)
+        patterns = {d: _draw_patterns(params, (d,), grid.per_degree,
+                                      grid.kind, grid.seed, None)[d]
+                    for d in degrees}
 
         t0 = time.perf_counter()
         compiled = [

@@ -39,8 +39,7 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
                     degree: int = 8, per_point: int = 10,
                     params: Optional[SystemParameters] = None,
                     link_faults: int = 0, router_faults: int = 0,
-                    kind: str = "uniform", seed: int = 0,
-                    fault_aware: bool = False, jobs: int = 1,
+                    kind: str = "uniform", seed: int = 0, jobs: int = 1,
                     use_cache: bool = True, cache=None) -> list[dict]:
     """Row dicts for every (scheme, drop probability) grid point.
 
@@ -48,8 +47,8 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
     dead links/routers on top of each non-zero drop probability.  The
     pattern stream is shared across schemes and fault levels, so the
     comparison is paired; everything is a pure function of ``seed``.
-    ``fault_aware=True`` routes every point with the scheme's ``+ft``
-    fault-aware routing (reroute before downgrade).
+    ``params.fault_aware_routing`` routes every point with the scheme's
+    ``+ft`` fault-aware routing (reroute before downgrade).
     ``jobs`` workers (``0`` = one per core) run one job per point;
     ``use_cache``/``cache`` select the result cache (``docs/RUNNER.md``).
     Bad axes, or more faults than the mesh has links or routers, raise
@@ -57,8 +56,6 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
     (:func:`~repro.analysis.experiments.check_sweep`).
     """
     params = params or paper_parameters()
-    if fault_aware and not params.fault_aware_routing:
-        params = params.evolve(fault_aware_routing=True)
     check_sweep(schemes, kind=kind, per_degree=per_point, degrees=(degree,),
                 params=params, drop_probs=drop_probs)
     w, h = params.mesh_width, params.mesh_height

@@ -136,11 +136,6 @@ class MeshNetwork:
         self.total_flit_hops = 0
         self.injected = 0
         self.delivered = 0
-        # Pre-populated with every (node, port) key so the forwarding
-        # hot path is a bare ``+= 1`` instead of dict.get-and-store.
-        self.link_use: dict[tuple[int, Port], int] = {
-            (n, p): 0 for n in range(self.mesh.num_nodes)
-            for p in MESH_PORTS}
         self.latency: dict[WormKind, Tally] = {
             kind: Tally(f"latency.{kind.value}") for kind in WormKind}
         self.cycles_stepped = 0
@@ -218,16 +213,13 @@ class MeshNetwork:
         # Per-(node, vnet) injection queues and the worm serializing in.
         self._inj_q = [deque() for _ in range(num_nodes * V)]
         self._inj_active: list = [None] * (num_nodes * V)
-        # Static maps: vid -> Port / node, oid -> downstream vid,
-        # (node, port) -> interned link-statistics key.
+        # Static maps: vid -> Port / node, oid -> downstream vid.
         self._v_port = [Port(p) for _ in range(num_nodes)
                         for p in range(_IN_PORTS) for _ in range(V)]
         self._v_node = [vid // (_IN_PORTS * V) for vid in range(nv)]
         self._down_vid = [-1] * no
-        self._link_keys: list = [None] * (num_nodes * _OUT_PORTS)
         for node in mesh.nodes():
             for port in MESH_PORTS:
-                self._link_keys[node * _OUT_PORTS + port] = (node, port)
                 neighbor = mesh.neighbor(node, port)
                 if neighbor is None:
                     continue
@@ -637,8 +629,6 @@ class MeshNetwork:
         nmoves = len(moves)
         if nmoves:
             total_hops = 0
-            link_use = self.link_use
-            link_keys = self._link_keys
             v_node = self._v_node
             outport = self._outport
             absorb = self._absorb
@@ -664,7 +654,6 @@ class MeshNetwork:
                     worm, idx = flit
                     worm.flit_hops += 1
                     total_hops += 1
-                    link_use[link_keys[pi]] += 1
                     if idx == worm.size_flits - 1:  # tail left this node
                         if absorb[vid]:
                             interfaces[node].release_cc()

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 from typing import Optional, Sequence
 
 from repro.config import ConfigError
+from repro.sim.stats import Histogram
 
 
 async def open_http(host: str, port: int):
@@ -108,15 +108,6 @@ async def fetch_result(host: str, port: int, digest: str) -> bytes:
             pass
 
 
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (0 when
-    empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 async def _client_worker(host: str, port: int, name: str,
                          specs: Sequence[dict], requests: int,
                          offset: int, out: dict) -> None:
@@ -127,8 +118,7 @@ async def _client_worker(host: str, port: int, name: str,
             t0 = time.monotonic()
             status, headers, _body = await post_job(reader, writer,
                                                     spec, name)
-            elapsed = time.monotonic() - t0
-            out["latencies"].append(elapsed)
+            out["latency_ms"].add((time.monotonic() - t0) * 1000.0)
             if status == 200:
                 source = headers.get("x-cache", "miss")
                 out["sources"][source] = out["sources"].get(source, 0) + 1
@@ -155,15 +145,16 @@ async def run_load(host: str, port: int, specs: Sequence[dict],
     if clients < 1 or requests < 1:
         raise ConfigError(f"clients and requests must be >= 1, got "
                           f"{clients} and {requests}")
-    out = {"latencies": [], "sources": {}, "errors": 0}
+    out = {"latency_ms": Histogram("latency_ms"), "sources": {},
+           "errors": 0}
     t0 = time.monotonic()
     await asyncio.gather(*[
         _client_worker(host, port, f"{client_prefix}-{i}", specs,
                        requests, i, out)
         for i in range(clients)])
     elapsed = max(time.monotonic() - t0, 1e-9)
-    lats = sorted(out["latencies"])
-    total = len(lats)
+    lats = out["latency_ms"]
+    total = lats.n
     hits = out["sources"].get("hit", 0)
     classified = sum(out["sources"].values())
     return {
@@ -172,10 +163,10 @@ async def run_load(host: str, port: int, specs: Sequence[dict],
         "errors": out["errors"],
         "elapsed_s": elapsed,
         "requests_per_sec": total / elapsed,
-        "p50_ms": percentile(lats, 0.50) * 1000.0,
-        "p99_ms": percentile(lats, 0.99) * 1000.0,
-        "mean_ms": (sum(lats) / total * 1000.0) if total else 0.0,
-        "max_ms": (lats[-1] * 1000.0) if lats else 0.0,
+        "p50_ms": lats.percentile(0.50),
+        "p99_ms": lats.percentile(0.99),
+        "mean_ms": lats.tally.mean,
+        "max_ms": lats.tally.max or 0.0,
         "sources": dict(out["sources"]),
         "hit_rate": hits / classified if classified else 0.0,
     }

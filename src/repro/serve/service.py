@@ -23,8 +23,9 @@
   retries with exponential backoff, and quarantine behind a typed
   :class:`~repro.runner.supervisor.JobFailed` that surfaces to the
   client as a structured error response;
-* :class:`ServiceMetrics` — counters plus :class:`repro.sim.stats.
-  Histogram` latency distributions feeding the ``/metrics`` endpoint.
+* :class:`ServiceMetrics` — counters plus log-linear
+  :class:`repro.sim.stats.Histogram` latency distributions feeding the
+  ``/metrics`` endpoint.
 
 Everything here is stdlib-only and runs on one asyncio event loop;
 simulations never run on the loop thread.
@@ -273,12 +274,10 @@ class ServiceConfig:
 class ServiceMetrics:
     """Counters + latency histograms behind ``/metrics``.
 
-    Latencies are recorded in milliseconds into
-    :class:`repro.sim.stats.Histogram` instances — hits into a fine
-    0..500 ms grid, misses (real simulations) into a coarse 0..60 s
-    grid, plus a combined distribution; quantiles come from
-    :meth:`Histogram.percentile` (overflow reports the recorded max,
-    never a silent clamp).
+    Latencies are recorded in milliseconds into one log-linear
+    :class:`repro.sim.stats.Histogram` per class, ``hit`` and ``miss``
+    (real simulations); ``all`` is their merge at snapshot time.  Every
+    quantile is within 1/128 relative of the exact one.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
@@ -295,24 +294,19 @@ class ServiceMetrics:
         self.degraded = 0
         self.rejected = {"rate-limited": 0, "queue-full": 0,
                          "breaker-open": 0}
-        self.latency = {
-            "hit": Histogram("hit_latency_ms", 0.0, 500.0, 500),
-            "miss": Histogram("miss_latency_ms", 0.0, 60_000.0, 600),
-            "all": Histogram("latency_ms", 0.0, 60_000.0, 600),
-        }
+        self.latency = {"hit": Histogram("hit_latency_ms"),
+                        "miss": Histogram("miss_latency_ms")}
 
     def observe(self, source: str, seconds: float) -> None:
         """Record one served request's latency (``source`` is ``hit``,
         ``miss``, ``coalesced``, or ``degraded`` — coalesced waiters
         paid miss-class latency; degraded answers are hit-class, the
         analytical model runs in microseconds)."""
-        ms = seconds * 1000.0
         bucket = "hit" if source in ("hit", "degraded") else "miss"
-        self.latency[bucket].add(ms)
-        self.latency["all"].add(ms)
+        self.latency[bucket].add(seconds * 1000.0)
 
-    def _quantiles(self, name: str) -> dict:
-        hist = self.latency[name]
+    @staticmethod
+    def _quantiles(hist: Histogram) -> dict:
         return {"n": hist.n,
                 "mean_ms": hist.tally.mean,
                 "p50_ms": hist.percentile(0.50),
@@ -324,6 +318,9 @@ class ServiceMetrics:
         """The ``/metrics`` payload."""
         uptime = max(self.clock() - self.started, 1e-9)
         lookups = self.hits + self.misses + self.coalesced
+        latency = dict(self.latency, all=Histogram("latency_ms"))
+        for hist in self.latency.values():
+            latency["all"].merge(hist)
         payload = {
             "uptime_s": uptime,
             "http_requests": self.http_requests,
@@ -340,8 +337,8 @@ class ServiceMetrics:
             "rejected": dict(self.rejected),
             "queue_depth": queued,
             "running": running,
-            "latency": {name: self._quantiles(name)
-                        for name in ("hit", "miss", "all")},
+            "latency": {name: self._quantiles(hist)
+                        for name, hist in latency.items()},
             "cache": {"root": cache.root, "hits": cache.hits,
                       "misses": cache.misses, "stores": cache.stores,
                       "corrupt": cache.corrupt,

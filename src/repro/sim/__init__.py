@@ -1,39 +1,35 @@
 """Discrete-event simulation kernel (CSIM substitute).
 
 The paper's simulator is built on CSIM [43]: cooperating *processes* that
-``hold`` for simulated time, ``reserve``/``release`` *facilities*, and wait
-on *events*.  This package provides the same primitives:
+``hold`` for simulated time, ``use`` *facilities*, and wait on *events*.
+This package provides the primitives the model uses:
 
 * :class:`~repro.sim.engine.Simulator` — the event list and clock.
 * :class:`~repro.sim.process.Process` — generator-based processes; a
-  process yields :class:`Timeout`, :class:`~repro.sim.engine.Event`,
-  another process (join), or a bare number of cycles.
-* :class:`~repro.sim.resource.Resource` / :class:`~repro.sim.resource.Facility`
-  — FCFS contention points (memory modules, controllers).
-* :mod:`repro.sim.stats` — tallies, time-weighted statistics, histograms.
+  process yields a :class:`Timeout` or an :class:`~repro.sim.engine.Event`.
+* :class:`~repro.sim.resource.Facility` — FCFS single-server contention
+  points (memory modules, controllers).
+* :mod:`repro.sim.stats` — tallies and log-linear histograms.
 
 Time is an integer count of network cycles everywhere, which keeps the
 simulation exactly deterministic.
 """
 
-from repro.sim.engine import (Event, AllOf, AnyOf, SimulationError,
-                              Simulator, Timeout, Timer)
+from repro.sim.engine import (Event, AllOf, SimulationError, Simulator,
+                              Timeout, Timer)
 from repro.sim.process import Process
-from repro.sim.resource import Facility, Resource
-from repro.sim.stats import Histogram, Tally, TimeWeighted
+from repro.sim.resource import Facility
+from repro.sim.stats import Histogram, Tally
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Facility",
     "Histogram",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Tally",
-    "TimeWeighted",
     "Timeout",
     "Timer",
 ]

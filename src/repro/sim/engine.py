@@ -86,32 +86,6 @@ class AllOf(Event):
             self.succeed([c.value for c in self._children])
 
 
-class AnyOf(Event):
-    """Fires as soon as any child event fires; value is that child's value.
-
-    An empty child set is rejected with :class:`SimulationError`: unlike
-    :class:`AllOf` (vacuously satisfied, fires on the next delta), an
-    any-of over nothing can never fire, and silently constructing one
-    turns into a misleading "calendar empty" deadlock at the wait site.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event],
-                 name: str = "any_of") -> None:
-        super().__init__(sim, name)
-        children = list(events)
-        if not children:
-            raise SimulationError(
-                f"AnyOf {name!r} over an empty event set can never fire")
-        for child in children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if not self.triggered:
-            self.succeed(event.value)
-
-
 class Timeout:
     """Yieldable request to suspend the current process for ``delay`` cycles."""
 
@@ -207,11 +181,6 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         """Create a fresh :class:`Event` bound to this simulator."""
         return Event(self, name)
-
-    def timeout_event(self, delay: int, value: Any = None,
-                      name: str = "timeout") -> Event:
-        """An event that fires ``delay`` cycles from now."""
-        return self.event(name).schedule(delay, value)
 
     def timer(self, delay: int, fn: Callable[[], None]) -> Timer:
         """Arm a cancellable :class:`Timer` running ``fn`` after ``delay``."""

@@ -2,14 +2,14 @@
 
 A process body is a Python generator.  It may yield:
 
-* ``Timeout(n)`` or a bare non-negative integer — hold for ``n`` cycles;
+* ``Timeout(n)`` — hold for ``n`` cycles;
 * an :class:`~repro.sim.engine.Event` — suspend until it fires; the yield
-  expression evaluates to the event's value;
-* another :class:`Process` — join (suspend until it terminates); the yield
-  expression evaluates to the process's return value.
+  expression evaluates to the event's value.
 
-Sub-behaviours compose with ``yield from``: a helper generator that yields
-the same primitives can be delegated to directly, which is how the node
+A process's :attr:`~Process.done` event fires with the body's return
+value, so waiting for a process is ``yield proc.done``.  Sub-behaviours
+compose with ``yield from``: a helper generator that yields the same
+primitives can be delegated to directly, which is how the node
 controllers share message-handling code.
 """
 
@@ -21,13 +21,9 @@ from repro.sim.engine import Event, SimulationError, Simulator, Timeout
 
 
 class Process:
-    """Drives a generator through the simulator until it returns.
+    """Drives a generator through the simulator until it returns."""
 
-    A process is itself waitable: yielding a process joins it.  The
-    generator's ``return`` value becomes :attr:`result`.
-    """
-
-    __slots__ = ("sim", "name", "generator", "done", "result", "_advance")
+    __slots__ = ("sim", "name", "generator", "done", "_advance")
 
     def __init__(self, sim: Simulator, generator: Generator,
                  name: str = "process") -> None:
@@ -40,7 +36,6 @@ class Process:
         self.generator = generator
         #: Event fired (with the return value) when the body finishes.
         self.done: Event = sim.event(f"{name}.done")
-        self.result: Any = None
         #: Prebound resume-with-None callback: clock-style processes
         #: yield a Timeout every cycle, so the advance closure is hoisted
         #: out of the per-yield path instead of allocated each time.
@@ -59,7 +54,6 @@ class Process:
         try:
             yielded = self.generator.send(send_value)
         except StopIteration as stop:
-            self.result = stop.value
             self.done.succeed(stop.value)
             return
         self._handle(yielded)
@@ -67,32 +61,18 @@ class Process:
     def _handle(self, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
             self.sim.call_after(yielded.delay, self._advance)
-        elif isinstance(yielded, (int, float)):
-            delay = int(yielded)
-            if delay < 0:
-                self._crash(SimulationError(
-                    f"process {self.name!r} yielded negative delay {yielded}"))
-                return
-            self.sim.call_after(delay, self._advance)
-        elif isinstance(yielded, Process):
-            yielded.done.add_callback(
-                lambda ev: self._resume_later(ev.value))
         elif isinstance(yielded, Event):
             yielded.add_callback(lambda ev: self._resume_later(ev.value))
         else:
-            self._crash(SimulationError(
-                f"process {self.name!r} yielded unsupported "
-                f"{type(yielded).__name__!r}"))
+            self.generator.close()
+            raise SimulationError(f"process {self.name!r} yielded unsupported "
+                                  f"{type(yielded).__name__!r}")
 
     def _resume_later(self, value: Any) -> None:
         # Resume on a fresh callback rather than inside the event's own
         # trigger, so multiple waiters of one event resume in FIFO order at
         # the same cycle without re-entrancy.
         self.sim.call_at(self.sim.now, lambda: self._step(value))
-
-    def _crash(self, exc: BaseException) -> None:
-        self.generator.close()
-        raise exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"

@@ -1,138 +1,46 @@
-"""FCFS contention points: resources and CSIM-style facilities.
+"""CSIM-style facilities: FCFS single-server contention points.
 
-A :class:`Resource` is a counted semaphore with a FIFO grant queue — the
-building block for memory-module ports, controller occupancy, injection
-channels, and consumption channels.  A :class:`Facility` wraps a
-single-server resource with the common reserve / hold / release pattern
-(CSIM's ``use``) and tracks utilization.
+A :class:`Facility` models one server with a FIFO grant queue — a
+memory module, a directory controller, a node's processor or its
+output controller.  ``yield from facility.use(duration)`` is CSIM's
+``use``: reserve the server, hold it ``duration`` cycles, release it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.sim.engine import Event, SimulationError, Simulator, Timeout
-from repro.sim.stats import Tally, TimeWeighted
-
-
-class Resource:
-    """Counted FCFS resource.
-
-    ``yield resource.acquire()`` suspends until a unit is granted; the
-    holder must call :meth:`release` exactly once per grant.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: deque[Event] = deque()
-        #: Queueing-delay statistics (cycles spent waiting for a grant).
-        self.wait_stats = Tally(f"{name}.wait")
-        #: Time-weighted number of busy units.
-        self.busy_stats = TimeWeighted(f"{name}.busy", sim)
-
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self.in_use
-
-    def acquire(self) -> Event:
-        """Request one unit; returns an event that fires on grant."""
-        event = self.sim.event(f"{self.name}.grant")
-        requested_at = self.sim.now
-        event.add_callback(
-            lambda ev: self.wait_stats.add(self.sim.now - requested_at))
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            self.busy_stats.update(self.in_use)
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True and holds a unit iff one was free."""
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            self.busy_stats.update(self.in_use)
-            self.wait_stats.add(0)
-            return True
-        return False
-
-    def release(self) -> None:
-        """Return one unit; hands it to the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            # Unit passes directly to the next waiter: in_use is unchanged.
-            waiter = self._waiters.popleft()
-            waiter.succeed()
-        else:
-            self.in_use -= 1
-            self.busy_stats.update(self.in_use)
-
-    @property
-    def queue_length(self) -> int:
-        """Requests currently waiting."""
-        return len(self._waiters)
+from repro.sim.engine import Event, Simulator, Timeout
 
 
 class Facility:
-    """Single-server facility with the reserve / hold / release idiom.
+    """Single-server facility.
 
     ``yield from facility.use(duration)`` serializes callers FCFS and
     occupies the server for ``duration`` cycles each.
     """
 
+    __slots__ = ("sim", "name", "_busy", "_waiters")
+
     def __init__(self, sim: Simulator, name: str = "facility") -> None:
         self.sim = sim
         self.name = name
-        self._resource = Resource(sim, 1, name)
-        #: Total cycles the server has been busy.
-        self.busy_cycles = 0
-        #: Per-use service-time tally.
-        self.service_stats = Tally(f"{name}.service")
-        #: Construction cycle — utilization is measured from here, not
-        #: from t=0, so facilities created mid-run report correctly.
-        self._t0 = sim.now
+        self._busy = False
+        self._waiters: deque[Event] = deque()
 
     def use(self, duration: int) -> Generator:
-        """Generator to delegate to: acquire, hold ``duration``, release."""
-        yield self._resource.acquire()
+        """Generator to delegate to: reserve, hold ``duration``, release."""
+        grant = self.sim.event(f"{self.name}.grant")
+        if self._busy:
+            self._waiters.append(grant)
+        else:
+            self._busy = True
+            grant.succeed()
+        yield grant
         yield Timeout(duration)
-        self.busy_cycles += int(duration)
-        self.service_stats.add(duration)
-        self._resource.release()
-
-    def acquire(self) -> Event:
-        """Explicit reserve, for callers that hold across variable work."""
-        return self._resource.acquire()
-
-    def release(self, busy_for: int = 0) -> None:
-        """Explicit release; ``busy_for`` adds to the utilization account."""
-        self.busy_cycles += int(busy_for)
-        if busy_for:
-            self.service_stats.add(busy_for)
-        self._resource.release()
-
-    @property
-    def queue_length(self) -> int:
-        """Requests currently waiting for the server."""
-        return self._resource.queue_length
-
-    @property
-    def wait_stats(self) -> Tally:
-        """Queueing-delay statistics."""
-        return self._resource.wait_stats
-
-    def utilization(self, elapsed: Optional[int] = None) -> float:
-        """Busy fraction over ``elapsed`` cycles (default: cycles since
-        this facility was constructed, like ``TimeWeighted``)."""
-        horizon = self.sim.now - self._t0 if elapsed is None else elapsed
-        return self.busy_cycles / horizon if horizon > 0 else 0.0
+        if self._waiters:
+            # The server passes straight to the oldest waiter.
+            self._waiters.popleft().succeed()
+        else:
+            self._busy = False

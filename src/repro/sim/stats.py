@@ -1,31 +1,26 @@
 """Statistics collectors for the simulation.
 
 Small, dependency-free accumulators in the style of CSIM's tables:
-:class:`Tally` for per-sample statistics (Welford online variance),
-:class:`TimeWeighted` for piecewise-constant signals (queue lengths,
-busy-unit counts), and :class:`Histogram` for distributions.
+:class:`Tally` for per-sample statistics (running mean and extrema) and
+:class:`Histogram` for distributions whose quantiles are read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
+from typing import Optional
 
 
 class Tally:
-    """Online count / mean / variance / extrema of a sample stream."""
+    """Online count / mean / extrema of a sample stream."""
 
-    __slots__ = ("name", "n", "total", "_mean", "_m2", "min", "max")
+    __slots__ = ("name", "n", "total", "_mean", "min", "max")
 
     def __init__(self, name: str = "tally") -> None:
         self.name = name
         self.n = 0
         self.total = 0.0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
@@ -33,9 +28,9 @@ class Tally:
         """Record one sample."""
         self.n += 1
         self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
+        # Welford's running mean: repro.explore.vectorized.welford_means
+        # replays this arithmetic bit-for-bit.
+        self._mean += (value - self._mean) / self.n
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -46,29 +41,16 @@ class Tally:
         """Sample mean (0.0 when empty)."""
         return self._mean if self.n else 0.0
 
-    @property
-    def variance(self) -> float:
-        """Population variance (0.0 with < 2 samples)."""
-        return self._m2 / self.n if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
-
     def merge(self, other: "Tally") -> None:
-        """Fold another tally into this one (parallel-variance formula)."""
+        """Fold another tally into this one."""
         if other.n == 0:
             return
         if self.n == 0:
-            self.n, self.total = other.n, other.total
-            self._mean, self._m2 = other._mean, other._m2
+            self.n, self.total, self._mean = other.n, other.total, other._mean
             self.min, self.max = other.min, other.max
             return
         n = self.n + other.n
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.n * other.n / n
-        self._mean += delta * other.n / n
+        self._mean += (other._mean - self._mean) * other.n / n
         self.total += other.total
         self.n = n
         self.min = min(self.min, other.min)  # type: ignore[type-var]
@@ -79,112 +61,77 @@ class Tally:
                 f"min={self.min} max={self.max}>")
 
 
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; the accumulator
-    integrates the previous level over the elapsed cycles.
-    """
-
-    __slots__ = ("name", "sim", "_level", "_last_change", "_area", "_t0")
-
-    def __init__(self, name: str, sim: "Simulator",
-                 initial: float = 0.0) -> None:
-        self.name = name
-        self.sim = sim
-        self._level = initial
-        self._last_change = sim.now
-        self._t0 = sim.now
-        self._area = 0.0
-
-    @property
-    def level(self) -> float:
-        """Current signal level."""
-        return self._level
-
-    def update(self, level: float) -> None:
-        """Record that the signal becomes ``level`` at the current cycle."""
-        now = self.sim.now
-        self._area += self._level * (now - self._last_change)
-        self._level = level
-        self._last_change = now
-
-    def time_average(self) -> float:
-        """Average level from construction until now."""
-        now = self.sim.now
-        area = self._area + self._level * (now - self._last_change)
-        elapsed = now - self._t0
-        return area / elapsed if elapsed > 0 else self._level
+#: Sub-buckets per power of two.  A bucket spans 1/64 of its octave, so
+#: its midpoint is within 1/128 (relative) of every value in it.
+_SUB = 64
+#: Bucket key of the value 0, below every positive value's key.
+_ZERO = -(1 << 31)
 
 
 class Histogram:
-    """Fixed-width bin histogram with under/overflow buckets."""
+    """Log-linear (HDR-style) histogram of non-negative values.
 
-    __slots__ = ("name", "low", "width", "bins", "underflow", "overflow",
-                 "tally")
+    Each power of two is split into 64 equal sub-buckets, counted
+    sparsely, so no range is chosen up front and a quantile is within
+    1/128 relative of the exact one at any scale.
+    """
 
-    def __init__(self, name: str, low: float, high: float,
-                 nbins: int) -> None:
-        if nbins < 1 or high <= low:
-            raise ValueError("need high > low and nbins >= 1")
+    __slots__ = ("name", "counts", "tally")
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.low = low
-        self.width = (high - low) / nbins
-        self.bins = [0] * nbins
-        self.underflow = 0
-        self.overflow = 0
+        #: Sample count per bucket key (see :func:`_bucket`).
+        self.counts: dict[int, int] = {}
         self.tally = Tally(f"{name}.tally")
 
     def add(self, value: float) -> None:
         """Record one sample."""
+        if value < 0:
+            raise ValueError(f"histogram {self.name!r} takes non-negative "
+                             f"values, got {value}")
         self.tally.add(value)
-        if value < self.low:
-            self.underflow += 1
-            return
-        index = int((value - self.low) / self.width)
-        if index >= len(self.bins):
-            self.overflow += 1
-        else:
-            self.bins[index] += 1
+        key = _bucket(value)
+        self.counts[key] = self.counts.get(key, 0) + 1
+
+    def merge(self, other: "Histogram") -> None:
+        """Add another histogram's samples to this one."""
+        for key, count in other.counts.items():
+            self.counts[key] = self.counts.get(key, 0) + count
+        self.tally.merge(other.tally)
 
     @property
     def n(self) -> int:
-        """Total samples recorded (including out-of-range)."""
+        """Total samples recorded."""
         return self.tally.n
 
     def percentile(self, q: float) -> float:
-        """Approximate q-quantile (0..1) from bin midpoints.
-
-        Empty bins are skipped, so ``q = 0`` reports the lowest bucket
-        that actually holds samples rather than the midpoint of an empty
-        bin 0 (the ``seen >= target`` test is vacuously true at target
-        0).  Overflow samples take part in the walk: a quantile landing
-        in the overflow bucket reports the recorded maximum instead of
-        silently clamping to the top bin edge.
-        """
+        """Nearest-rank q-quantile (0..1): the midpoint of the bucket
+        holding the rank-``ceil(q * n)`` sample, clamped to the recorded
+        min and max (0.0 when empty)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         if self.n == 0:
             return 0.0
-        target = q * self.n
-        seen = self.underflow
-        if seen >= target and self.underflow:
-            return self.low
-        for i, count in enumerate(self.bins):
-            if not count:
-                continue
-            seen += count
-            if seen >= target:
-                return self.low + (i + 0.5) * self.width
-        if self.overflow:
-            return self.tally.max
-        return self.low + len(self.bins) * self.width
+        rank = max(1, math.ceil(q * self.n))
+        seen = 0
+        for key in sorted(self.counts):
+            seen += self.counts[key]
+            if seen >= rank:
+                break
+        return min(max(_midpoint(key), self.tally.min), self.tally.max)
 
 
-def summarize(values: Sequence[float]) -> dict:
-    """One-shot summary of a sequence: n / mean / stdev / min / max."""
-    t = Tally()
-    for v in values:
-        t.add(v)
-    return {"n": t.n, "mean": t.mean, "stdev": t.stdev,
-            "min": t.min, "max": t.max}
+def _bucket(value: float) -> int:
+    """Bucket key of ``value``: octave exponent and sub-bucket, ordered
+    like the values."""
+    if value == 0:
+        return _ZERO
+    mantissa, exponent = math.frexp(value)       # mantissa in [0.5, 1)
+    return exponent * _SUB + int((mantissa - 0.5) * 2 * _SUB)
+
+
+def _midpoint(key: int) -> float:
+    if key == _ZERO:
+        return 0.0
+    exponent, sub = divmod(key, _SUB)
+    return math.ldexp(0.5 + (sub + 0.5) / (2 * _SUB), exponent)

@@ -430,8 +430,6 @@ class LegacyMeshNetwork(MeshNetwork):
             self.busy.add(neighbor.node)
             worm.flit_hops += 1
             self.total_flit_hops += 1
-            link = (router.node, port)
-            self.link_use[link] = self.link_use.get(link, 0) + 1
             if idx == worm.size_flits - 1:  # tail left this router
                 if vc.absorb:
                     router.interface.release_cc()

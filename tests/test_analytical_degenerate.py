@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.config import SystemParameters
+from repro.config import ConfigError, SystemParameters
 from repro.core import InvalidationEngine, SCHEMES, build_plan
 from repro.explore import evaluate_plans
 from repro.explore.calibrate import (Calibration, apply_samples,
@@ -124,8 +124,7 @@ def test_degenerate_screen_calibrates_within_band():
 
 
 def test_one_by_one_mesh_screens_to_nothing():
-    # A 1x1 system has no remote sharers; the grid must skip it rather
-    # than fabricate cells.
-    grid = ScreenGrid.make(meshes=((1, 1),), degrees=(1, 2))
-    assert grid.valid_degrees(1, 1) == []
-    assert screen(grid).n_configs == 0
+    # A 1x1 system has no remote sharers, so no requested degree can be
+    # drawn there: the grid is refused rather than screened to no cells.
+    with pytest.raises(ConfigError, match="1x1 mesh.*max_degree 0"):
+        ScreenGrid.make(meshes=((1, 1),), degrees=(1, 2))

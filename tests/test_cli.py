@@ -485,6 +485,9 @@ def test_cli_inventory_is_pinned():
     ["atlas", "--axis", "audit=off,full"],
     ["atlas", "--axis", "multidest_header_flits=1,2"],
     ["atlas", "--budget-fraction", "-1", "--tol", "-1"],
+    ["atlas", "--meshes", "4x4", "--kind", "column", "--degrees", "12"],
+    ["atlas", "--meshes", "4x4,8x8", "--degrees", "20", "--schemes",
+     "ui-ua"],
     ["sweep", "--degrees", "100", "--mesh", "4"],
     ["sweep", "--degrees", "0", "--mesh", "4"],
     ["sweep", "--per-degree", "0"],

@@ -160,8 +160,8 @@ def test_readers_queued_behind_invalidation_get_fresh_copy():
         # Writer and a racing reader.
         w = sim.spawn(w_proc(), name="w")
         r = sim.spawn(r_proc(), name="r")
-        yield w
-        yield r
+        yield w.done
+        yield r.done
 
     def w_proc():
         yield from system.access(9, "W", 44)

@@ -73,14 +73,3 @@ def test_network_event_limit_raises():
                     size_flits=4))
     with pytest.raises(SimulationError, match="cycle limit"):
         sim.run_until_event(never, limit=10)
-
-
-def test_resource_misuse_detected():
-    from repro.sim import Resource
-
-    sim = Simulator()
-    res = Resource(sim, 1)
-    assert res.try_acquire()
-    res.release()
-    with pytest.raises(SimulationError):
-        res.release()

@@ -13,6 +13,8 @@ and counters with the test body.
 
 import asyncio
 import json
+import math
+import random
 import tempfile
 import threading
 import time
@@ -22,8 +24,8 @@ import pytest
 from repro.runner import Job, ResultCache
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import (AdmissionError, BreakerOpen, CircuitBreaker,
-                         ServiceConfig, SimulationService, TokenBucket,
-                         result_body)
+                         ServiceConfig, ServiceMetrics, SimulationService,
+                         TokenBucket, result_body)
 
 # Shared state for thread-executor jobs (the pool shares our memory).
 _LOCK = threading.Lock()
@@ -327,6 +329,30 @@ def test_metrics_snapshot_shape_and_hit_rate():
         assert snap["cache"]["stores"] == 1
         json.dumps(snap)               # must be JSON-able as-is
     serve_run(body)
+
+
+def test_metrics_quantiles_are_true(tmp_path):
+    """Every /metrics latency class reads its exact nearest-rank p50 and
+    p99 to within 1/128 (fixed-width bins read 0.5 and 50 ms here)."""
+    rng = random.Random(19)
+    samples = {"hit": [rng.uniform(0.25, 0.9) for _ in range(400)],
+               "miss": [rng.uniform(8.0, 40.0) for _ in range(30)]}
+    metrics = ServiceMetrics()
+    for source, values in samples.items():
+        for ms in values:
+            metrics.observe(source, ms / 1000.0)
+    samples["all"] = samples["hit"] + samples["miss"]
+    latency = metrics.snapshot(ResultCache(str(tmp_path)), 0, 0)["latency"]
+    for name, values in samples.items():
+        ordered = sorted(values)
+        got = latency[name]
+        assert got["n"] == len(values)
+        assert got["max_ms"] == pytest.approx(ordered[-1])
+        for key, q in (("p50_ms", 0.50), ("p99_ms", 0.99)):
+            exact = ordered[math.ceil(q * len(ordered)) - 1]
+            assert abs(got[key] - exact) <= exact / 128 * (1 + 1e-9), \
+                (name, key, got[key], exact)
+        assert got["p50_ms"] <= got["p99_ms"] <= got["max_ms"]
 
 
 def test_result_bytes_round_trip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AllOf, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -75,7 +75,7 @@ def test_event_double_succeed_raises():
 
 def test_event_schedule_fires_later():
     sim = Simulator()
-    ev = sim.timeout_event(15, value="done")
+    ev = sim.event("e").schedule(15, "done")
     assert not ev.triggered
     sim.run()
     assert ev.triggered
@@ -85,7 +85,7 @@ def test_event_schedule_fires_later():
 
 def test_all_of_waits_for_every_child():
     sim = Simulator()
-    children = [sim.timeout_event(t, value=t) for t in (3, 9, 6)]
+    children = [sim.event().schedule(t, t) for t in (3, 9, 6)]
     combined = AllOf(sim, children)
     sim.run()
     assert combined.triggered
@@ -100,20 +100,9 @@ def test_all_of_empty_fires_immediately():
     assert combined.value == []
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    children = [sim.timeout_event(t, value=t) for t in (8, 2, 5)]
-    combined = AnyOf(sim, children)
-    fired_at = []
-    combined.add_callback(lambda e: fired_at.append(sim.now))
-    sim.run()
-    assert combined.value == 2
-    assert fired_at == [2]
-
-
 def test_run_until_event_returns_value():
     sim = Simulator()
-    ev = sim.timeout_event(12, value="payload")
+    ev = sim.event("e").schedule(12, "payload")
     sim.call_after(100, lambda: None)  # later noise
     assert sim.run_until_event(ev) == "payload"
     assert sim.now == 12
@@ -140,25 +129,6 @@ def test_dispatched_counts_callbacks():
         sim.call_after(1, lambda: None)
     sim.run()
     assert sim.dispatched == 5
-
-
-def test_any_of_empty_raises():
-    """An AnyOf over nothing can never fire; constructing one must be a
-    loud error, not a silent never-firing event (regression: it used to
-    build fine and later surface as a bogus calendar-empty deadlock)."""
-    sim = Simulator()
-    with pytest.raises(SimulationError, match="empty event set"):
-        AnyOf(sim, [], name="doomed")
-    with pytest.raises(SimulationError, match="empty event set"):
-        AnyOf(sim, iter(()))
-
-
-def test_any_of_nonempty_unaffected():
-    sim = Simulator()
-    children = [sim.event(f"c{i}") for i in range(2)]
-    combined = AnyOf(sim, iter(children))  # generators work too
-    children[1].succeed("val")
-    assert combined.triggered and combined.value == "val"
 
 
 def test_timer_cancel_drops_callback_reference():

@@ -14,7 +14,7 @@ def test_timeout_advances_clock():
         trace.append(sim.now)
         yield Timeout(10)
         trace.append(sim.now)
-        yield 5  # bare ints work too
+        yield Timeout(5)
         trace.append(sim.now)
 
     sim.spawn(body())
@@ -31,13 +31,13 @@ def test_process_return_value_and_join():
 
     def parent():
         proc = sim.spawn(worker(), name="worker")
-        value = yield proc
+        value = yield proc.done
         assert value == "answer"
         return sim.now
 
     parent_proc = sim.spawn(parent())
     sim.run()
-    assert parent_proc.result == 7
+    assert parent_proc.done.value == 7
     assert not parent_proc.alive
 
 
@@ -94,7 +94,7 @@ def test_negative_delay_rejected():
     sim = Simulator()
 
     def bad():
-        yield -1
+        yield Timeout(-1)
 
     sim.spawn(bad())
     with pytest.raises(SimulationError, match="negative"):
@@ -102,14 +102,15 @@ def test_negative_delay_rejected():
 
 
 def test_bad_yield_type_rejected():
-    sim = Simulator()
+    for nonsense in ("nonsense", 5):  # a bare number is no Timeout
+        sim = Simulator()
 
-    def bad():
-        yield "nonsense"
+        def bad():
+            yield nonsense
 
-    sim.spawn(bad())
-    with pytest.raises(SimulationError, match="unsupported"):
-        sim.run()
+        sim.spawn(bad())
+        with pytest.raises(SimulationError, match="unsupported"):
+            sim.run()
 
 
 def test_spawn_requires_generator():

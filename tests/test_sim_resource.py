@@ -1,100 +1,21 @@
-"""Unit tests for resources and facilities."""
+"""Unit tests for facilities."""
 
-import pytest
-
-from repro.sim import Facility, Resource, Simulator, Timeout
-from repro.sim.engine import SimulationError
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
-
-    def holder(tag, hold):
-        yield res.acquire()
-        grants.append((tag, sim.now))
-        yield Timeout(hold)
-        res.release()
-
-    for tag in range(3):
-        sim.spawn(holder(tag, 10))
-    sim.run()
-    # Two immediate grants, third waits for a release at cycle 10.
-    assert grants == [(0, 0), (1, 0), (2, 10)]
+from repro.sim import Facility, Simulator, Timeout
 
 
 def test_resource_fifo_queue():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
+    fac = Facility(sim, "dc")
+    finish = []
 
-    def holder(tag):
-        yield res.acquire()
-        order.append(tag)
-        yield Timeout(1)
-        res.release()
+    def client(tag):
+        yield from fac.use(1)
+        finish.append((tag, sim.now))
 
     for tag in range(5):
-        sim.spawn(holder(tag))
+        sim.spawn(client(tag))
     sim.run()
-    assert order == [0, 1, 2, 3, 4]
-
-
-def test_try_acquire_nonblocking():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    assert res.try_acquire()
-    assert not res.try_acquire()
-    res.release()
-    assert res.try_acquire()
-
-
-def test_release_idle_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError, match="idle"):
-        res.release()
-
-
-def test_wait_stats_record_queueing():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder(hold):
-        yield res.acquire()
-        yield Timeout(hold)
-        res.release()
-
-    sim.spawn(holder(20))
-    sim.spawn(holder(20))
-    sim.run()
-    assert res.wait_stats.n == 2
-    assert res.wait_stats.min == 0
-    assert res.wait_stats.max == 20
-
-
-def test_queue_length_visible():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        yield res.acquire()
-        yield Timeout(50)
-        res.release()
-
-    for _ in range(3):
-        sim.spawn(holder())
-    sim.run(until=1)
-    assert res.queue_length == 2
-    sim.run()
-    assert res.queue_length == 0
-
-
-def test_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
+    assert finish == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_facility_use_serializes():
@@ -110,57 +31,22 @@ def test_facility_use_serializes():
         sim.spawn(client(tag))
     sim.run()
     assert finish == [(0, 16), (1, 32), (2, 48)]
-    assert fac.busy_cycles == 48
-    assert fac.utilization() == 1.0
 
 
-def test_facility_explicit_acquire_release():
+def test_facility_idle_server_grants_at_once():
+    """A request that finds the server released and idle starts at its
+    own arrival cycle, not behind a stale holder."""
     sim = Simulator()
-    fac = Facility(sim, "dc")
+    fac = Facility(sim, "proc")
+    finish = []
 
-    def client():
-        yield fac.acquire()
-        yield Timeout(9)
-        fac.release(busy_for=9)
+    def client(tag, arrive, hold):
+        yield Timeout(arrive)
+        yield from fac.use(hold)
+        finish.append((tag, sim.now))
 
-    sim.spawn(client())
+    sim.spawn(client("a", 0, 10))
+    sim.spawn(client("b", 30, 5))
     sim.run()
-    assert fac.busy_cycles == 9
-    assert fac.service_stats.n == 1
+    assert finish == [("a", 10), ("b", 35)]
 
-
-def test_facility_queue_and_wait_stats():
-    sim = Simulator()
-    fac = Facility(sim, "f")
-
-    def client():
-        yield from fac.use(10)
-
-    sim.spawn(client())
-    sim.spawn(client())
-    sim.run()
-    assert fac.wait_stats.max == 10
-
-
-def test_facility_created_mid_run_measures_from_construction():
-    """Regression: utilization divided by the full clock, so a facility
-    constructed at t>0 under-reported even when 100% busy."""
-    sim = Simulator()
-    sim.call_at(100, lambda: None)
-    sim.run()
-    assert sim.now == 100
-    fac = Facility(sim, "late")
-
-    def worker():
-        yield from fac.use(30)
-
-    sim.spawn(worker())
-    sim.run()
-    assert sim.now == 130
-    assert fac.utilization() == pytest.approx(1.0)
-    # Explicit horizon still wins when supplied.
-    assert fac.utilization(elapsed=60) == pytest.approx(0.5)
-    # And idle time after construction dilutes it as expected.
-    sim.call_at(160, lambda: None)
-    sim.run()
-    assert fac.utilization() == pytest.approx(30 / 60)
