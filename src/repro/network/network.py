@@ -1,17 +1,25 @@
 """The mesh network: one cycle engine over flat arrays.
 
 The network advances on an integer cycle clock driven from the
-simulation calendar.  Each cycle has three phases over the *busy* nodes
-only, in ascending node order:
+simulation calendar.  Each cycle makes one pass over the *busy* nodes
+in ascending node order and then applies what the pass selected:
 
-1. decide — header routing countdowns and interface actions: i-ack
-   reservations, gather pickups or parking, consumption-channel
+1. decide — per node: header routing countdowns and interface actions:
+   i-ack reservations, gather pickups or parking, consumption-channel
    acquisition, chain waits, and output-channel allocation;
-2. select — at most one flit per output link (round-robin over the
-   virtual networks sharing it), one per interface sink, and one
-   injected flit per virtual network;
-3. apply — execute the selected moves, so no flit travels more than one
-   hop per cycle.
+2. select — per node, right after its decide step: at most one flit
+   per output link (round-robin over the virtual networks sharing it),
+   one per interface sink, and one injected flit per virtual network;
+3. apply — after the pass, execute the selected moves in selection
+   order, so no flit travels more than one hop per cycle.
+
+Fusing the first two phases per node is exact: a node's decide step
+writes only its own VCs, outputs and interface; its selection reads
+only those plus buffer occupancies, which only apply writes; and only
+the decide step has global side effects (chain-delivery callbacks,
+audit events), which keep their node order.  Apply only activates VCs,
+so a node can go idle only if its decide step left it without an
+active VC, and the quiescence sweep checks only those nodes.
 
 Each router has five ports (N, S, E, W, LOCAL) and one input virtual
 channel (VC) per (port, virtual network).  A worm's header reaches the
@@ -25,25 +33,31 @@ onto interface behaviour as documented in :mod:`repro.network.worm`.
 State layout (structure of arrays, "soa"): per-VC control state lives
 in parallel flat lists indexed by an integer *vid* ``(node * 5 + port)
 * V + vnet`` — buffer occupancy (which is also the credit state), VC
-state, routing countdown, output port, worm, and DECIDE context.
-Output-VC ownership is indexed by *oid* ``(node * 4 + port) * V +
-vnet``.  The only per-node objects are the :class:`RouterInterface`
-instances (consumption channels, i-ack buffer file),
-``net.interfaces[node]``.
+state, routing countdown, output port and the downstream VC behind it,
+worm, and DECIDE context.  Output-VC ownership is indexed by *oid*
+``(node * 4 + port) * V + vnet``, summarised by bit masks: per node,
+the output ports with an owner; per output port, the owning vnets.
+Injection work is a per-node mask of the vnets with queued or
+in-flight worms.  A selected move is an int: the vid (or injection
+queue index) shifted left two bits plus a ``MOVE_*`` tag.  The only
+per-node objects are the :class:`RouterInterface` instances
+(consumption channels, i-ack buffer file), ``net.interfaces[node]``.
 
-Clock: ``_tick`` is one calendar callback that steps cycles inline,
-advancing ``sim.now`` itself and counting each inline cycle in
-``sim.dispatched`` as if it were a scheduled tick, until a calendar
-event is due.  It parks off-calendar whenever no node is busy;
-injections and parked-worm releases wake it.  At a verified stalled
-fixed point — two consecutive cycles with no move, no routing
-countdown, and no fault plan armed — it jumps the clock to the cycle
-before the next calendar event, bounded by the deadlock threshold, and
-replays that fixed point's per-cycle ``cc_blocked`` /
-``reserve_blocked`` deltas for every skipped cycle.  The active run's
-cycle bound (:attr:`repro.sim.Simulator.bound`) counts as an event due
-one cycle past it, so neither stepping nor skipping carries the clock
-beyond ``run(until=...)`` or ``run_until_event(limit=...)``.
+Clock: ``_tick`` is one calendar callback per slice of cycles.  Its
+``step`` call steps cycles inline, advancing ``sim.now`` itself and
+counting each cycle after the first in ``sim.dispatched`` as if it were
+a scheduled tick, until a calendar event is due or the network goes
+idle; ``_tick`` then schedules the next tick.  The clock parks
+off-calendar whenever no node is busy; injections and parked-worm
+releases wake it.  At a verified stalled fixed point — two consecutive
+cycles with no move, no routing countdown, and no fault plan armed —
+``step`` jumps the clock to the cycle before the next calendar event,
+bounded by the deadlock threshold, and replays that fixed point's
+per-cycle ``cc_blocked`` / ``reserve_blocked`` deltas for every skipped
+cycle.  The active run's cycle bound
+(:attr:`repro.sim.Simulator.bound`) counts as an event due one cycle
+past it, so neither stepping nor skipping carries the clock beyond
+``run(until=...)`` or ``run_until_event(limit=...)``.
 
 ``tests/reference_kernel.py`` keeps the frozen object-per-router kernel
 this engine replaced; the golden suite and the differential fuzzer
@@ -84,14 +98,17 @@ PROFILE_REGISTRY: "list[MeshNetwork] | None" = None
 #: Input-VC control states.
 IDLE, ROUTING, DECIDE, FORWARD, CONSUME, PARK = range(6)
 
-#: Move tags (phase 2 → phase 3): ``(MOVE_FWD, vid, node, pi, oid,
-#: dvid)``, ``(MOVE_CONSUME, vid, node)``, ``(MOVE_PARK, vid, node)``,
-#: ``(MOVE_INJECT, node, vnet)``.
+#: Move tags (select → apply), the low two bits of a move int whose
+#: high bits are a vid (``MOVE_INJECT``: an injection queue index
+#: ``node * V + vnet``).  A sink's tag is its VC state minus ``FORWARD``.
 MOVE_FWD, MOVE_CONSUME, MOVE_PARK, MOVE_INJECT = range(4)
 
 _IN_PORTS = 5   # N, S, E, W, LOCAL
 _OUT_PORTS = 4  # N, S, E, W
 _LOCAL = int(Port.LOCAL)
+#: The output ports set in each 4-bit owned-port mask, ascending.
+_MASK_PORTS = tuple(tuple(p for p in range(_OUT_PORTS) if mask >> p & 1)
+                    for mask in range(1 << _OUT_PORTS))
 
 
 class MeshNetwork:
@@ -142,16 +159,16 @@ class MeshNetwork:
         #: Cycles proved no-op and advanced past without stepping;
         #: ``cycles_stepped + cycles_skipped`` is the simulated total.
         self.cycles_skipped = 0
-        #: Per-phase profiling counters: node visits per phase, moves
-        #: executed, and how often the busy order actually had to be
-        #: re-sorted (``busy_sorts / cycles_stepped`` is the dirty rate).
+        #: Per-phase profiling counters: node visits of the fused
+        #: decide-and-select pass, moves executed, and how often the busy
+        #: order actually had to be re-sorted (``busy_sorts /
+        #: cycles_stepped`` is the dirty rate).
         self.phase_decide_visits = 0
         self.phase_select_visits = 0
         self.moves_applied = 0
         self.busy_sorts = 0
 
         # Step-loop state.
-        self.pending_moves: list[tuple] = []
         self.busy: set[int] = set()
         self._busy_order: list[int] = []
         self._busy_dirty = False
@@ -191,6 +208,7 @@ class MeshNetwork:
         self._vstate = [IDLE] * nv
         self._countdown = [0] * nv
         self._outport = [-1] * nv
+        self._out_vid = [-1] * nv     # downstream VC of the owned output
         self._absorb = [False] * nv
         self._worm: list = [None] * nv
         #: DECIDE bookkeeping so retries never double-acquire resources.
@@ -200,14 +218,13 @@ class MeshNetwork:
         self._in_act = [False] * nv
         # Per-oid (output virtual channel) ownership: owning vid or -1.
         self._owner = [-1] * no
-        # Per-node aggregates and worklists: round-robin pointers, owned
-        # outputs (per node and per port), draining sinks, vnets with
-        # injection work, and the VCs with work in activation order
-        # (activation order = arbitration order).
+        # Per-node aggregates and worklists: round-robin pointers, bit
+        # masks of owned output ports (per node) and owned vnets (per
+        # port), the mask of vnets with injection work, and the VCs with
+        # work in activation order (activation order = arbitration order).
         self._rr = [0] * (num_nodes * _OUT_PORTS)
         self._owned = [0] * num_nodes
         self._owned_ports = [0] * (num_nodes * _OUT_PORTS)
-        self._sinks = [0] * num_nodes
         self._inject_work = [0] * num_nodes
         self._active: list[dict[int, None]] = [{} for _ in range(num_nodes)]
         # Per-(node, vnet) injection queues and the worm serializing in.
@@ -332,8 +349,9 @@ class MeshNetwork:
         ``cycles_skipped`` split the simulated cycles into those stepped
         and those skipped at stalled fixed points; ``busy_sorts`` /
         ``busy_sort_rate`` count rebuilds of the busy-node order; and
-        ``phase_decide_visits`` / ``phase_select_visits`` count node
-        visits per phase.
+        ``phase_decide_visits`` / ``phase_select_visits`` both count the
+        same fused decide-and-select node visits, one per busy node per
+        stepped cycle.
         """
         cycles = self.cycles_stepped
         return {
@@ -396,10 +414,8 @@ class MeshNetwork:
                         front: bool = False) -> None:
         """Queue ``worm`` for injection at ``node`` on its vnet."""
         self._quiet_steps = 0
-        qi = node * self._V + worm.vnet
-        queue = self._inj_q[qi]
-        if not queue and self._inj_active[qi] is None:
-            self._inject_work[node] += 1
+        self._inject_work[node] |= 1 << worm.vnet
+        queue = self._inj_q[node * self._V + worm.vnet]
         if front:
             queue.appendleft(worm)
         else:
@@ -427,7 +443,7 @@ class MeshNetwork:
             self._idle_event.succeed()
 
     # ------------------------------------------------------------------
-    # Clock: inline cycle loop with event-driven skipping
+    # Clock: one tick per calendar slice
     # ------------------------------------------------------------------
     def _start_clock(self) -> None:
         self.sim.call_at(self.sim.now, self._tick)
@@ -438,52 +454,8 @@ class MeshNetwork:
             event = self._idle_event = self.sim.event("network.idle")
             event.add_callback(self._wake_tick)
             return
-        sim = self.sim
-        busy = self.busy
-        step = self.step
-        # The active run's cycle bound acts as an event due one cycle
-        # past it: the loop stops there like at any due event.
-        bound = sim.bound
-        stop = None if bound is None else bound + 1
-        step()
-        while busy:
-            nxt = sim.now + 1
-            p = sim.peek()
-            if stop is not None and (p is None or p > stop):
-                p = stop
-            if p is not None and p <= nxt:
-                # Calendar work due this or next cycle: hand control
-                # back so callbacks interleave exactly as they would
-                # with one scheduled tick per cycle.
-                break
-            if self._quiet_steps >= 2 and self.faults is None:
-                # Verified stalled fixed point: nothing can change until
-                # the next calendar event (externally) or the deadlock
-                # threshold (internally).  Jump.
-                n = self.deadlock_threshold - self._stalled_cycles - 1
-                if p is not None:
-                    horizon = p - nxt
-                    if horizon < n:
-                        n = horizon
-                if n > 0:
-                    if self._skip_trace is not None:
-                        self._skip_trace.append((sim.now, n, p))
-                    sim.now += n
-                    sim.dispatched += n   # the ticks a stepping clock runs
-                    self.cycles_skipped += n
-                    self._stalled_cycles += n
-                    for iface, cc_d, res_d in self._stall_delta:
-                        if cc_d:
-                            iface.cc_blocked += cc_d * n
-                        if res_d:
-                            iface.iack.reserve_blocked += res_d * n
-                    continue
-                # n <= 0: the next cycle must be stepped for real (it is
-                # the one that crosses the deadlock threshold).
-            sim.now = nxt
-            sim.dispatched += 1   # the tick dispatch this inlining elides
-            step()
-        sim.call_after(1, self._tick)
+        self.step()
+        self.sim.call_after(1, self._tick)
 
     def _wake_tick(self, _event) -> None:
         # Resume on a fresh callback so wake ordering matches other
@@ -495,279 +467,328 @@ class MeshNetwork:
         self._tick()
 
     # ------------------------------------------------------------------
-    # One network cycle over the flat arrays
+    # The cycle loop over the flat arrays
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance every busy node by one cycle (three phases)."""
-        self.cycles_stepped += 1
+        """Step the busy network from the current cycle until calendar
+        work is due, the run's cycle bound is reached, or no node is
+        busy; jump verified stalled fixed points on the way.
+
+        All cycle work runs inside this one call, so a profiler that
+        wraps it (the perfbench tracer does) charges it to the network.
+        """
+        sim = self.sim
+        peek = sim.peek
+        bound = sim.bound
+        # The active run's cycle bound acts as an event due one cycle
+        # past it: the loop stops there like at any due event.
+        stop = None if bound is None else bound + 1
+        faults = self.faults
+        threshold = self.deadlock_threshold
         busy = self.busy
-        if self._busy_dirty:
-            order = self._busy_order = sorted(busy)
-            self._busy_dirty = False
-            self.busy_sorts += 1
-        else:
-            order = self._busy_order
-        armed = self._quiet_steps == 1
-        if armed:
-            interfaces = self.interfaces
-            snap = [(interfaces[n], interfaces[n].cc_blocked,
-                     interfaces[n].iack.reserve_blocked) for n in order]
         active = self._active
         vstate = self._vstate
         occ = self._occ
         buf = self._buf
-        V = self._V
-
-        # Phase 1: routing countdowns and DECIDE resolution, in
-        # activation order per node.
         countdown = self._countdown
         worms = self._worm
         in_act = self._in_act
         resolve = self._resolve
-        # The DECIDE cycle itself accounts for one cycle of the routing
-        # delay, so count down from router_delay - 1.
-        delay1 = self._router_delay - 1
-        if delay1 < 0:
-            delay1 = 0
-        for node in order:
-            act = active[node]
-            if not act:
-                continue
-            retire = None
-            # Nothing in DECIDE resolution activates VCs (activations
-            # happen in phase 3), so iterating the dict is safe.
-            for vid in act:
-                s = vstate[vid]
-                if s == IDLE:
-                    if not occ[vid]:
-                        # Lazy cleanup: went idle last apply phase.
-                        if retire is None:
-                            retire = [vid]
-                        else:
-                            retire.append(vid)
-                        continue
-                    worm, idx = buf[vid][0]
-                    assert idx == 0, "non-header flit at head of idle VC"
-                    worms[vid] = worm
-                    if delay1:
-                        vstate[vid] = ROUTING
-                        countdown[vid] = delay1
-                    else:
-                        vstate[vid] = DECIDE
-                        resolve(vid, node)
-                elif s == ROUTING:
-                    cd = countdown[vid] - 1
-                    countdown[vid] = cd
-                    if cd <= 0:
-                        vstate[vid] = DECIDE
-                        resolve(vid, node)
-                elif s == DECIDE:
-                    resolve(vid, node)
-            if retire is not None:
-                for vid in retire:
-                    in_act[vid] = False
-                    del act[vid]
-
-        # Phase 2: one flit per output link (round-robin over vnets),
-        # one per sink, one injected flit per vnet.
-        moves = self.pending_moves
         owner = self._owner
         owned = self._owned
         owned_ports = self._owned_ports
         rr = self._rr
-        down_vid = self._down_vid
+        out_vid = self._out_vid
         depth = self._depth
-        sinks = self._sinks
         inject_work = self._inject_work
         inj_active = self._inj_active
         inj_q = self._inj_q
-        for node in order:
-            if owned[node]:
-                pbase = node * _OUT_PORTS
-                for port in range(_OUT_PORTS):
-                    pi = pbase + port
-                    if not owned_ports[pi]:
-                        continue
-                    obase = pi * V
-                    start = rr[pi]
-                    for offset in range(V):
-                        vnet = start + offset
-                        if vnet >= V:
-                            vnet -= V
-                        vid = owner[obase + vnet]
-                        if vid < 0 or vstate[vid] != FORWARD \
-                                or not occ[vid]:
-                            continue
-                        dvid = down_vid[obase + vnet]
-                        if occ[dvid] >= depth:
-                            continue  # no credit downstream
-                        moves.append((MOVE_FWD, vid, node, pi,
-                                      obase + vnet, dvid))
-                        vnet += 1
-                        rr[pi] = vnet if vnet < V else 0
-                        break
-            if sinks[node]:
-                for vid in active[node]:
-                    s = vstate[vid]
-                    if s == CONSUME:
-                        if occ[vid]:
-                            moves.append((MOVE_CONSUME, vid, node))
-                    elif s == PARK and occ[vid]:
-                        moves.append((MOVE_PARK, vid, node))
-            if inject_work[node]:
-                qbase = node * V
-                lbase = (node * _IN_PORTS + _LOCAL) * V
-                for vnet in range(V):
-                    qi = qbase + vnet
-                    if inj_active[qi] is None and not inj_q[qi]:
-                        continue
-                    if occ[lbase + vnet] >= depth:
-                        continue
-                    moves.append((MOVE_INJECT, node, vnet))
-
-        # Phase 3: apply, in selection order.
-        nmoves = len(moves)
-        if nmoves:
-            total_hops = 0
-            v_node = self._v_node
-            outport = self._outport
-            absorb = self._absorb
-            ctx = self._ctx
-            interfaces = self.interfaces
-            deliver = self._deliver
-            chain = WormKind.CHAIN
-            for move in moves:
-                tag = move[0]
-                if tag == MOVE_FWD:
-                    _, vid, node, pi, oid, dvid = move
-                    flit = buf[vid].popleft()
-                    occ[vid] -= 1
-                    buf[dvid].append(flit)
-                    occ[dvid] += 1
-                    dnode = v_node[dvid]
-                    if not in_act[dvid]:
-                        in_act[dvid] = True
-                        active[dnode][dvid] = None
-                    if dnode not in busy:
-                        busy.add(dnode)
-                        self._busy_dirty = True
-                    worm, idx = flit
-                    worm.flit_hops += 1
-                    total_hops += 1
-                    if idx == worm.size_flits - 1:  # tail left this node
-                        if absorb[vid]:
-                            interfaces[node].release_cc()
-                            # Chain worms already delivered at header
-                            # time (the node's invalidation gated them).
-                            if worm.kind is not chain:
-                                deliver(node, worm, False)
-                        owner[oid] = -1
-                        owned[node] -= 1
-                        owned_ports[pi] -= 1
-                        vstate[vid] = IDLE
-                        countdown[vid] = 0
-                        worms[vid] = None
-                        outport[vid] = -1
-                        absorb[vid] = False
-                        ctx[vid] = {}
-                elif tag == MOVE_CONSUME:
-                    _, vid, node = move
-                    worm, idx = buf[vid].popleft()
-                    occ[vid] -= 1
-                    if idx == worm.size_flits - 1:
-                        interfaces[node].release_cc()
-                        sinks[node] -= 1
-                        vstate[vid] = IDLE
-                        countdown[vid] = 0
-                        worms[vid] = None
-                        outport[vid] = -1
-                        absorb[vid] = False
-                        ctx[vid] = {}
-                        deliver(node, worm, True)
-                elif tag == MOVE_PARK:
-                    _, vid, node = move
-                    worm, idx = buf[vid].popleft()
-                    occ[vid] -= 1
-                    if idx == worm.size_flits - 1:
-                        sinks[node] -= 1
-                        vstate[vid] = IDLE
-                        countdown[vid] = 0
-                        worms[vid] = None
-                        outport[vid] = -1
-                        absorb[vid] = False
-                        ctx[vid] = {}
-                        key = (worm.txn, worm.pickup_level)
-                        released = interfaces[node].iack \
-                            .finish_park_drain(key)
-                        if released is not None:
-                            self._reinject(node, released)
-                else:  # MOVE_INJECT
-                    _, node, vnet = move
-                    qi = node * V + vnet
-                    entry = inj_active[qi]
-                    if entry is None:
-                        worm = inj_q[qi].popleft()
-                        idx = 0
-                    else:
-                        worm, idx = entry
-                    lvid = (node * _IN_PORTS + _LOCAL) * V + vnet
-                    buf[lvid].append((worm, idx))
-                    occ[lvid] += 1
-                    if not in_act[lvid]:
-                        in_act[lvid] = True
-                        active[node][lvid] = None
-                    idx += 1
-                    if idx < worm.size_flits:
-                        inj_active[qi] = (worm, idx)
-                    else:
-                        inj_active[qi] = None
-                        if not inj_q[qi]:
-                            inject_work[node] -= 1
-            moves.clear()
-            self.moves_applied += nmoves
-            self.total_flit_hops += total_hops
-
-        # Quiescence sweep and stall/fixed-point bookkeeping.
-        for node in order:
-            if not active[node] and not inject_work[node]:
-                busy.discard(node)
-                self._busy_dirty = True
-        nrouters = len(order)
-        self.phase_decide_visits += nrouters
-        self.phase_select_visits += nrouters
-        if nmoves:
-            self._stalled_cycles = 0
-            self._quiet_steps = 0
-            return
-        routing_seen = False
-        for node in order:
-            for vid in active[node]:
-                if vstate[vid] == ROUTING:
-                    routing_seen = True
-                    break
-            if routing_seen:
-                break
-        if busy and not routing_seen:
-            self._stalled_cycles += 1
-            if self._stalled_cycles >= self.deadlock_threshold:
-                self._report_deadlock()
+        v_node = self._v_node
+        outport = self._outport
+        absorb = self._absorb
+        ctx = self._ctx
+        interfaces = self.interfaces
+        deliver = self._deliver
+        chain = WormKind.CHAIN
+        V = self._V
+        # The DECIDE cycle itself accounts for one cycle of the routing
+        # delay, so count down from router_delay - 1.
+        delay1 = max(self._router_delay - 1, 0)
+        moves: list[int] = []
+        sinks: list[int] = []
+        idle: list[int] = []
+        while True:
+            self.cycles_stepped += 1
+            if self._busy_dirty:
+                order = self._busy_order = sorted(busy)
+                self._busy_dirty = False
+                self.busy_sorts += 1
+            else:
+                order = self._busy_order
+            armed = self._quiet_steps == 1
             if armed:
-                # Second consecutive quiet cycle: the state is now a
-                # fixed point and this cycle's counter deltas repeat
-                # verbatim every further stalled cycle.
-                delta = []
-                for iface, cc0, res0 in snap:
-                    cc_d = iface.cc_blocked - cc0
-                    res_d = iface.iack.reserve_blocked - res0
-                    if cc_d or res_d:
-                        delta.append((iface, cc_d, res_d))
-                self._stall_delta = delta
-                self._quiet_steps = 2
-            elif self._quiet_steps == 0:
-                self._quiet_steps = 1
-            # _quiet_steps == 2 persists across no-op calendar events.
-        else:
-            self._quiet_steps = 0
+                snap = [(interfaces[n], interfaces[n].cc_blocked,
+                         interfaces[n].iack.reserve_blocked) for n in order]
+            routing = False
+            # Decide, then select, one node at a time.
+            for node in order:
+                act = active[node]
+                if act:
+                    retire = None
+                    # Nothing in a decide step activates VCs (apply
+                    # does), so iterating the dict is safe.
+                    for vid in act:
+                        s = vstate[vid]
+                        if s == FORWARD:
+                            continue
+                        if s == IDLE:
+                            if not occ[vid]:
+                                # Lazy cleanup: went idle last apply.
+                                if retire is None:
+                                    retire = [vid]
+                                else:
+                                    retire.append(vid)
+                                continue
+                            worm, idx = buf[vid][0]
+                            assert idx == 0, \
+                                "non-header flit at head of idle VC"
+                            worms[vid] = worm
+                            if delay1:
+                                vstate[vid] = ROUTING
+                                countdown[vid] = delay1
+                                routing = True
+                                continue
+                            vstate[vid] = DECIDE
+                            resolve(vid, node)
+                            s = vstate[vid]
+                        elif s == ROUTING:
+                            cd = countdown[vid] - 1
+                            countdown[vid] = cd
+                            if cd > 0:
+                                routing = True
+                                continue
+                            vstate[vid] = DECIDE
+                            resolve(vid, node)
+                            s = vstate[vid]
+                        elif s == DECIDE:
+                            resolve(vid, node)
+                            s = vstate[vid]
+                        # Draining sinks, in activation order.
+                        if s > FORWARD and occ[vid]:
+                            sinks.append((vid << 2) + s - FORWARD)
+                    if retire is not None:
+                        for vid in retire:
+                            in_act[vid] = False
+                            del act[vid]
+                        if not act:
+                            idle.append(node)
+                else:
+                    idle.append(node)
+                ports = owned[node]
+                if ports:
+                    pbase = node * _OUT_PORTS
+                    for port in _MASK_PORTS[ports]:
+                        pi = pbase + port
+                        vnets = owned_ports[pi]
+                        obase = pi * V
+                        if not vnets & (vnets - 1):
+                            # One owner (always FORWARD): no contest.
+                            vnet = vnets.bit_length() - 1
+                            vid = owner[obase + vnet]
+                            if occ[vid] and occ[out_vid[vid]] < depth:
+                                moves.append(vid << 2)
+                                vnet += 1
+                                rr[pi] = vnet if vnet < V else 0
+                            continue
+                        start = rr[pi]
+                        for offset in range(V):
+                            vnet = start + offset
+                            if vnet >= V:
+                                vnet -= V
+                            vid = owner[obase + vnet]
+                            if vid < 0 or not occ[vid] \
+                                    or occ[out_vid[vid]] >= depth:
+                                continue  # unowned, empty or no credit
+                            moves.append(vid << 2)
+                            vnet += 1
+                            rr[pi] = vnet if vnet < V else 0
+                            break
+                if sinks:
+                    moves += sinks
+                    sinks.clear()
+                vnets = inject_work[node]
+                if vnets:
+                    qi = node * V
+                    lvid = (node * _IN_PORTS + _LOCAL) * V
+                    while vnets:
+                        if vnets & 1 and occ[lvid] < depth:
+                            moves.append((qi << 2) + MOVE_INJECT)
+                        vnets >>= 1
+                        qi += 1
+                        lvid += 1
+
+            # Apply, in selection order.
+            nmoves = len(moves)
+            if nmoves:
+                hops = 0
+                for move in moves:
+                    tag = move & 3
+                    vid = move >> 2
+                    if tag == MOVE_FWD:
+                        dvid = out_vid[vid]
+                        flit = buf[vid].popleft()
+                        occ[vid] -= 1
+                        buf[dvid].append(flit)
+                        occ[dvid] += 1
+                        if not in_act[dvid]:
+                            # An active VC's node is always busy.
+                            in_act[dvid] = True
+                            dnode = v_node[dvid]
+                            active[dnode][dvid] = None
+                            if dnode not in busy:
+                                busy.add(dnode)
+                                self._busy_dirty = True
+                        worm, idx = flit
+                        worm.flit_hops += 1
+                        hops += 1
+                        if idx == worm.size_flits - 1:  # tail left
+                            node = v_node[vid]
+                            if absorb[vid]:
+                                interfaces[node].release_cc()
+                                # Chain worms already delivered at
+                                # header time (the node's invalidation
+                                # gated them).
+                                if worm.kind is not chain:
+                                    deliver(node, worm, False)
+                            port = outport[vid]
+                            pi = node * _OUT_PORTS + port
+                            vnet = vid % V
+                            owner[pi * V + vnet] = -1
+                            vnets = owned_ports[pi] ^ (1 << vnet)
+                            owned_ports[pi] = vnets
+                            if not vnets:
+                                owned[node] ^= 1 << port
+                            vstate[vid] = IDLE
+                            countdown[vid] = 0
+                            worms[vid] = None
+                            outport[vid] = -1
+                            absorb[vid] = False
+                            ctx[vid] = {}
+                    elif tag == MOVE_INJECT:
+                        node, vnet = divmod(vid, V)
+                        entry = inj_active[vid]
+                        if entry is None:
+                            worm = inj_q[vid].popleft()
+                            idx = 0
+                        else:
+                            worm, idx = entry
+                        lvid = (node * _IN_PORTS + _LOCAL) * V + vnet
+                        buf[lvid].append((worm, idx))
+                        occ[lvid] += 1
+                        if not in_act[lvid]:
+                            in_act[lvid] = True
+                            active[node][lvid] = None
+                        idx += 1
+                        if idx < worm.size_flits:
+                            inj_active[vid] = (worm, idx)
+                        else:
+                            inj_active[vid] = None
+                            if not inj_q[vid]:
+                                inject_work[node] ^= 1 << vnet
+                    else:  # MOVE_CONSUME / MOVE_PARK
+                        worm, idx = buf[vid].popleft()
+                        occ[vid] -= 1
+                        if idx == worm.size_flits - 1:
+                            node = v_node[vid]
+                            vstate[vid] = IDLE
+                            countdown[vid] = 0
+                            worms[vid] = None
+                            outport[vid] = -1
+                            absorb[vid] = False
+                            ctx[vid] = {}
+                            if tag == MOVE_CONSUME:
+                                interfaces[node].release_cc()
+                                deliver(node, worm, True)
+                            else:
+                                key = (worm.txn, worm.pickup_level)
+                                released = interfaces[node].iack \
+                                    .finish_park_drain(key)
+                                if released is not None:
+                                    self._reinject(node, released)
+                moves.clear()
+                self.moves_applied += nmoves
+                self.total_flit_hops += hops
+
+            # Quiescence sweep and stall/fixed-point bookkeeping.
+            if idle:
+                for node in idle:
+                    if not active[node] and not inject_work[node]:
+                        busy.discard(node)
+                        self._busy_dirty = True
+                idle.clear()
+            self.phase_decide_visits += len(order)
+            self.phase_select_visits += len(order)
+            if nmoves:
+                self._stalled_cycles = 0
+                self._quiet_steps = 0
+            elif busy and not routing:
+                self._stalled_cycles += 1
+                if self._stalled_cycles >= threshold:
+                    self._report_deadlock()
+                if armed:
+                    # Second consecutive quiet cycle: the state is now a
+                    # fixed point and this cycle's counter deltas repeat
+                    # verbatim every further stalled cycle.
+                    delta = []
+                    for iface, cc0, res0 in snap:
+                        cc_d = iface.cc_blocked - cc0
+                        res_d = iface.iack.reserve_blocked - res0
+                        if cc_d or res_d:
+                            delta.append((iface, cc_d, res_d))
+                    self._stall_delta = delta
+                    self._quiet_steps = 2
+                elif self._quiet_steps == 0:
+                    self._quiet_steps = 1
+                # _quiet_steps == 2 persists across no-op calendar events.
+            else:
+                self._quiet_steps = 0
+
+            # The next cycle, unless calendar work is due first.
+            while True:
+                if not busy:
+                    return
+                nxt = sim.now + 1
+                p = peek()
+                if stop is not None and (p is None or p > stop):
+                    p = stop
+                if p is not None and p <= nxt:
+                    # Calendar work due this or next cycle: hand control
+                    # back so callbacks interleave exactly as they would
+                    # with one scheduled tick per cycle.
+                    return
+                if self._quiet_steps < 2 or faults is not None:
+                    break
+                # Verified stalled fixed point: nothing can change until
+                # the next calendar event (externally) or the deadlock
+                # threshold (internally).  Jump.
+                n = threshold - self._stalled_cycles - 1
+                if p is not None and p - nxt < n:
+                    n = p - nxt
+                if n <= 0:
+                    break  # this cycle crosses the threshold: step it
+                if self._skip_trace is not None:
+                    self._skip_trace.append((sim.now, n, p))
+                sim.now += n
+                sim.dispatched += n   # the ticks a stepping clock runs
+                self.cycles_skipped += n
+                self._stalled_cycles += n
+                for iface, cc_d, res_d in self._stall_delta:
+                    if cc_d:
+                        iface.cc_blocked += cc_d * n
+                    if res_d:
+                        iface.iack.reserve_blocked += res_d * n
+            sim.now = nxt
+            sim.dispatched += 1   # the tick dispatch this inlining elides
 
     # ------------------------------------------------------------------
     # DECIDE resolution
@@ -824,7 +845,6 @@ class MeshNetwork:
                     if iack.try_park(key, worm):
                         worm.advance()
                         self._vstate[vid] = PARK
-                        self._sinks[node] += 1
                     # else: file full, stall in place and retry.
                 return
             worm.acks_carried += count
@@ -878,7 +898,6 @@ class MeshNetwork:
                 return
             ctx["cc"] = True
         self._vstate[vid] = CONSUME
-        self._sinks[node] += 1
 
     def _alloc_output(self, vid: int, node: int, dest: int,
                       absorb: bool) -> bool:
@@ -901,9 +920,10 @@ class MeshNetwork:
             oid = (node * _OUT_PORTS + port) * V + vnet
             if owner[oid] < 0:
                 owner[oid] = vid
-                self._owned[node] += 1
-                self._owned_ports[node * _OUT_PORTS + port] += 1
+                self._owned[node] |= 1 << port
+                self._owned_ports[node * _OUT_PORTS + port] |= 1 << vnet
                 self._outport[vid] = port
+                self._out_vid[vid] = self._down_vid[oid]
                 self._absorb[vid] = absorb
                 self._vstate[vid] = FORWARD
                 if detour:

@@ -14,11 +14,15 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.coherence.system as coherence_system
+import repro.network.network as network_mod
+from repro.analysis.experiments import run_application_experiment
 from repro.config import SystemParameters, paper_parameters
 from repro.core import InvalidationEngine, build_plan
 from repro.network import MeshNetwork, Worm, WormKind
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
+from repro.workloads import apsp, barnes_hut, lu
 from repro.workloads.patterns import make_pattern
 from tests.reference_kernel import (KERNEL_PRIVATE_COUNTERS,
                                     LegacyMeshNetwork)
@@ -82,6 +86,65 @@ def test_kernels_identical_under_adaptive_routing(kernel):
     kwargs = dict(schemes=("mi-ma-ec-u",), degrees=(4, 12), seed=9)
     assert run_record_stream(KERNELS[kernel], **kwargs) == \
         run_record_stream(LegacyMeshNetwork, **kwargs)
+
+
+#: DSM application runs on the 4x4 mesh: coherence traffic with
+#: concurrent invalidations, the path the dsm-apps benchmark times.
+COHERENCE_RUNS = [
+    ("apsp", apsp.APSPConfig(vertices=6, processors=16), scheme)
+    for scheme in ("ui-ua", "mi-ma-ec", "mi-ua-tm")
+] + [
+    ("barnes-hut", barnes_hut.BHConfig(bodies=8, steps=1, processors=8),
+     scheme) for scheme in ("ui-ua", "mi-ma-ec")
+] + [("lu", lu.LUConfig(n=16, block=8, processors=16), "ui-ua")]
+
+
+def run_application(monkeypatch, net_cls, app, config, scheme):
+    """Result row, shared counters and calendar dispatch count of one
+    application run whose DSM is built on ``net_cls``."""
+    networks = []
+    monkeypatch.setattr(coherence_system, "MeshNetwork", net_cls)
+    monkeypatch.setattr(network_mod, "PROFILE_REGISTRY", networks)
+    row = run_application_experiment(app, scheme,
+                                     params=paper_parameters(4),
+                                     app_config=config)
+    (net,) = networks
+    assert type(net) is net_cls
+    return row, shared_counters(net), net.sim.dispatched
+
+
+@pytest.mark.parametrize("app, config, scheme", COHERENCE_RUNS,
+                         ids=[f"{a}-{s}" for a, _, s in COHERENCE_RUNS])
+def test_coherence_runs_identical_to_oracle(monkeypatch, app, config,
+                                            scheme):
+    mesh = run_application(monkeypatch, MeshNetwork, app, config, scheme)
+    ref = run_application(monkeypatch, LegacyMeshNetwork, app, config,
+                          scheme)
+    assert mesh == ref
+    assert mesh[1]["moves_applied"] > 0
+
+
+def same_cycle_absorb_and_consume(net_cls):
+    """Delivery log of a multicast absorbed at node 1 and a unicast
+    consumed there, sized so both tails leave node 1 in one cycle."""
+    sim = Simulator()
+    net = net_cls(sim, SystemParameters(mesh_width=4, mesh_height=1),
+                  "ecube")
+    net.inject(Worm(kind=WormKind.MULTICAST, src=0, dests=(1, 2),
+                    size_flits=5))
+    net.inject(Worm(kind=WormKind.UNICAST, src=2, dests=(1,),
+                    size_flits=6))
+    sim.run()
+    return [(t, node, worm.kind, final)
+            for t, node, worm, final in net.delivered_log]
+
+
+def test_same_cycle_deliveries_keep_apply_order():
+    """A node's forward moves apply before its sink moves, so the
+    absorb delivery is called back before the final one."""
+    log = same_cycle_absorb_and_consume(MeshNetwork)
+    assert log == same_cycle_absorb_and_consume(LegacyMeshNetwork)
+    assert log[0][:2] == log[1][:2], "both tails must finish together"
 
 
 def test_reference_kernel_is_unmemoized():

@@ -3,11 +3,13 @@
 Hypothesis draws a whole scenario — mesh shape (including 1xN and 2x2
 degenerate meshes), routing algorithm (every registered one, including
 the ``+ft`` fault-aware wrappers with random fault plans), coherence
-scheme, sharing degree, audit level, seed, and how the simulation is
-driven (``run_until_event`` or ``run(until=...)`` slices) — runs it on
-:class:`~repro.network.network.MeshNetwork` and on the frozen reference
-kernel in ``tests/reference_kernel.py``, and requires *bit-identical*
-results:
+scheme, sharing degree, audit level, seed, the router parameters the
+cycle engine reads (routing delay, VC buffer depth, virtual networks,
+consumption channels, i-ack buffers, deferred delivery), and how the
+simulation is driven (``run_until_event`` or ``run(until=...)``
+slices) — runs it on :class:`~repro.network.network.MeshNetwork` and
+on the frozen reference kernel in ``tests/reference_kernel.py``, and
+requires *bit-identical* results:
 
 * the full ``TransactionRecord`` stream (or the identical failure, for
   faulted runs),
@@ -73,10 +75,18 @@ def scenarios(draw):
     # slices until it completes.
     until = draw(st.one_of(st.none(),
                            st.integers(min_value=1, max_value=400)))
+    router = {
+        "router_delay": draw(st.sampled_from([0, 1, 2, 4])),
+        "vc_buffer_depth": draw(st.sampled_from([1, 2, 4])),
+        "num_vnets": draw(st.sampled_from([2, 3])),
+        "consumption_channels": draw(st.sampled_from([1, 2, 4])),
+        "iack_buffers": draw(st.sampled_from([2, 4])),
+        "deferred_delivery": draw(st.booleans()),
+    }
     return {"width": width, "height": height, "routing": routing,
             "scheme": scheme, "degree": degree, "seed": seed,
             "txns": txns, "audit": audit, "fault_seed": fault_seed,
-            "until": until}
+            "until": until, "router": router}
 
 
 def drive(sim, done, until):
@@ -97,7 +107,7 @@ def run_scenario(net_cls, sc):
     # Worm uids are a module-global counter; reset it so failure
     # messages (which embed ``worm #N``) compare equal across kernels.
     worm_mod._uid_counter = itertools.count(1)
-    params = paper_parameters(sc["width"], sc["height"])
+    params = paper_parameters(sc["width"], sc["height"], **sc["router"])
     sim = Simulator()
     net = net_cls(sim, params, sc["routing"])
     engine = InvalidationEngine(sim, net, params)
