@@ -15,6 +15,9 @@ The run *asserts* the serving contract and exits non-zero on any
 violation, so CI can gate on it:
 
 * warm cache-hit rate >= ``--min-hit-rate`` (default 0.95);
+* the warm phase is answered from memory: the server's disk
+  ``cache.hits`` (``/metrics``) is at most the number of distinct
+  specs;
 * warm client-observed p99 <= ``--p99-ceiling-ms``;
 * zero client-visible errors;
 * each ``/metrics`` latency class with samples reads
@@ -193,6 +196,11 @@ def main(argv=None) -> int:
     if warm["p99_ms"] > args.p99_ceiling_ms:
         failures.append(f"warm p99 {warm['p99_ms']:.1f} ms > "
                         f"{args.p99_ceiling_ms} ms ceiling")
+    disk_hits = metrics["cache"]["hits"]
+    if disk_hits > len(specs):
+        failures.append(f"{disk_hits} disk cache hit(s) for "
+                        f"{len(specs)} distinct spec(s): warm requests "
+                        f"were not answered from memory")
     if warm["errors"] or cold["errors"]:
         failures.append(f"{warm['errors'] + cold['errors']} "
                         f"client-visible error(s)")
@@ -215,7 +223,8 @@ def main(argv=None) -> int:
         "digest_check": check,
         "metrics": metrics,
         "thresholds": {"min_hit_rate": args.min_hit_rate,
-                       "p99_ceiling_ms": args.p99_ceiling_ms},
+                       "p99_ceiling_ms": args.p99_ceiling_ms,
+                       "max_disk_hits": len(specs)},
         "ok": not failures,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -229,7 +238,8 @@ def main(argv=None) -> int:
         return 1
     print(f"ok: hit rate {warm['hit_rate']:.3f} >= "
           f"{args.min_hit_rate}, p99 {warm['p99_ms']:.1f} ms <= "
-          f"{args.p99_ceiling_ms} ms, bodies byte-identical")
+          f"{args.p99_ceiling_ms} ms, {disk_hits} disk hit(s) <= "
+          f"{len(specs)}, bodies byte-identical")
     return 0
 
 

@@ -21,10 +21,12 @@ replay is byte-identical to a clean serial ``run_jobs`` sweep.
   request finishes with its real 200, a request pipelined behind it is
   answered ``503 {"error": "draining"}`` + close, and the server task
   exits within its drain deadline.
-* ``cache``      — a corrupted cache entry under concurrent load is
-  purged (counted), re-simulated, and every response stays
-  byte-identical to the serial baseline; a one-byte quota degrades the
-  cache to pass-through (evictions counted) without changing a byte.
+* ``cache``      — with its stored entry corrupted, the warm service
+  answers a concurrent storm from its kept flight without reading the
+  disk; a fresh service on the same cache purges the entry (counted),
+  re-simulates it once, and every response stays byte-identical to the
+  serial baseline; a one-byte quota degrades the cache to
+  pass-through (evictions counted) without changing a byte.
 * ``breaker``    — a poisoned pool trips the circuit breaker after the
   configured consecutive failures: fast-fail ``503`` + ``Retry-After``
   while open, analytical degraded answers (marked, uncached) when
@@ -407,6 +409,23 @@ async def _scenario_cache(spec, baseline, workdir,
                           clients: int) -> tuple[bool, str]:
     checks = _Checks()
     cache = ResultCache(os.path.join(workdir, "serve-cache"))
+
+    async def storm(host, port, label: str) -> None:
+        async def one(name: str):
+            r, w = await open_http(host, port)
+            try:
+                return await post_job(r, w, spec, name)
+            finally:
+                await _close_writer(w)
+
+        replies = await asyncio.gather(
+            *[one(f"{label}-{i}") for i in range(clients)])
+        checks.expect(all(s == 200 for s, _h, _b in replies),
+                      f"non-200 under corrupt-entry load ({label})")
+        checks.expect(all(b == baseline for _s, _h, b in replies),
+                      f"a response diverged after cache corruption "
+                      f"({label})")
+
     service, server = await _boot(cache)
     host, port = server.address
     try:
@@ -418,54 +437,64 @@ async def _scenario_cache(spec, baseline, workdir,
                       "cold serve body diverged from serial baseline")
         digest = headers.get("x-digest", "")
 
-        # Flip bytes in the stored entry, then hammer it concurrently:
-        # the checksum must catch it, one request re-simulates, and
-        # every response stays byte-identical.
+        # Flip bytes in the stored entry.  The warm service keeps the
+        # flight it served, so its storm is answered from memory: no
+        # disk read, every response byte-identical.
         victim = cache._path(digest)
         with open(victim, "r+b") as fh:
             fh.seek(80)
             fh.write(b"\xde\xad\xbe\xef")
-
-        async def one(name: str):
-            r, w = await open_http(host, port)
-            try:
-                return await post_job(r, w, spec, name)
-            finally:
-                await _close_writer(w)
-
-        replies = await asyncio.gather(
-            *[one(f"storm-{i}") for i in range(clients)])
-        checks.expect(all(s == 200 for s, _h, _b in replies),
-                      "non-200 under corrupt-entry load")
-        checks.expect(all(b == baseline for _s, _h, b in replies),
-                      "a response diverged after cache corruption")
-        checks.expect(cache.corrupt == 1,
-                      f"corrupt entry purged {cache.corrupt} times, "
-                      f"want exactly 1")
+        disk = (cache.hits, cache.misses)
+        await storm(host, port, "warm")
+        checks.expect((cache.hits, cache.misses) == disk,
+                      f"warm service read the disk (hits, misses "
+                      f"{disk} -> {(cache.hits, cache.misses)}), want "
+                      f"its kept flight")
     finally:
         await _shutdown(service, server)
 
-    # A one-byte quota degrades the cache to pass-through: every
-    # request re-simulates (evictions counted), bytes never change.
+    # A fresh service on the same cache holds nothing in memory: the
+    # checksum must catch the corruption, one request re-simulates,
+    # and every response stays byte-identical.
+    service, server = await _boot(cache)
+    host, port = server.address
+    try:
+        await storm(host, port, "fresh")
+        checks.expect(cache.corrupt == 1,
+                      f"corrupt entry purged {cache.corrupt} times, "
+                      f"want exactly 1")
+        checks.expect(service.metrics.misses == 1,
+                      f"fresh service simulated {service.metrics.misses} "
+                      f"times, want exactly 1")
+    finally:
+        await _shutdown(service, server)
+
+    # A one-byte quota degrades the cache to pass-through (evictions
+    # counted): the first request simulates, the second is answered
+    # from the service's kept flight, and bytes never change.
     quota_cache = ResultCache(os.path.join(workdir, "quota-cache"),
                               quota_bytes=1)
     service, server = await _boot(quota_cache)
     host, port = server.address
     try:
-        for name in ("q-one", "q-two"):
+        for name, source in (("q-one", "miss"), ("q-two", "hit")):
             reader, writer = await open_http(host, port)
-            status, _headers, body = await post_job(reader, writer,
-                                                    spec, name)
+            status, headers, body = await post_job(reader, writer,
+                                                   spec, name)
             await _close_writer(writer)
             checks.expect(status == 200 and body == baseline,
                           f"pass-through serve diverged for {name}")
+            checks.expect(headers.get("x-cache") == source,
+                          f"{name} source {headers.get('x-cache')!r}, "
+                          f"want {source!r}")
         checks.expect(quota_cache.evictions >= 1,
                       "quota eviction not counted")
         checks.expect(quota_cache.hits == 0,
-                      "one-byte quota unexpectedly served a hit")
+                      "one-byte quota unexpectedly served a disk hit")
     finally:
         await _shutdown(service, server)
-    return checks.verdict("corruption purged + byte-identical under "
+    return checks.verdict("warm service answered from memory, fresh one "
+                          "purged + re-simulated, byte-identical under "
                           "load; quota degrades to pass-through")
 
 

@@ -568,8 +568,11 @@ class ServeServer:
             ("ETag", etag),
             ("Cache-Control", "public, max-age=31536000, immutable"),
         )
+        # If-None-Match uses the weak comparison (RFC 9110 §13.1.2):
+        # W/"<digest>" matches the strong tag "<digest>".
         inm = request.headers.get("if-none-match", "")
-        candidates = {v.strip() for v in inm.split(",")} if inm else set()
+        candidates = ({v.strip().removeprefix("W/") for v in inm.split(",")}
+                      if inm else set())
         if "*" in candidates or etag in candidates:
             _write_response(writer, 304, b"", request.keep_alive,
                             extra_headers=cache_headers)

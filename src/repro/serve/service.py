@@ -8,7 +8,9 @@
   simulation entirely and returns in microseconds);
 * an **in-flight table** keyed on cache digest — N clients requesting
   the same config while it simulates *coalesce* onto one execution and
-  receive byte-identical bodies;
+  receive byte-identical bodies — and the **finished flights** kept by
+  digest, so a repeat request reuses their body bytes without reading
+  the disk or rendering again;
 * **per-client admission control** — an optional token bucket per
   client plus a global queue-depth bound, both rejecting with a typed
   :class:`AdmissionError` before any work is enqueued;
@@ -357,15 +359,15 @@ class _Flight:
     """One digest's lifecycle: queued -> running -> done | failed.
 
     Every concurrent request for the same digest shares one flight;
-    the terminal body bytes are produced exactly once."""
+    the terminal body bytes are produced exactly once, and a finished
+    flight is kept so that later repeats share it too."""
 
-    __slots__ = ("digest", "job", "client", "status", "body", "error",
-                 "event", "probe")
+    __slots__ = ("digest", "job", "status", "body", "error", "event",
+                 "probe")
 
-    def __init__(self, digest: str, job: Job, client: str) -> None:
+    def __init__(self, digest: str, job: Optional[Job]) -> None:
         self.digest = digest
         self.job = job
-        self.client = client
         self.status = "queued"
         self.body: Optional[bytes] = None
         self.error: Optional[dict] = None
@@ -416,8 +418,9 @@ class JobRecord:
         return view
 
 
-#: Job records retained for ``GET /jobs/<id>`` before the oldest are
-#: pruned (bounds service memory under sustained load).
+#: Job records retained for ``GET /jobs/<id>``, and finished flights
+#: kept for repeat requests, before the oldest are pruned (bounds
+#: service memory under sustained load).
 MAX_RECORDS = 10_000
 
 
@@ -443,7 +446,8 @@ class SimulationService:
                                       self.config.breaker_cooldown,
                                       self.config.clock)
         self.workers = self.config.workers or (os.cpu_count() or 1)
-        self._flights: dict[str, _Flight] = {}
+        self._flights: dict[str, _Flight] = {}   # queued or running
+        self._done: dict[str, _Flight] = {}      # succeeded, oldest first
         self._client_queues: dict[str, list[_Flight]] = {}
         self._rr: list[str] = []
         self._queued = 0
@@ -530,16 +534,40 @@ class SimulationService:
             self._records.pop(next(iter(self._records)))
         return record
 
+    def _keep(self, flight: _Flight) -> None:
+        self._done[flight.digest] = flight
+        while len(self._done) > MAX_RECORDS:
+            self._done.pop(next(iter(self._done)))
+
+    def _finished(self, digest: str,
+                  job: Optional[Job] = None) -> Optional[_Flight]:
+        """The finished flight for ``digest``, or ``None``: the kept one
+        if its job key equals ``job.key`` (the guard
+        ``ResultCache.load(key=)`` applies on disk), else one rendered
+        from the verified disk entry, kept only for a request (``job``).
+        """
+        flight = self._done.get(digest)
+        if flight is not None and (job is None or flight.job.key == job.key):
+            return flight
+        cached = self.cache.load(digest, job.key if job else None)
+        if cached is MISS:
+            return None
+        flight = _Flight(digest, job)
+        flight.finish(result_body(digest, cached))
+        if job is not None:
+            self._keep(flight)
+        return flight
+
     async def submit(self, job: Job, client: str,
                      degraded_fn: Optional[Callable[[], Any]] = None,
                      ) -> JobRecord:
         """Admit one request; returns its :class:`JobRecord`.
 
-        Fast paths resolve immediately (``source`` tells which): a
-        warm cache digest (``"hit"``) or an identical config already
-        queued/simulating (``"coalesced"``).  A genuine miss
-        (``"miss"``) is enqueued on the submitting client's FIFO
-        queue.  Raises :class:`AdmissionError` when the client's token
+        Fast paths resolve immediately (``source`` tells which): an
+        identical config already queued/simulating (``"coalesced"``)
+        or a finished digest (``"hit"``: a kept flight, else the disk
+        cache).  A genuine miss (``"miss"``) is enqueued on the
+        submitting client's FIFO queue.  Raises :class:`AdmissionError` when the client's token
         bucket is empty or the pending queue is full, and
         :class:`ValueError` for uncacheable jobs (no key).
 
@@ -567,11 +595,9 @@ class SimulationService:
             self.metrics.coalesced += 1
             return self._record(client, "coalesced", flight)
 
-        cached = self.cache.load(digest, job.key)
-        if cached is not MISS:
+        flight = self._finished(digest, job)
+        if flight is not None:
             self.metrics.hits += 1
-            flight = _Flight(digest, job, client)
-            flight.finish(result_body(digest, cached))
             return self._record(client, "hit", flight)
 
         if not self.breaker.allow():
@@ -579,7 +605,7 @@ class SimulationService:
                 loop = asyncio.get_running_loop()
                 rows = await loop.run_in_executor(None, degraded_fn)
                 self.metrics.degraded += 1
-                flight = _Flight(digest, job, client)
+                flight = _Flight(digest, job)
                 flight.finish(degraded_body(digest, rows))
                 return self._record(client, "degraded", flight)
             self.metrics.rejected["breaker-open"] += 1
@@ -606,7 +632,7 @@ class SimulationService:
                 self.breaker.release_probe()
             raise RuntimeError("service not started (await start())")
         self.metrics.misses += 1
-        flight = _Flight(digest, job, client)
+        flight = _Flight(digest, job)
         flight.probe = probe
         self._flights[digest] = flight
         self._enqueue(client, flight)
@@ -628,14 +654,9 @@ class SimulationService:
         return self._records.get(job_id)
 
     def result_bytes(self, digest: str) -> Optional[bytes]:
-        """Canonical body for a cached digest (``None`` on miss)."""
-        flight = self._flights.get(digest)
-        if flight is not None and flight.status == "done":
-            return flight.body
-        cached = self.cache.load(digest)
-        if cached is MISS:
-            return None
-        return result_body(digest, cached)
+        """Canonical body for a finished digest (``None`` on miss)."""
+        flight = self._finished(digest)
+        return None if flight is None else flight.body
 
     def metrics_snapshot(self) -> dict:
         return self.metrics.snapshot(self.cache, self._queued,
@@ -725,6 +746,7 @@ class SimulationService:
                 pass  # serving the result beats persisting it
             self.metrics.completed += 1
             flight.finish(result_body(flight.digest, result))
+            self._keep(flight)
         finally:
             self._running -= 1
             self._flights.pop(flight.digest, None)

@@ -118,7 +118,8 @@ def test_result_endpoint_serves_cached_digest():
 def test_result_endpoint_is_immutable_cacheable_with_etag():
     """Results are content-addressed, so GET /results/<digest> carries
     an immutable Cache-Control plus a digest ETag, and revalidation
-    with If-None-Match short-circuits to an empty 304."""
+    with If-None-Match (weak comparison) short-circuits to an empty
+    304."""
     async def body(host, port, service):
         reader, writer = await open_http(host, port)
         try:
@@ -142,6 +143,16 @@ def test_result_endpoint_is_immutable_cacheable_with_etag():
             assert body_bytes == b""
             assert rh["etag"] == f'"{digest}"'
             assert "immutable" in rh["cache-control"]
+
+            # If-None-Match compares weakly (RFC 9110 §13.1.2): a weak
+            # validator matches, alone or anywhere in a list.
+            for validator in (f'W/"{digest}"',
+                              '"' + "0" * 64 + f'", W/"{digest}"'):
+                status, _rh, body_bytes = await http_request(
+                    reader, writer, "GET", f"/results/{digest}",
+                    headers=(("If-None-Match", validator),))
+                assert status == 304, validator
+                assert body_bytes == b""
 
             # Wildcard matches anything cached.
             status, _rh, body_bytes = await http_request(

@@ -14,6 +14,7 @@ and counters with the test body.
 import asyncio
 import json
 import math
+import os
 import random
 import tempfile
 import threading
@@ -26,6 +27,7 @@ from repro.runner.supervisor import RetryPolicy
 from repro.serve import (AdmissionError, BreakerOpen, CircuitBreaker,
                          ServiceConfig, ServiceMetrics, SimulationService,
                          TokenBucket, result_body)
+from repro.serve import service as service_module
 
 # Shared state for thread-executor jobs (the pool shares our memory).
 _LOCK = threading.Lock()
@@ -172,10 +174,143 @@ def test_prewarmed_cache_serves_hit_without_execution():
         job = _job(_counted_job, "prewarmed")
         digest = service.cache.digest(job.key)
         service.cache.store(digest, job.key, {"rows": [9]})
+        # GET /results reads the disk entry but does not keep it ...
+        assert service.result_bytes(digest) == \
+            result_body(digest, {"rows": [9]})
         record = await service.submit(job, "a")
         assert record.source == "hit"
         assert record.flight.body == result_body(digest, {"rows": [9]})
+        assert service.cache.hits == 2
+        # ... a request does: its repeat is answered from memory.
+        repeat = await service.submit(job, "b")
+        assert repeat.flight is record.flight
+        assert service.cache.hits == 2
         assert _RUNS == []
+    serve_run(body)
+
+
+# -- kept flights ----------------------------------------------------------
+
+def test_warm_hit_reads_no_disk():
+    """A finished flight is kept: with its disk entry corrupted, then
+    deleted, repeats still return the miss's bytes and never read the
+    disk cache."""
+    async def body(service):
+        record = await service.submit(_job(_counted_job, "kept"), "a")
+        await service.wait(record)
+        path = service.cache._path(record.digest)
+        with open(path, "r+b") as fh:
+            fh.seek(80)
+            fh.write(b"\xde\xad\xbe\xef")
+        disk = (service.cache.hits, service.cache.misses)
+        corrupted = await service.submit(_job(_counted_job, "kept"), "b")
+        os.remove(path)
+        deleted = await service.submit(_job(_counted_job, "kept"), "c")
+        assert (corrupted.source, deleted.source) == ("hit", "hit")
+        assert corrupted.flight is record.flight is deleted.flight
+        assert service.result_bytes(record.digest) == record.flight.body
+        assert (service.cache.hits, service.cache.misses) == disk
+        assert service.cache.corrupt == 0
+        assert _RUNS == ["kept"]
+    serve_run(body)
+
+
+def test_kept_flights_drop_the_oldest_past_the_bound(monkeypatch):
+    """At most MAX_RECORDS finished flights are kept, oldest dropped
+    first; a dropped digest is a disk hit and is kept again, and a
+    flight still in progress is never dropped."""
+    monkeypatch.setattr(service_module, "MAX_RECORDS", 2)
+
+    async def body(service):
+        slow = await service.submit(_gate("slow"), "a")
+        await _wait_started("slow")
+        done = []
+        for name in ("k1", "k2", "k3"):
+            record = await service.submit(_job(_counted_job, name), "a")
+            done.append(await service.wait(record))
+
+        hits = service.cache.hits
+        again = await service.submit(_job(_counted_job, "k1"), "b")
+        assert again.source == "hit"
+        assert again.flight is not done[0].flight    # k1 was dropped
+        assert again.flight.body == done[0].flight.body
+        assert service.cache.hits == hits + 1         # read from disk
+        replay = await service.submit(_job(_counted_job, "k1"), "c")
+        assert replay.flight is again.flight          # ... and kept
+        assert service.cache.hits == hits + 1
+        newest = await service.submit(_job(_counted_job, "k3"), "c")
+        assert newest.flight is done[2].flight
+
+        joined = await service.submit(_job(_gated_job, "slow"), "b")
+        assert joined.source == "coalesced"
+        assert joined.flight is slow.flight
+        _GATES["slow"].set()
+        await service.wait(slow, timeout=30.0)
+        repeat = await service.submit(_job(_gated_job, "slow"), "c")
+        assert repeat.source == "hit" and repeat.flight is slow.flight
+        assert _RUNS == ["k1", "k2", "k3", "slow"]
+    serve_run(body)
+
+
+def test_failed_flight_is_not_kept():
+    async def body(service):
+        first = await service.submit(_job(_flaky_job, "once"), "a")
+        await service.wait(first, timeout=30.0)
+        assert first.status == "failed"
+        second = await service.submit(_job(_flaky_job, "once"), "b")
+        assert second.source == "miss"
+        await service.wait(second, timeout=30.0)
+        assert second.status == "done"
+        assert json.loads(second.flight.body)["result"]["calls"] == 2
+    serve_run(body)
+
+
+def test_degraded_answer_is_not_kept():
+    """Once the breaker closes, a digest first answered degraded is
+    simulated, and its kept body carries no degraded marker."""
+    clock = [0.0]
+
+    async def body(service):
+        bad = await service.submit(_job(_failing_job, "bad"), "a")
+        await service.wait(bad, timeout=30.0)
+        assert service.breaker.state == "open"
+        approx = await service.submit(
+            _job(_counted_job, "d"), "b",
+            degraded_fn=lambda: [{"analytical": True}])
+        assert approx.source == "degraded"
+
+        clock[0] += 61.0                    # cooldown over: half-open
+        probe = await service.submit(_job(_counted_job, "d"), "c",
+                                     degraded_fn=lambda: [])
+        assert probe.source == "miss"
+        await service.wait(probe, timeout=30.0)
+        assert service.breaker.state == "closed"
+        again = await service.submit(_job(_counted_job, "d"), "d")
+        assert again.source == "hit" and again.flight is probe.flight
+        payload = json.loads(again.flight.body)
+        assert "degraded" not in payload
+        assert payload["result"] == {"name": "d", "rows": [1, 2, 3]}
+        assert _RUNS == ["d"]
+    serve_run(body, breaker_threshold=1, breaker_cooldown=60.0,
+              degraded=True, clock=lambda: clock[0])
+
+
+def test_key_mismatch_under_one_digest_is_not_served_from_memory(
+        monkeypatch):
+    """Two keys forced onto one digest: the second must not be served
+    the first's kept body."""
+    monkeypatch.setattr(service_module, "key_digest",
+                        lambda key: "ab" * 32)
+
+    async def body(service):
+        first = await service.submit(_job(_counted_job, "one"), "a")
+        await service.wait(first)
+        other = await service.submit(_job(_counted_job, "two"), "b")
+        assert other.digest == first.digest
+        assert other.source == "miss"
+        await service.wait(other)
+        assert json.loads(other.flight.body)["result"]["name"] == "two"
+        assert _RUNS == ["one", "two"]
     serve_run(body)
 
 
