@@ -11,19 +11,14 @@ from conftest import run_once
 
 from repro.analysis import format_table, run_application_experiment
 from repro.config import paper_parameters
-from repro.workloads import apsp, barnes_hut, lu
+from repro.workloads import apsp, barnes_hut, lu, paper_app_configs
 
 SCHEMES = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
 
 
 def _configs(scale):
     if scale == "paper":
-        return [
-            ("barnes-hut",
-             barnes_hut.BHConfig(bodies=128, steps=4, processors=16)),
-            ("lu", lu.LUConfig(n=128, block=8, processors=16)),
-            ("apsp", apsp.APSPConfig(vertices=64, processors=16)),
-        ]
+        return list(paper_app_configs().items())
     return [
         ("barnes-hut",
          barnes_hut.BHConfig(bodies=48, steps=2, processors=16)),

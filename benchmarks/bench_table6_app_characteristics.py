@@ -10,18 +10,16 @@ generators.
 from conftest import run_once
 
 from repro.analysis import format_table
-from repro.workloads import apsp, barnes_hut, lu
+from repro.workloads import apsp, barnes_hut, lu, paper_app_configs
 from repro.workloads.traces import trace_stats
 
 
 def _configs(scale):
     if scale == "paper":
-        return [
-            ("Barnes-Hut", barnes_hut,
-             barnes_hut.BHConfig(bodies=128, steps=4, processors=16)),
-            ("LU", lu, lu.LUConfig(n=128, block=8, processors=16)),
-            ("APSP", apsp, apsp.APSPConfig(vertices=64, processors=16)),
-        ]
+        paper = paper_app_configs()
+        return [("Barnes-Hut", barnes_hut, paper["barnes-hut"]),
+                ("LU", lu, paper["lu"]),
+                ("APSP", apsp, paper["apsp"])]
     return [
         ("Barnes-Hut", barnes_hut,
          barnes_hut.BHConfig(bodies=64, steps=2, processors=16)),

@@ -6,10 +6,10 @@ Three acts (docs/AUDIT.md):
 1. **Soak** — run a handful of seeded chaos scenarios (randomized
    workloads under fault storms) with the runtime invariant auditor at
    ``full``; the unmutated protocol survives all of them.
-2. **Catch** — register a deliberately broken *custom checker* (a toy
-   policy the protocol never promised to uphold), so one scenario
-   "fails"; the engine greedily shrinks it to a minimal scenario and
-   writes a JSON repro bundle.
+2. **Catch** — run a scenario with the ``stale-sharer`` protocol
+   mutation (one cache invalidation silently skipped); the auditor
+   catches it, and the engine greedily shrinks the scenario to a
+   minimal one and writes a JSON repro bundle.
 3. **Replay** — load the bundle back, re-run it deterministically, and
    show the protocol-event trail that explains the violation.
 
@@ -38,26 +38,17 @@ for seed in range(5):
 
 
 # ----------------------------------------------------------------------
-# Act 2: a deliberately broken checker — catch, shrink, bundle
+# Act 2: a deliberately broken protocol — catch, shrink, bundle
 # ----------------------------------------------------------------------
-def no_node_may_cache_block_zero(auditor, event):
-    """Toy invariant the protocol never promised: block 0 is sacred."""
-    if event.kind == "cache.install" and event.block == 0:
-        return "toy policy: block 0 must never be cached"
-    return None
-
-
-print("\n== Act 2: a broken toy checker catches, shrinks, bundles ==")
-scenario = generate_scenario(1, smoke=True)
-result = run_scenario(scenario, audit="full",
-                      checker=no_node_may_cache_block_zero)
+print("\n== Act 2: a mutated protocol is caught, shrunk, bundled ==")
+scenario = generate_scenario(1, smoke=True, mutation="stale-sharer")
+result = run_scenario(scenario, audit="full")
 assert not result.ok
 print(f"  caught:  {result.signature} at cycle {result.cycle}")
 print(f"  from:    mesh {scenario.mesh_width}x{scenario.mesh_height}, "
       f"{scenario.refs_per_node} refs/node, {scenario.blocks} blocks")
 
-shrunk, runs = shrink(result, checker=no_node_may_cache_block_zero,
-                      max_runs=24)
+shrunk, runs = shrink(result, max_runs=24)
 small = shrunk.scenario
 print(f"  shrunk:  mesh {small.mesh_width}x{small.mesh_height}, "
       f"{small.refs_per_node} refs/node, {small.blocks} blocks "
@@ -74,13 +65,12 @@ print(f"  bundle:  {bundle_path}")
 # ----------------------------------------------------------------------
 print("\n== Act 3: replay the bundle ==")
 bundle = load_bundle(str(bundle_path))
-replayed, matched = replay_bundle(bundle,
-                                  checker=no_node_may_cache_block_zero)
+replayed, matched = replay_bundle(bundle)
 assert matched, "bundles must replay to the same signature"
 print(f"  expected {bundle['signature']!r}, observed "
       f"{replayed.signature!r} — signature reproduced")
 print("  protocol-event trail (most recent last):")
 for line in replayed.trail[-8:]:
     print(f"    {line}")
-print("\nCustom checkers are code: replaying this bundle elsewhere needs "
-      "the same checker passed to replay_bundle (repro replay warns).")
+print(f"\nThe bundle is plain JSON: `repro replay {bundle_path}` "
+      f"reproduces it from the command line.")

@@ -50,11 +50,12 @@ def _draw_patterns(params: SystemParameters, degrees: Sequence[int],
 def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
                 per_degree: int = 1, degrees: Sequence[int] = (),
                 params: Optional[SystemParameters] = None,
-                drop_probs: Sequence[float] = ()) -> None:
+                drop_probs: Sequence[float] = (), seed: int = 0) -> None:
     """Raise :class:`ConfigError` for bad sweep axes before any job is
     built (inside a job they would end in a retried ``JobFailed``).
     ``degrees`` are bounded by what a ``kind`` pattern can draw on the
-    mesh of ``params``."""
+    mesh of ``params``; ``seed`` seeds numpy's generator, which takes
+    no negative seed."""
     for scheme in schemes:
         if not isinstance(scheme, str) or scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; choose from "
@@ -65,6 +66,8 @@ def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
     if per_degree < 1:
         raise ConfigError(f"need >= 1 transaction per point, got "
                           f"{per_degree}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     mesh = _mesh_of(params) if params is not None else None
     for degree in degrees:
         limit = max_degree(kind, mesh)
@@ -160,7 +163,7 @@ def run_invalidation_sweep(schemes: Sequence[str], degrees: Sequence[int],
     """
     params = params or paper_parameters()
     check_sweep(schemes, kind=kind, per_degree=per_degree, degrees=degrees,
-                params=params)
+                params=params, seed=seed)
     workers, cache = resolve_execution(jobs, use_cache, cache)
     job_list = [scheme_job(scheme, degrees, per_degree, params, kind, seed,
                            home, label=f"sweep:{scheme}")
@@ -210,7 +213,7 @@ def run_analytical_sweep(schemes: Sequence[str], degrees: Sequence[int],
     (identical pattern stream, closed-form measures)."""
     params = params or paper_parameters()
     check_sweep(schemes, kind=kind, per_degree=per_degree, degrees=degrees,
-                params=params)
+                params=params, seed=seed)
     workers, cache = resolve_execution(jobs, use_cache, cache)
     job_list = [scheme_job(scheme, degrees, per_degree, params, kind, seed,
                            analytical=True, label=f"analytical:{scheme}")

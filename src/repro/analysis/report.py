@@ -9,7 +9,7 @@ data after a change.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import (miss_latency_micro,
+from repro.analysis.experiments import (check_sweep, miss_latency_micro,
                                         read_miss_breakdown,
                                         run_analytical_sweep,
                                         run_application_experiment,
@@ -26,15 +26,10 @@ APP_SCHEMES = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
 
 
 def _app_configs(scale: str):
-    from repro.workloads import apsp, barnes_hut, lu
+    from repro.workloads import apsp, barnes_hut, lu, paper_app_configs
 
     if scale == "paper":
-        return [
-            ("barnes-hut",
-             barnes_hut.BHConfig(bodies=128, steps=4, processors=16)),
-            ("lu", lu.LUConfig(n=128, block=8, processors=16)),
-            ("apsp", apsp.APSPConfig(vertices=64, processors=16)),
-        ]
+        return list(paper_app_configs().items())
     if scale == "smoke":
         return [
             ("barnes-hut",
@@ -65,6 +60,7 @@ def generate_report(scale: str = "ci", seed: int = 11,
     if scale not in ("ci", "paper", "smoke"):
         raise ValueError("scale must be 'ci', 'paper', or 'smoke'")
     resolve_jobs(jobs)
+    check_sweep(SWEEP_SCHEMES, seed=seed)
     execution = {"jobs": jobs, "use_cache": use_cache}
     say = progress or (lambda msg: None)
     width = {"smoke": 4, "ci": 8, "paper": 16}[scale]

@@ -6,7 +6,7 @@ worm conservation — into executable, continuously-checked assertions
 over a live simulation, at levels ``off`` / ``cheap`` / ``full``.
 """
 
-from repro.audit.auditor import Auditor, Checker
+from repro.audit.auditor import Auditor, violate
 from repro.audit.trail import EventTrail, TrailEvent
 from repro.audit.violations import (AUDIT_ENV_VAR, AUDIT_LEVELS,
                                     InvariantViolation, resolve_level)
@@ -15,9 +15,9 @@ __all__ = [
     "AUDIT_ENV_VAR",
     "AUDIT_LEVELS",
     "Auditor",
-    "Checker",
     "EventTrail",
     "InvariantViolation",
     "TrailEvent",
     "resolve_level",
+    "violate",
 ]

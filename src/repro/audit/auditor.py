@@ -13,12 +13,17 @@ Audit levels:
 * ``off``   — no auditor is constructed; every hook site is a single
   ``is None`` test (≈zero overhead, bit-identical output);
 * ``cheap`` — protocol- and worm-event trail + per-transaction
-  conservation checks at transaction completion + the final quiescence
-  sweep;
+  conservation checks at transaction completion + the final sweep of
+  open transactions, worm counts, SWMR and directory/cache agreement;
 * ``full``  — ``cheap`` plus per-event global checks: SWMR scans on
   every exclusive grant and modified-line install, directory/cache
   agreement on every install, and WAITING-state discipline on every
   directory transition.
+
+Quiescence itself (drained directories, no pending miss, no leaked
+i-ack entry) is checked at every level, ``off`` included, by
+:meth:`~repro.coherence.system.DSMSystem.assert_quiescent` through
+:func:`violate`, so it raises the same typed violations.
 
 Invariant catalog (executable forms; paper-section citations in
 ``docs/AUDIT.md``):
@@ -47,18 +52,14 @@ Invariant catalog (executable forms; paper-section citations in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, NoReturn, Optional, TYPE_CHECKING
 
-from repro.audit.trail import EventTrail, TrailEvent
+from repro.audit.trail import EventTrail
 from repro.audit.violations import InvariantViolation, resolve_level
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.coherence.system import DSMSystem
     from repro.core.engine import InvalidationEngine
-
-#: A custom checker: ``fn(auditor, event) -> None | str`` — a returned
-#: string is reported as a violation of invariant ``custom:<fn name>``.
-Checker = Callable[["Auditor", TrailEvent], Optional[str]]
 
 #: Deferred-queue occupancy bound per directory entry: every node may
 #: have one outstanding access plus one crossing writeback in flight.
@@ -100,9 +101,6 @@ class Auditor:
         self.trail = EventTrail(trail_limit)
         #: Violations found (each is also raised at detection time).
         self.violations: list[InvariantViolation] = []
-        #: Custom checkers run on every recorded event (toy/extension
-        #: point; see ``examples/chaos_replay.py``).
-        self.checkers: list[Checker] = []
         self._txns: dict[Any, _TxnAudit] = {}
         #: Transactions audited to completion.
         self.txns_checked = 0
@@ -148,10 +146,6 @@ class Auditor:
         engine.audit = auditor
         return auditor
 
-    def add_checker(self, fn: Checker) -> None:
-        """Register a custom checker run on every recorded event."""
-        self.checkers.append(fn)
-
     # ------------------------------------------------------------------
     # Violation plumbing
     # ------------------------------------------------------------------
@@ -169,15 +163,6 @@ class Auditor:
                 detail: str = "", worm: Optional[int] = None) -> None:
         self.trail.record(self.sim.now, kind, node, block, txn, detail,
                           worm)
-        if self.checkers:
-            event = TrailEvent(self.sim.now, kind, node, block, txn, detail,
-                               worm)
-            for fn in self.checkers:
-                verdict = fn(self, event)
-                if verdict is not None:
-                    name = getattr(fn, "__name__", "checker")
-                    self._violate(f"custom:{name}", verdict, node=node,
-                                  block=block, txn=txn)
 
     # ------------------------------------------------------------------
     # Cache hooks (installed on every Cache when system-attached)
@@ -442,11 +427,12 @@ class Auditor:
         self._worm("worm.resume", node, worm, f"acks={worm.acks_carried}")
 
     # ------------------------------------------------------------------
-    # Final quiescence sweep
+    # Final sweep
     # ------------------------------------------------------------------
     def final_check(self) -> None:
-        """End-of-run sweep: worm conservation, leaked buffer entries,
-        open transactions, directory/cache agreement at rest.
+        """End-of-run sweep of what only an auditor tracks: open
+        transactions, worm counts, and SWMR and directory/cache
+        agreement at rest.
 
         Worm conservation is only decidable when the network is idle; a
         run stopped with traffic still in flight (e.g. an eviction
@@ -461,18 +447,11 @@ class Auditor:
                 f"{len(self.engine._txns)} invalidation transaction(s) "
                 f"still open at quiescence: "
                 f"{sorted(self.engine._txns)}")
-        swallowed = leaked = 0
-        for iface in net.interfaces:
-            iack = iface.iack
-            swallowed += iack.swallowed
-            leaked += len(iack._entries)
-        if leaked:
-            self._violate(
-                "worm-conservation",
-                f"{leaked} i-ack buffer entr(ies) leaked at quiescence")
         if net.idle():
             # Fault-dropped worms are filtered at injection time and
             # never counted in ``injected``, so they do not appear here.
+            swallowed = sum(iface.iack.swallowed
+                            for iface in net.interfaces)
             accounted = net.delivered + swallowed
             if net.injected != accounted:
                 self._violate(
@@ -491,13 +470,6 @@ class Auditor:
         for directory in system.dirs:
             for block in directory.known_blocks():
                 entry = directory.entry(block)
-                if entry.busy or entry.queue or entry.in_service:
-                    self._violate(
-                        "waiting-discipline",
-                        f"entry {block} at home {directory.home} not "
-                        f"quiescent (state={entry.state.value}, "
-                        f"queued={len(entry.queue)}, "
-                        f"in_service={entry.in_service})", block=block)
                 holders = [c for c in system.caches if block in c]
                 if entry.state is DirectoryState.EXCLUSIVE:
                     strangers = [c.node for c in holders
@@ -526,3 +498,15 @@ class Auditor:
                                 f"without presence bits "
                                 f"(presence={sorted(entry.presence)}, "
                                 f"state={entry.state.value})", block=block)
+
+
+def violate(audit: Optional[Auditor], sim, invariant: str, message: str,
+            *, node: Optional[int] = None, block: Optional[int] = None,
+            txn: Any = None) -> NoReturn:
+    """Raise an :class:`InvariantViolation` of ``invariant`` at
+    ``sim.now``, at every audit level: through ``audit`` (which records
+    it and attaches the trail) when one is installed, bare otherwise."""
+    if audit is not None:
+        audit._violate(invariant, message, node=node, block=block, txn=txn)
+    raise InvariantViolation(invariant, message, cycle=sim.now, node=node,
+                             block=block, txn=txn)

@@ -1,10 +1,13 @@
 """Typed invariant violations and audit-level resolution.
 
-An :class:`InvariantViolation` is the auditor's terminal finding: a
-protocol invariant (see ``docs/AUDIT.md`` for the catalog) observably
-broke at a specific cycle, and the exception carries enough context —
-invariant name, cycle, node, block, transaction, and the tail of the
-protocol-event trail — to localize the bug without re-running.
+An :class:`InvariantViolation` is the one terminal finding of a
+protocol check — the auditor's, or one of the checks that run at every
+audit level (quiescence, the engine's ack accounting): a protocol
+invariant (see ``docs/AUDIT.md`` for the catalog) observably broke at a
+specific cycle, and the exception carries enough context — invariant
+name, cycle, node, block, transaction, and, when an auditor is
+installed, the tail of the protocol-event trail — to localize the bug
+without re-running.
 
 Audit levels order ``off < cheap < full``.  The effective level of a run
 is the *stricter* of the level a run's auditor is installed with and

@@ -11,7 +11,7 @@ re-runs the scenario and verifies the signature matches.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.chaos.scenario import ChaosResult, ChaosScenario, run_scenario
 
@@ -56,15 +56,9 @@ def load_bundle(path: str) -> dict:
     return bundle
 
 
-def replay_bundle(bundle: dict,
-                  checker: Optional[Callable] = None
-                  ) -> tuple[ChaosResult, bool]:
+def replay_bundle(bundle: dict) -> tuple[ChaosResult, bool]:
     """Re-run a bundle's scenario; returns ``(result, matched)`` where
-    ``matched`` is True when the failure signature reproduced exactly.
-
-    Bundles captured from a custom checker need the same ``checker``
-    passed back in (checkers are code and cannot be serialized)."""
+    ``matched`` is True when the failure signature reproduced exactly."""
     scenario = ChaosScenario.from_dict(bundle["scenario"])
-    result = run_scenario(scenario, audit=bundle.get("audit", "full"),
-                          checker=checker)
+    result = run_scenario(scenario, audit=bundle.get("audit", "full"))
     return result, result.signature == bundle["signature"]

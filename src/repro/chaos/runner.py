@@ -3,9 +3,9 @@
 Backs ``repro chaos`` and the CI ``chaos-soak`` job: every seed draws a
 scenario (randomized workload x fault storm), runs it under ``full``
 auditing, and on any unexpected outcome — invariant violation, fault-
-free ``TransactionFailed``, deadlock, hang — greedily shrinks the
-scenario and writes a JSON repro bundle that ``repro replay`` re-runs
-deterministically.
+free ``TransactionFailed``, deadlock, hang, any other exception —
+greedily shrinks the scenario and writes a JSON repro bundle that
+``repro replay`` re-runs deterministically.
 """
 
 from __future__ import annotations
@@ -38,15 +38,9 @@ def _scenario_job(scenario: ChaosScenario, audit: str) -> dict:
 
 
 def _soak_results(scenarios: list[ChaosScenario], audit: str,
-                  checker: Optional[Callable], workers: int,
-                  cache) -> list[ChaosResult]:
-    """Classify every scenario — fanned out and cache-replayed through
-    :mod:`repro.runner` except when a custom ``checker`` is attached
-    (an arbitrary callable can be neither pickled to a worker nor
-    hashed into a cache key, so those soaks stay serial and fresh)."""
-    if checker is not None:
-        return [run_scenario(s, audit=audit, checker=checker)
-                for s in scenarios]
+                  workers: int, cache) -> list[ChaosResult]:
+    """Classify every scenario, fanned out and cache-replayed through
+    :mod:`repro.runner`."""
     job_list = [
         Job(fn=_scenario_job, args=(scenario, audit),
             key={"fn": "chaos/scenario", "scenario": scenario.to_dict(),
@@ -61,7 +55,6 @@ def _soak_results(scenarios: list[ChaosScenario], audit: str,
 def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
               out_dir: str = "chaos-bundles", base_seed: int = 0,
               mutation: Optional[str] = None,
-              checker: Optional[Callable] = None,
               max_shrink_runs: int = 48,
               log: Callable[[str], None] = lambda msg: None,
               jobs: int = 1, use_cache: bool = False,
@@ -81,11 +74,13 @@ def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
     does invalidate on any source change, a fresh run is the
     conservative default for a bug-hunting loop; with it, a re-run of
     an interrupted soak replays the seeds already soaked.
-    ``seeds < 1``, ``max_shrink_runs < 0`` or an unknown ``mutation``
-    raises :class:`~repro.config.ConfigError`.
+    ``seeds < 1``, ``base_seed < 0``, ``max_shrink_runs < 0`` or an
+    unknown ``mutation`` raises :class:`~repro.config.ConfigError`.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
+    if base_seed < 0:
+        raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
     if max_shrink_runs < 0:
         raise ConfigError(f"max_shrink_runs must be >= 0, got "
                           f"{max_shrink_runs}")
@@ -96,7 +91,7 @@ def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
     scenarios = [generate_scenario(base_seed + i, smoke=smoke,
                                    mutation=mutation)
                  for i in range(seeds)]
-    results = _soak_results(scenarios, audit, checker, workers, cache)
+    results = _soak_results(scenarios, audit, workers, cache)
 
     passed = failed = expected = 0
     bundles: list[str] = []
@@ -112,7 +107,7 @@ def run_chaos(seeds: int, *, smoke: bool = False, audit: str = "full",
         failed += 1
         signatures.append(result.signature)
         log(f"seed {scenario.seed}: {result.signature} — shrinking")
-        shrunk, runs = shrink(result, audit=audit, checker=checker,
+        shrunk, runs = shrink(result, audit=audit,
                               max_runs=max_shrink_runs, log=log)
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(

@@ -7,8 +7,9 @@ seeded :class:`~repro.faults.plan.FaultPlan` composed of bursty link and
 router kills plus probabilistic worm drops — exactly the machinery (PR 1
 and 2's retransmission, downgrades, rerouting) that historically breaks
 coherence protocols silently.  :func:`run_scenario` executes it under
-the runtime invariant auditor and classifies the outcome into a stable
-*failure signature* the shrinker and repro bundles key on.
+the runtime invariant auditor and classifies the outcome, by exception
+type, into a stable *failure signature* the shrinker and repro bundles
+key on.
 
 Deliberate protocol *mutations* (:data:`MUTATIONS`) exist to prove the
 pipeline end to end: a mutated run must be caught by the auditor, shrunk
@@ -28,10 +29,8 @@ from repro.coherence.processor import run_program
 from repro.coherence.system import DSMSystem
 from repro.config import paper_parameters
 from repro.faults import FaultPlan, TransactionFailed
-from repro.network.interface import IAckProtocolError
-from repro.network.routing import RoutingError
 from repro.network.topology import Mesh2D
-from repro.sim import SimulationError, Simulator
+from repro.sim import Simulator
 
 #: Schemes the generator draws from (one per style: pure unicast,
 #: multidestination-invalidate, and multidestination both ways).
@@ -206,32 +205,29 @@ class ChaosResult:
         return self.signature is None
 
 
-def run_scenario(scenario: ChaosScenario, audit: str = "full",
-                 checker: Optional[Callable] = None) -> ChaosResult:
-    """Execute one scenario deterministically and classify the outcome.
+def run_scenario(scenario: ChaosScenario,
+                 audit: str = "full") -> ChaosResult:
+    """Execute one scenario deterministically and classify the outcome
+    by the type of what it raised; no message text is read.
 
     Failure signatures deliberately exclude cycle numbers and node ids,
     so a shrunk scenario (same bug, different timing) still matches:
 
-    * ``InvariantViolation:<invariant>`` — the auditor caught a broken
-      protocol invariant;
+    * ``InvariantViolation:<invariant>`` — a protocol invariant broke
+      (caught by the auditor, the engine's ack accounting, or the
+      quiescence check);
     * ``TransactionFailed`` — a transaction failed terminally on a
       *fault-free* plan (under faults an exhausted retry budget is the
       expected, typed outcome and counts as success);
-    * ``Deadlock`` — the network's hold-and-wait cycle detector fired;
-    * ``Hang`` — the run exceeded the scenario's cycle budget;
-    * ``RoutingError`` / ``IAckProtocolError`` / ``AssertionError`` —
-      lower-level protocol machinery failed.
-
-    ``checker`` is an extra custom checker registered on the auditor
-    (see :meth:`repro.audit.Auditor.add_checker`).
+    * any other exception's class name: ``Deadlock`` (the network's
+      hold-and-wait detector fired, or the calendar drained first),
+      ``Hang`` (the cycle budget ran out), ``RoutingError``,
+      ``IAckProtocolError``, ``AssertionError``, ``SimulationError``
+      (simulation-kernel misuse), ...
     """
     system = build_system(scenario, audit=audit)
-    if checker is not None and system.audit is not None:
-        system.audit.add_checker(checker)
-    traces = build_traces(scenario)
     try:
-        run_program(system, traces, limit=scenario.limit)
+        run_program(system, build_traces(scenario), limit=scenario.limit)
     except InvariantViolation as exc:
         return ChaosResult(scenario, exc.signature, message=str(exc),
                            cycle=exc.cycle, trail=exc.trail)
@@ -245,19 +241,8 @@ def run_scenario(scenario: ChaosScenario, audit: str = "full",
                                metrics=system.metrics_snapshot())
         return ChaosResult(scenario, "TransactionFailed", message=str(exc),
                            cycle=system.sim.now)
-    except RoutingError as exc:
-        return ChaosResult(scenario, "RoutingError", message=str(exc),
-                           cycle=system.sim.now)
-    except IAckProtocolError as exc:
-        return ChaosResult(scenario, "IAckProtocolError", message=str(exc),
-                           cycle=system.sim.now)
-    except SimulationError as exc:
-        text = str(exc)
-        signature = "Hang" if "cycle limit" in text else "Deadlock"
-        return ChaosResult(scenario, signature, message=text,
-                           cycle=system.sim.now)
-    except AssertionError as exc:
-        return ChaosResult(scenario, "AssertionError", message=str(exc),
+    except Exception as exc:
+        return ChaosResult(scenario, type(exc).__name__, message=str(exc),
                            cycle=system.sim.now)
     return ChaosResult(scenario, None,
                        metrics=system.metrics_snapshot())

@@ -11,7 +11,7 @@ bundle ships.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.chaos.scenario import ChaosResult, ChaosScenario, run_scenario
 
@@ -44,7 +44,6 @@ def _reductions(s: ChaosScenario) -> list[ChaosScenario]:
 
 def shrink(result: ChaosResult, audit: str = "full",
            max_runs: int = 48,
-           checker: Optional[Callable] = None,
            log: Callable[[str], None] = lambda msg: None
            ) -> tuple[ChaosResult, int]:
     """Greedily minimize ``result.scenario`` while preserving its
@@ -67,7 +66,7 @@ def shrink(result: ChaosResult, audit: str = "full",
             if runs >= max_runs:
                 break
             runs += 1
-            attempt = run_scenario(candidate, audit=audit, checker=checker)
+            attempt = run_scenario(candidate, audit=audit)
             if attempt.signature == signature:
                 log(f"shrink: kept {signature} at "
                     f"refs={candidate.refs_per_node} "

@@ -371,16 +371,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_app(args) -> int:
     """``repro app``: run an application on the DSM."""
-    from repro.workloads import apsp, barnes_hut, lu
+    from repro.workloads import apsp, barnes_hut, lu, paper_app_configs
 
     params = paper_parameters(args.mesh)
     if args.paper_scale:
-        configs = {
-            "barnes-hut": barnes_hut.BHConfig(bodies=128, steps=4,
-                                              processors=16),
-            "lu": lu.LUConfig(n=128, block=8, processors=16),
-            "apsp": apsp.APSPConfig(vertices=64, processors=16),
-        }
+        configs = paper_app_configs()
     else:
         configs = {
             "barnes-hut": barnes_hut.BHConfig(bodies=64, steps=2,
@@ -499,12 +494,7 @@ def cmd_replay(args) -> int:
     if matched:
         print("signature reproduced")
         return 0
-    if bundle["signature"].startswith("custom:"):
-        print("signature NOT reproduced — bundles from custom checkers "
-              "need the checker re-registered "
-              "(repro.chaos.replay_bundle(bundle, checker=...))")
-    else:
-        print("signature NOT reproduced")
+    print("signature NOT reproduced")
     return 1
 
 

@@ -25,14 +25,11 @@ from repro.sim import Event, Simulator, Timeout
 class Barrier:
     """Reusable sense-reversing barrier over ``parties`` processors."""
 
-    def __init__(self, sim: Simulator, parties: int,
-                 overhead: int = 0) -> None:
+    def __init__(self, sim: Simulator, parties: int) -> None:
         if parties < 1:
             raise ValueError("barrier needs at least one party")
         self.sim = sim
         self.parties = parties
-        #: Extra cycles charged to every arrival (sync hardware cost).
-        self.overhead = overhead
         self._count = 0
         self._generation = 0
         self._event = sim.event("barrier.g0")
@@ -48,7 +45,9 @@ class Barrier:
             self._generation += 1
             self.episodes += 1
             self._event = self.sim.event(f"barrier.g{self._generation}")
-            event.schedule(self.overhead)
+            # Release waiters on a fresh dispatch, not inside the last
+            # arrival's own step.
+            event.schedule(0)
         return event
 
 
@@ -101,7 +100,6 @@ class Processor:
 
 
 def run_program(system: DSMSystem, traces: dict[int, Sequence[tuple]],
-                barrier_overhead: int = 0,
                 limit: Optional[int] = None) -> dict:
     """Replay per-node traces to completion; returns execution stats.
 
@@ -112,7 +110,7 @@ def run_program(system: DSMSystem, traces: dict[int, Sequence[tuple]],
     from repro.sim.engine import AllOf
 
     sim = system.sim
-    barrier = Barrier(sim, len(traces), overhead=barrier_overhead)
+    barrier = Barrier(sim, len(traces))
     cpus = [Processor(system, node, trace, barrier)
             for node, trace in sorted(traces.items())]
     done = AllOf(sim, [c.done for c in cpus], name="program.done")

@@ -22,9 +22,9 @@ pay controller overheads.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
-from repro.audit import Auditor
+from repro.audit import Auditor, violate
 from repro.config import SystemParameters
 from repro.coherence.cache import Cache, CacheState
 from repro.coherence.directory import Directory, DirectoryEntry, DirectoryState
@@ -587,19 +587,35 @@ class DSMSystem:
         return snapshot
 
     def assert_quiescent(self) -> None:
-        """Invariant check once all processors finished: nothing pending,
-        no waiting directory entries, no leaked i-ack buffer entries."""
-        assert not self._pending, f"pending misses: {self._pending}"
-        assert not self._recall_wait, "outstanding recalls"
-        assert all(not s for s in self._outstanding.values()), \
-            "undrained release-consistency writes"
+        """The quiescence check once all processors finished: no pending
+        miss, recall or release-consistency write, every directory entry
+        settled and drained, no leaked i-ack buffer entry.  Raises a
+        typed :class:`~repro.audit.InvariantViolation` at every audit
+        level (with the trail when an auditor is installed), then runs
+        the auditor's final sweep."""
+        def fail(invariant: str, message: str, block=None) -> NoReturn:
+            violate(self.audit, self.sim, invariant, message, block=block)
+
+        if self._pending:
+            fail("waiting-discipline",
+                 f"pending misses (node, block): {sorted(self._pending)}")
+        if self._recall_wait:
+            fail("waiting-discipline", f"outstanding recalls (home, block): "
+                                       f"{sorted(self._recall_wait)}")
+        if any(self._outstanding.values()):
+            fail("waiting-discipline", "undrained release-consistency writes")
         for d in self.dirs:
             for b in d.known_blocks():
                 e = d.entry(b)
-                assert not e.busy and not e.queue, \
-                    f"directory entry {b} at {d.home} not quiescent"
+                if e.busy or e.queue or e.in_service:
+                    fail("waiting-discipline",
+                         f"entry {b} at home {d.home} not quiescent "
+                         f"(state={e.state.value}, queued={len(e.queue)}, "
+                         f"in_service={e.in_service})", block=b)
         for node, iface in enumerate(self.net.interfaces):
-            assert not iface.iack._entries, \
-                f"leaked i-ack entries at node {node}"
+            if iface.iack._entries:
+                fail("worm-conservation",
+                     f"{len(iface.iack._entries)} i-ack buffer entr(ies) "
+                     f"leaked at node {node}")
         if self.audit is not None:
             self.audit.final_check()

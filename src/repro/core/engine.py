@@ -21,6 +21,7 @@ import itertools
 from collections import deque
 from typing import Optional
 
+from repro.audit import violate
 from repro.brcp.encoding import worm_flits
 from repro.config import SystemParameters
 from repro.core.metrics import TransactionRecord
@@ -268,8 +269,9 @@ class InvalidationEngine:
                 # fault injection; a protocol bug otherwise.
                 self.stale_deliveries += 1
                 return
-            raise RuntimeError(f"delivery for unknown transaction "
-                               f"{worm.txn!r} at node {node}")
+            violate(self.audit, self.sim, "txn-conservation",
+                    f"delivery for unknown transaction {worm.txn!r} at "
+                    f"node {node}", node=node, txn=worm.txn)
         role = worm.payload["role"]
         if role == "inval":
             if worm.payload.get("retry"):
@@ -303,8 +305,9 @@ class InvalidationEngine:
             if self.net.faults is not None:
                 self.stale_deliveries += 1
                 return
-            raise RuntimeError(f"chain delivery for unknown transaction "
-                               f"{worm.txn!r} at node {node}")
+            violate(self.audit, self.sim, "txn-conservation",
+                    f"chain delivery for unknown transaction {worm.txn!r} "
+                    f"at node {node}", node=node, txn=worm.txn)
         self.sim.spawn(self._chain_stop(st, node),
                        name=f"txn{st.txn}.chain.{node}")
 
@@ -543,8 +546,9 @@ class InvalidationEngine:
             return
         st.acks += count
         if st.acks > st.needed:
-            raise RuntimeError(
-                f"txn {st.txn}: {st.acks} acks for {st.needed} sharers")
+            violate(self.audit, self.sim, "txn-conservation",
+                    f"txn {st.txn}: {st.acks} acks for {st.needed} sharers",
+                    txn=st.txn)
         if st.acks == st.needed:
             self._finish(st)
 

@@ -11,17 +11,14 @@ calls, so calibration simulations are shared with every other consumer
 of the cache (and vice versa).
 
 Message and flit-hop counts are exact in the model (the simulator must
-agree to the flit); only latency needs a band.  Disagreements beyond
-``strict_tolerance`` on counts raise, as they indicate a bug rather
-than contention.
+agree to the flit); only latency needs a band.  Any disagreement on
+counts raises, as it indicates a bug rather than contention.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -69,14 +66,6 @@ class SchemeBand:
         return {"scheme": self.scheme, "lo": self.lo, "hi": self.hi,
                 "center": self.center, "n": self.n}
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SchemeBand":
-        band = cls(scheme=d["scheme"])
-        band.lo, band.hi = d["lo"], d["hi"]
-        band.center, band.n = d["center"], d["n"]
-        band._sum = d["center"] * d["n"]
-        return band
-
 
 @dataclass
 class Calibration:
@@ -100,20 +89,6 @@ class Calibration:
     def to_dict(self) -> dict[str, Any]:
         return {"bands": {s: b.to_dict() for s, b in self.bands.items()},
                 "samples": self.samples, "meta": self.meta}
-
-    def save(self, path: Path) -> None:
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Calibration":
-        return cls(bands={s: SchemeBand.from_dict(b)
-                          for s, b in d["bands"].items()},
-                   samples=list(d.get("samples", [])),
-                   meta=dict(d.get("meta", {})))
-
-    @classmethod
-    def load(cls, path: Path) -> "Calibration":
-        return cls.from_dict(json.loads(path.read_text()))
 
 
 def stratified_sample(result: ScreenResult, per_scheme: int,
@@ -170,23 +145,19 @@ def simulate_cells(result: ScreenResult, cells: Sequence[int],
 
 
 def apply_samples(result: ScreenResult, calib: Calibration,
-                  sims: Sequence[dict[str, Any]],
-                  strict_tolerance: float = 0.0) -> None:
+                  sims: Sequence[dict[str, Any]]) -> None:
     """Fold simulated cells into the calibration bands.  Counts must
-    match the model exactly (within ``strict_tolerance``); latency
-    feeds the per-scheme ratio band."""
+    match the model exactly; latency feeds the per-scheme ratio band."""
     for sim in sims:
         i = sim["cell"]
         scheme = result.grid.schemes[result.scheme[i]]
         analytic = float(result.latency[i])
-        if abs(sim["sim_messages"] - float(result.messages[i])) > \
-                strict_tolerance:
+        if sim["sim_messages"] != float(result.messages[i]):
             raise AssertionError(
                 f"message-count disagreement on cell {i} ({scheme}): "
                 f"sim {sim['sim_messages']} vs model "
                 f"{result.messages[i]}")
-        if abs(sim["sim_flit_hops"] - float(result.traffic[i])) > \
-                strict_tolerance:
+        if sim["sim_flit_hops"] != float(result.traffic[i]):
             raise AssertionError(
                 f"flit-hop disagreement on cell {i} ({scheme}): "
                 f"sim {sim['sim_flit_hops']} vs model "

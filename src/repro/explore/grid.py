@@ -77,7 +77,8 @@ class ScreenGrid:
                    base=tuple(sorted((base or {}).items())), **kw)
 
     def __post_init__(self) -> None:
-        check_sweep(self.schemes, kind=self.kind, per_degree=self.per_degree)
+        check_sweep(self.schemes, kind=self.kind, per_degree=self.per_degree,
+                    seed=self.seed)
         for name, _ in self.axes + self.base:
             if name not in _AXIS_FIELDS:
                 raise ConfigError(f"unknown axis {name!r}; choose from "
@@ -180,13 +181,6 @@ class ScreenResult:
             }
             for bc in bcombos:
                 yield {**core, **bc}
-
-    def cell_arrays(self) -> dict[str, np.ndarray]:
-        """Raw columnar view (atlas/refinement building block)."""
-        return {"mesh_w": self.mesh_w, "mesh_h": self.mesh_h,
-                "scheme": self.scheme, "degree": self.degree,
-                "acombo": self.acombo, "latency": self.latency,
-                "messages": self.messages, "traffic": self.traffic}
 
 
 def screen(grid: ScreenGrid) -> ScreenResult:

@@ -774,15 +774,6 @@ def welford_means(values: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _scalar_check(plan: InvalidationPlan, mesh: Mesh2D,
-                  params: SystemParameters) -> tuple[int, int, int]:
-    """Scalar reference triple for differential tests."""
-    from repro.analysis.analytical import (estimate_latency, plan_traffic)
-    return (estimate_latency(plan, params, mesh),
-            plan_message_count(plan),
-            plan_traffic(plan, params, mesh))
-
-
 def clear_compile_cache() -> None:
     """Drop memoized compiled plans (tests and benchmarks)."""
     compiled_plan.cache_clear()

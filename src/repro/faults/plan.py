@@ -32,8 +32,8 @@ class TransactionFailed(RuntimeError):
     invalidation transaction — or a coherence message under the DSM layer
     — could not complete despite NACK-driven retransmission, timeouts,
     and unicast fallback.  Carries enough context to report *which*
-    transaction died and why, unlike the kernel's generic
-    :class:`~repro.sim.engine.SimulationError`.
+    transaction died and why, unlike the kernel's
+    :class:`~repro.sim.engine.Deadlock`.
     """
 
     def __init__(self, txn, scheme: str, attempts: int, reason: str) -> None:

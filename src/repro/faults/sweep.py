@@ -57,7 +57,7 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
     """
     params = params or paper_parameters()
     check_sweep(schemes, kind=kind, per_degree=per_point, degrees=(degree,),
-                params=params, drop_probs=drop_probs)
+                params=params, drop_probs=drop_probs, seed=seed)
     w, h = params.mesh_width, params.mesh_height
     links = w * (h - 1) + h * (w - 1)
     if not (0 <= link_faults <= links and 0 <= router_faults <= w * h):

@@ -1047,7 +1047,7 @@ class MeshNetwork:
         """The deadlock report: ``waits`` maps each blocked VC to its
         ``(description, holders)`` diagnosis and ``where`` to its
         ``(worm, node)``."""
-        from repro.sim.engine import SimulationError
+        from repro.sim.engine import Deadlock
 
         def step(vc):
             worm, node = where[vc]
@@ -1065,7 +1065,7 @@ class MeshNetwork:
             detail = ("blocked worms (no closed cycle among the waiters "
                       "— a resource is held by a non-waiting party):\n  "
                       + "\n  ".join(shown))
-        return SimulationError(
+        return Deadlock(
             f"network deadlock: no flit moved for "
             f"{self.deadlock_threshold} cycles at cycle {self.sim.now}; "
             f"{detail}\n"

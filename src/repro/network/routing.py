@@ -98,8 +98,9 @@ class Routing:
     def route_hops(self, src: int, dst: int,
                    prefer_first: bool = True) -> list[int]:
         """Node sequence (excluding ``src``) of the route the scheme takes
-        when every preferred channel is free.  Used by the analytical model
-        and by BRCP path construction.
+        when every preferred channel is free.  Only tests call it, to
+        check a routing function's walk; the simulator routes hop by hop
+        through :meth:`candidates`.
 
         Raises :class:`RoutingError` when the scheme offers no candidate
         port short of the destination or routes off the mesh edge.

@@ -15,16 +15,18 @@ Time is an integer count of network cycles everywhere, which keeps the
 simulation exactly deterministic.
 """
 
-from repro.sim.engine import (Event, AllOf, SimulationError, Simulator,
-                              Timeout, Timer)
+from repro.sim.engine import (Event, AllOf, Deadlock, Hang,
+                              SimulationError, Simulator, Timeout, Timer)
 from repro.sim.process import Process
 from repro.sim.resource import Facility
 from repro.sim.stats import Histogram, Tally
 
 __all__ = [
     "AllOf",
+    "Deadlock",
     "Event",
     "Facility",
+    "Hang",
     "Histogram",
     "Process",
     "SimulationError",

@@ -16,6 +16,15 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
+class Deadlock(SimulationError):
+    """The model stopped making progress: the network's hold-and-wait
+    detector fired, or the calendar drained before the awaited event."""
+
+
+class Hang(SimulationError):
+    """The awaited event had not fired by the run's cycle limit."""
+
+
 class Event:
     """A one-shot waitable occurrence.
 
@@ -234,9 +243,10 @@ class Simulator:
                         limit: Optional[int] = None) -> Any:
         """Run until ``event`` fires; returns its value.
 
-        Raises :class:`SimulationError` if the calendar drains (or the
-        optional cycle ``limit`` passes) first — that means deadlock or a
-        lost wakeup in the model, which should never be silent.
+        Raises :class:`Deadlock` if the calendar drains first, and
+        :class:`Hang` if the optional cycle ``limit`` passes first —
+        deadlock or a lost wakeup in the model, which should never be
+        silent.
         ``limit`` is the active :attr:`bound` while the call runs.
         """
         # The dispatch loop is inlined (rather than calling
@@ -249,11 +259,11 @@ class Simulator:
         try:
             while not event.triggered:
                 if not heap:
-                    raise SimulationError(
+                    raise Deadlock(
                         f"event {event.name!r} never fired: calendar "
                         f"empty at cycle {self.now} (model deadlock?)")
                 if limit is not None and heap[0][0] > limit:
-                    raise SimulationError(
+                    raise Hang(
                         f"event {event.name!r} not fired by cycle limit "
                         f"{limit}")
                 when, _seq, fn = heappop(heap)

@@ -93,12 +93,3 @@ def trace_stats(traces: dict[int, Sequence[tuple]]) -> TraceStats:
                       reads=reads, writes=writes, barriers=barriers,
                       think_cycles=think, distinct_blocks=len(blocks))
 
-
-def read_blocks(blocks: Sequence[int]) -> list[tuple]:
-    """Trace fragment reading each block once."""
-    return [("R", b) for b in blocks]
-
-
-def write_blocks(blocks: Sequence[int]) -> list[tuple]:
-    """Trace fragment writing each block once."""
-    return [("W", b) for b in blocks]

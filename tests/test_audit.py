@@ -12,6 +12,7 @@ from repro.audit import (AUDIT_ENV_VAR, AUDIT_LEVELS, Auditor, EventTrail,
 from repro.chaos import (ChaosScenario, build_system, build_traces,
                          run_scenario)
 from repro.coherence import DSMSystem
+from repro.coherence.messages import CohType, coh_payload
 from repro.coherence.processor import run_program
 from repro.config import ConfigError, paper_parameters
 from repro.sim import Simulator
@@ -186,19 +187,39 @@ def test_violation_trail_keeps_only_its_own_worm_events():
                for e in system.audit.trail.events())
 
 
-def test_custom_checker_flags_violation():
-    def no_block_zero_writes(auditor, event):
-        if event.kind == "cache.install" and event.block == 0 \
-                and "state=M" in event.detail:
-            return "block 0 must never be written (toy policy)"
-        return None
+# ----------------------------------------------------------------------
+# Quiescence is checked once, typed, at every level
+# ----------------------------------------------------------------------
+def _stray_queued_request(system):
+    system.dirs[0].entry(0).queue.append(coh_payload(CohType.RD_REQ, 0, 1))
 
-    system = small_system(audit="full")
-    system.audit.add_checker(no_block_zero_writes)
+
+def _leaked_iack_entry(system):
+    assert system.net.interfaces[3].iack.try_reserve(("stray", 0))
+
+
+@pytest.mark.parametrize("audit", ["off", "full"])
+@pytest.mark.parametrize("leak, invariant", [
+    (_stray_queued_request, "waiting-discipline"),
+    (_leaked_iack_entry, "worm-conservation"),
+], ids=["queued-request", "iack-entry"])
+def test_quiescence_check_is_typed_at_every_level(monkeypatch, audit, leak,
+                                                  invariant):
+    monkeypatch.delenv(AUDIT_ENV_VAR, raising=False)
+    system = small_system(audit=audit)
+    leak(system)
     with pytest.raises(InvariantViolation) as exc_info:
-        run_program(system, small_traces())
-    assert exc_info.value.signature == \
-        "InvariantViolation:custom:no_block_zero_writes"
+        run_program(system, {1: [("R", 1)], 2: [("W", 1), ("R", 2)]})
+    exc = exc_info.value
+    assert exc.signature == f"InvariantViolation:{invariant}"
+    assert exc.cycle == system.sim.now
+    if audit == "off":
+        assert system.audit is None and exc.trail == ()
+    else:
+        # Raised through the auditor: recorded, with the trail attached.
+        assert system.audit.violations == [exc]
+        assert exc.trail == tuple(system.audit.trail.tail(40,
+                                                          block=exc.block))
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos import (ChaosScenario, load_bundle, make_bundle,
-                         replay_bundle, run_chaos, run_scenario, shrink,
-                         write_bundle, generate_scenario)
+from repro.chaos import (MUTATIONS, ChaosScenario, load_bundle,
+                         make_bundle, replay_bundle, run_chaos, run_scenario,
+                         shrink, write_bundle, generate_scenario)
+from repro.core import InvalidationEngine
 
 
 def mutated_scenario():
@@ -77,6 +78,65 @@ def test_mutated_scenario_fails_with_stable_signature():
     assert not a.ok
     assert a.signature.startswith("InvariantViolation:")
     assert a.signature == b.signature
+
+
+# ----------------------------------------------------------------------
+# Classification by exception type
+# ----------------------------------------------------------------------
+def _fill_iack_buffers(system):
+    """Foreign reservations fill every i-ack buffer file, so the first
+    MA invalidation worm waits forever; the network's detector fires."""
+    for iface in system.net.interfaces:
+        for k in range(iface.iack.capacity):
+            assert iface.iack.try_reserve(("foreign", k))
+    system.net.deadlock_threshold = 2_000
+
+
+def _lose_every_delivery(system):
+    system.net.on_deliver = lambda node, worm, final: None
+
+
+def _yield_an_int(system):
+    # The process name puts "cycle limit" in the message: the label
+    # must come from the exception type alone.
+    system.sim.spawn((x for x in [5]), name="cycle limit")
+
+
+@pytest.mark.parametrize("mutation, limit, signature", [
+    (_fill_iack_buffers, 5_000_000, "Deadlock"),
+    (_lose_every_delivery, 5_000_000, "Deadlock"),
+    (None, 50, "Hang"),
+    (_yield_an_int, 5_000_000, "SimulationError"),
+], ids=["network-deadlock", "calendar-drained", "cycle-limit",
+        "kernel-misuse"])
+def test_failures_are_classified_by_type(monkeypatch, mutation, limit,
+                                         signature):
+    scenario = ChaosScenario(seed=1, mesh_width=4, mesh_height=4,
+                             scheme="mi-ma-ec", blocks=4, refs_per_node=6,
+                             write_frac=0.6, limit=limit)
+    if mutation is not None:
+        monkeypatch.setitem(MUTATIONS, "test", mutation)
+        scenario = scenario.evolve(mutation="test")
+    assert run_scenario(scenario).signature == signature
+
+
+def test_double_counted_acks_become_bundles_that_replay(monkeypatch,
+                                                        tmp_path):
+    """A bug the engine's own ack accounting detects is a typed
+    violation: the soak finishes and bundles every failing seed."""
+    credit = InvalidationEngine._credit
+    monkeypatch.setattr(
+        InvalidationEngine, "_credit",
+        lambda self, st, count, sharer=None: credit(self, st, 2 * count,
+                                                    sharer))
+    summary = run_chaos(6, smoke=True, out_dir=str(tmp_path),
+                        max_shrink_runs=4)
+    assert summary["failed"] == len(summary["bundles"]) == 6
+    assert set(summary["signatures"]) == {
+        "InvariantViolation:txn-conservation"}
+    for path in summary["bundles"]:
+        _result, matched = replay_bundle(load_bundle(path))
+        assert matched
 
 
 # ----------------------------------------------------------------------

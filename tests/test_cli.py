@@ -502,7 +502,12 @@ def test_cli_inventory_is_pinned():
     ["faults", "--schemes", "warp-speed"],
     ["faults", "--link-faults", "1000", "--drop-probs", "0.1", "--mesh",
      "4"],
+    ["sweep", "--seed", "-1"],
+    ["faults", "--seed", "-5"],
+    ["report", "--seed", "-2"],
+    ["atlas", "--seed", "-1"],
     ["chaos", "--seeds", "-1"],
+    ["chaos", "--base-seed", "-3"],
     ["chaos", "--max-shrink-runs", "-1"],
     ["worms", "--mesh", "2"],
     ["worms", "--mesh", "4", "--sharers", "9,9"],

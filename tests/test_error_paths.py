@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit import InvariantViolation
 from repro.config import SystemParameters
 from repro.coherence import DSMSystem
 from repro.core import InvalidationEngine, build_plan
@@ -47,7 +48,7 @@ def test_delivery_for_unknown_transaction_raises():
     net.inject(Worm(kind=WormKind.UNICAST, src=0, dests=(5,),
                     size_flits=4, txn=999,
                     payload={"role": "ack", "count": 1}))
-    with pytest.raises(RuntimeError, match="unknown transaction"):
+    with pytest.raises(InvariantViolation, match="unknown transaction"):
         sim.run()
 
 
@@ -61,7 +62,7 @@ def test_engine_overcounted_acks_detected():
     net.inject(Worm(kind=WormKind.UNICAST, src=20, dests=(0,),
                     size_flits=4, txn=st.txn,
                     payload={"role": "ack", "count": 5}))
-    with pytest.raises(RuntimeError, match="acks for"):
+    with pytest.raises(InvariantViolation, match="acks for"):
         sim.run_until_event(st.done, limit=1_000_000)
 
 
