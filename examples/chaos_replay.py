@@ -54,17 +54,19 @@ print(f"  shrunk:  mesh {small.mesh_width}x{small.mesh_height}, "
       f"{small.refs_per_node} refs/node, {small.blocks} blocks "
       f"({runs} shrink runs)")
 
-bundle_path = Path(tempfile.mkdtemp()) / "bundle.json"
-write_bundle(str(bundle_path), make_bundle(shrunk, audit="full",
-                                           original=scenario,
-                                           shrink_runs=runs))
-print(f"  bundle:  {bundle_path}")
+# The bundle goes through a real JSON file, removed again on exit.
+with tempfile.TemporaryDirectory() as tmp:
+    bundle_path = Path(tmp) / "bundle.json"
+    write_bundle(str(bundle_path), make_bundle(shrunk, audit="full",
+                                               original=scenario,
+                                               shrink_runs=runs))
+    print(f"  bundle:  {bundle_path.stat().st_size} bytes of JSON")
+    bundle = load_bundle(str(bundle_path))
 
 # ----------------------------------------------------------------------
 # Act 3: replay the bundle deterministically
 # ----------------------------------------------------------------------
 print("\n== Act 3: replay the bundle ==")
-bundle = load_bundle(str(bundle_path))
 replayed, matched = replay_bundle(bundle)
 assert matched, "bundles must replay to the same signature"
 print(f"  expected {bundle['signature']!r}, observed "
@@ -72,5 +74,6 @@ print(f"  expected {bundle['signature']!r}, observed "
 print("  protocol-event trail (most recent last):")
 for line in replayed.trail[-8:]:
     print(f"    {line}")
-print(f"\nThe bundle is plain JSON: `repro replay {bundle_path}` "
-      f"reproduces it from the command line.")
+print("\nA bundle is plain JSON: `repro chaos` writes one per failure "
+      "under --out-dir, and `repro replay <bundle.json>` reproduces it "
+      "from the command line.")

@@ -46,6 +46,7 @@ import asyncio
 import json
 import math
 import signal
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -131,9 +132,58 @@ def _json_bytes(payload: dict) -> bytes:
                        separators=(",", ":")) + "\n").encode()
 
 
-def _with_deadline(coro, timeout: float):
-    """``wait_for`` with the ``0 == disabled`` convention."""
-    return asyncio.wait_for(coro, timeout if timeout > 0 else None)
+#: Tasks count cancel requests (``cancelling``/``uncancel``) from 3.11.
+_COUNTS_CANCELS = sys.version_info >= (3, 11)
+
+
+async def _with_deadline(awaitable, timeout: float):
+    """Await ``awaitable`` in the current task under a ``timeout``-second
+    deadline (``0`` means none); expiry raises ``asyncio.TimeoutError``.
+
+    No task is created, so a read whose data is already buffered never
+    suspends: one ``loop.call_later`` timer cancels the current task on
+    expiry and is cancelled itself once the await ends.  A cancel from
+    anywhere else always propagates, even one that lands after
+    ``awaitable`` finished (the stdlib's task-wrapping wait of 3.11
+    returns the result then) or in the same loop iteration as the
+    expiry (tasks count cancels from 3.11; as ``asyncio.timeout``
+    does, the expiry undoes its own and re-raises ``CancelledError``
+    if another is pending).
+    """
+    if timeout <= 0:
+        return await awaitable
+    task = asyncio.current_task()
+    pending = task.cancelling() if _COUNTS_CANCELS else 0
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    handle = task.get_loop().call_later(timeout, expire)
+    try:
+        return await awaitable
+    except asyncio.CancelledError:
+        if not expired or (_COUNTS_CANCELS and task.uncancel() > pending):
+            raise
+        raise asyncio.TimeoutError from None
+    finally:
+        handle.cancel()
+
+
+async def _read_headers(reader: asyncio.StreamReader
+                        ) -> Optional[dict[str, str]]:
+    """Read a header block through its blank line; ``None`` past
+    :data:`MAX_HEADERS` lines (the rest of the block stays unread)."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            return headers
+        name, _sep, value = raw.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return None
 
 
 async def _read_request(reader: asyncio.StreamReader, peer: str,
@@ -174,37 +224,22 @@ async def _read_request(reader: asyncio.StreamReader, peer: str,
                        keep_alive=False, error_status=status,
                        error_detail=detail)
 
-    # One shared deadline for the whole header block: a client
-    # trickling one header byte per readline cannot reset it.
-    loop = asyncio.get_running_loop()
-    header_deadline = (loop.time() + config.header_timeout
-                       if config.header_timeout > 0 else None)
-    headers: dict[str, str] = {}
-    header_lines = 0
-    while True:
-        if header_deadline is None:
-            budget = 0.0
-        else:
-            budget = max(header_deadline - loop.time(), 1e-3)
-        try:
-            raw = await _with_deadline(reader.readline(), budget)
-        except asyncio.TimeoutError:
-            return parse_error(
-                408, f"headers not completed within "
-                     f"{config.header_timeout:g}s")
-        except (ConnectionError, asyncio.LimitOverrunError, ValueError):
-            return None
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        header_lines += 1
-        if header_lines > MAX_HEADERS:
-            # The rest of the header block is unread; the connection
-            # must close or those bytes would be misparsed as the next
-            # pipelined request.
-            return parse_error(
-                431, f"more than {MAX_HEADERS} header lines")
-        name, _sep, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    # One deadline for the whole header block: a client trickling one
+    # header byte per readline cannot reset it.
+    try:
+        headers = await _with_deadline(_read_headers(reader),
+                                       config.header_timeout)
+    except asyncio.TimeoutError:
+        return parse_error(
+            408, f"headers not completed within "
+                 f"{config.header_timeout:g}s")
+    except (ConnectionError, asyncio.LimitOverrunError, ValueError):
+        return None
+    if headers is None:
+        # The rest of the header block is unread; the connection must
+        # close or those bytes would be misparsed as the next
+        # pipelined request.
+        return parse_error(431, f"more than {MAX_HEADERS} header lines")
     keep_alive = headers.get("connection", "").lower() != "close"
     length_text = headers.get("content-length", "0")
     try:
@@ -262,6 +297,9 @@ class ServeServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set[asyncio.Task] = set()
         self._busy: set[asyncio.Task] = set()
+        #: Set by a graceful :meth:`close` while requests are in
+        #: flight; resolved when the last of them is answered.
+        self._drained: Optional[asyncio.Future] = None
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -271,30 +309,33 @@ class ServeServer:
     async def close(self, drain: float = 0.0) -> None:
         """Stop accepting and tear the listener down.
 
-        With ``drain > 0`` this is *graceful*: connections currently
-        processing a request get up to ``drain`` seconds to finish
-        (new requests they pipeline in the meantime are answered
-        ``503`` + ``Connection: close``), idle keep-alive connections
-        are reaped immediately, and whatever is still alive at the
-        deadline is cancelled.  ``drain=0`` cancels everything at
-        once (the pre-existing behaviour, and what tests use).
+        With ``drain > 0`` this is *graceful*: requests currently being
+        processed get up to ``drain`` seconds to finish (new requests
+        pipelined behind them are answered ``503`` + ``Connection:
+        close``), idle keep-alive connections are reaped immediately,
+        and the rest are cancelled as soon as no request is in flight
+        or the deadline passes, whichever comes first.  ``drain=0``
+        cancels everything at once (what tests use).
         """
         self.draining = True
         if self._server is not None:
+            # Stops listening at once.  Not followed by wait_closed(),
+            # which from 3.12.1 also waits for every connection to drop
+            # (a peer that never reads can hold one open for good);
+            # the connection tasks are reaped below instead.
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        if drain > 0:
+        if drain > 0 and self._busy:
             # Idle keep-alive connections sit in readline() waiting
             # for a request that would only be answered 503 now; reap
             # them immediately rather than holding the drain window.
-            for task in list(self._connections):
-                if task not in self._busy:
-                    task.cancel()
-            busy = {task for task in self._connections
-                    if task in self._busy}
-            if busy:
-                await asyncio.wait(busy, timeout=drain)
+            for task in self._connections - self._busy:
+                task.cancel()
+            self._drained = asyncio.get_running_loop().create_future()
+            try:
+                await _with_deadline(self._drained, drain)
+            except asyncio.TimeoutError:
+                pass
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -379,6 +420,10 @@ class ServeServer:
                 finally:
                     if task is not None:
                         self._busy.discard(task)
+                    drained = self._drained
+                    if drained is not None and not self._busy \
+                            and not drained.done():
+                        drained.set_result(None)
                 if streamed or not request.keep_alive:
                     break
         except (ConnectionError, asyncio.CancelledError):
@@ -387,7 +432,10 @@ class ServeServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # close() may reap a connection that is already closing
+                # here; ending the task cancelled would make asyncio's
+                # stream callback log an error on 3.11 and 3.12.
                 pass
 
     async def _dispatch(self, request: Request,
@@ -543,7 +591,7 @@ class ServeServer:
             if status in ("done", "failed"):
                 return
             try:
-                await asyncio.wait_for(record.flight.event.wait(), 0.1)
+                await _with_deadline(record.flight.event.wait(), 0.1)
             except asyncio.TimeoutError:
                 pass
 

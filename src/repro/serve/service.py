@@ -638,15 +638,10 @@ class SimulationService:
         self._enqueue(client, flight)
         return self._record(client, "miss", flight)
 
-    async def wait(self, record: JobRecord,
-                   timeout: Optional[float] = None) -> JobRecord:
+    async def wait(self, record: JobRecord) -> JobRecord:
         """Block until the record's flight is terminal."""
         if record.status not in ("done", "failed"):
-            if timeout is None:
-                await record.flight.event.wait()
-            else:
-                await asyncio.wait_for(record.flight.event.wait(),
-                                       timeout)
+            await record.flight.event.wait()
         return record
 
     def lookup(self, job_id: str) -> Optional[JobRecord]:

@@ -11,7 +11,11 @@ responses, and the aggregate ``run_load`` fleet.
 import asyncio
 import inspect
 import json
+import logging
+import socket
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -21,7 +25,7 @@ from repro.runner import ResultCache
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import (JobSpec, ServeConfig, ServeServer, ServiceConfig,
                          SimulationService, run_load)
-from repro.serve.http import MAX_HEADERS
+from repro.serve.http import _COUNTS_CANCELS, MAX_HEADERS, _with_deadline
 from repro.serve.loadtest import (fetch_json, fetch_result, http_request,
                                   open_http, post_job)
 
@@ -547,7 +551,12 @@ def test_close_reaps_connections_and_leaks_no_tasks():
             conns[0][0], conns[0][1], SPEC, "alice")
         assert status == 200
         assert await _settle(lambda: len(server._connections) == 3)
+        # Cancels that land right after a response was written must
+        # still be seen; a lost one held close() for the 60 s idle
+        # timeout.
+        started = time.monotonic()
         await server.close()
+        assert time.monotonic() - started < 5.0
         assert not server._connections
         assert not server._busy
         for reader, writer in conns:
@@ -558,6 +567,206 @@ def test_close_reaps_connections_and_leaks_no_tasks():
                   if t is not asyncio.current_task() and not t.done()]
         assert not leaked, leaked
     serve_run(body, debug=True)
+
+
+def test_stalled_body_is_408():
+    async def body(host, port, service, server):
+        reader, writer = await open_http(host, port)
+        try:
+            writer.write(b"POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n"
+                         b"\r\n{\"a\"")
+            await writer.drain()
+            status, headers, resp = await _raw_response(reader)
+            assert status == 408
+            payload = json.loads(resp)
+            assert payload["error"] == "request-timeout"
+            assert "64 bytes" in payload["detail"]
+            assert headers["connection"] == "close"
+            assert server.stats["request_timeouts"] == 1
+            assert await reader.read() == b""
+        finally:
+            await _close(writer)
+    serve_run(body, serve_config=ServeConfig(body_timeout=0.2))
+
+
+def test_non_reading_peer_hits_the_write_deadline():
+    # A client that pipelines requests and never reads fills both
+    # socket buffers; the server's drain() must give up after
+    # write_timeout and abort the transport.
+    async def body(host, port, service, server):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, (host, port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        batch = f"GET /metrics HTTP/1.1\r\nHost: {host}\r\n\r\n" * 50
+        sent = 0
+        give_up = asyncio.get_running_loop().time() + 10.0
+        try:
+            try:
+                # Until the server stalls, however large its socket
+                # buffers are.
+                while not server.stats["write_timeouts"] \
+                        and asyncio.get_running_loop().time() < give_up:
+                    writer.write(batch.encode())
+                    sent += 50
+                    await asyncio.wait_for(writer.drain(), 10.0)
+            except ConnectionError:
+                pass             # the abort may reach us as a reset
+            assert await _settle(
+                lambda: server.stats["write_timeouts"] >= 1)
+            assert await _settle(lambda: not server._connections)
+            received = b""
+            try:
+                while chunk := await asyncio.wait_for(
+                        reader.read(1 << 16), 5.0):
+                    received += chunk
+            except ConnectionError:
+                pass
+            assert received.count(b"HTTP/1.1 200") < sent
+        finally:
+            await _close(writer)
+    serve_run(body, serve_config=ServeConfig(write_timeout=0.2))
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_drain_returns_once_in_flight_requests_are_answered(pipelined,
+                                                            caplog):
+    # A keep-alive connection goes back to wait for its next request
+    # after answering; close(drain=...) must not wait for it to end.
+    # A request pipelined behind the in-flight one is answered 503.
+    async def body(host, port, service, server):
+        from repro.runner import Job
+
+        gate = threading.Event()
+
+        def gated(fn, args):
+            assert gate.wait(30.0)
+            return fn(*args)
+
+        async def gated_submit(job, client, _original=service.submit,
+                               **kwargs):
+            return await _original(
+                Job(fn=gated, args=(job.fn, job.args), key=job.key,
+                    label=job.label), client, **kwargs)
+
+        service.submit = gated_submit
+        reader, writer = await open_http(host, port)
+        try:
+            post = json.dumps(dict(SPEC, client="alice")).encode()
+            writer.write(b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n"
+                         b"\r\n%s" % (len(post), post))
+            if pipelined:
+                writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            assert await _settle(lambda: bool(server._busy))
+            asyncio.get_running_loop().call_later(0.1, gate.set)
+            started = time.monotonic()
+            await server.close(drain=5.0)
+            assert time.monotonic() - started < 1.0
+            status, _headers, _resp = await asyncio.wait_for(
+                _raw_response(reader), 5.0)
+            assert status == 200                      # answered in full
+            if pipelined:
+                status, headers, resp = await asyncio.wait_for(
+                    _raw_response(reader), 5.0)
+                assert status == 503
+                assert json.loads(resp)["error"] == "draining"
+                assert headers["connection"] == "close"
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            assert not server._connections
+        finally:
+            gate.set()
+            await _close(writer)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        serve_run(body)
+    # A connection task that ends cancelled is logged as an error by
+    # asyncio's stream callback on 3.11 and 3.12.
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+# -- the deadline helper ---------------------------------------------------
+
+def test_deadline_expiry_is_a_timeout_that_undoes_its_cancel():
+    async def main():
+        with pytest.raises(asyncio.TimeoutError):
+            await _with_deadline(asyncio.sleep(10), 0.01)
+        if _COUNTS_CANCELS:
+            assert asyncio.current_task().cancelling() == 0
+        await asyncio.sleep(0)           # no stray cancel left behind
+        assert await _with_deadline(asyncio.sleep(0, "ok"), 0) == "ok"
+    asyncio.run(main())
+
+
+def test_external_cancel_propagates_through_a_deadline():
+    async def main():
+        loop = asyncio.get_running_loop()
+        inner = loop.create_future()
+        guarded = asyncio.create_task(_with_deadline(inner, 5.0))
+        await asyncio.sleep(0)
+        guarded.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await guarded
+
+        # The lost-cancel case: the awaited future is already done
+        # when the cancel lands, but the task has not resumed yet.
+        inner = loop.create_future()
+        guarded = asyncio.create_task(_with_deadline(inner, 5.0))
+        await asyncio.sleep(0)
+        inner.set_result("answered")
+        guarded.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await guarded
+    asyncio.run(main())
+
+
+@pytest.mark.skipif(not _COUNTS_CANCELS,
+                    reason="tasks count cancels from Python 3.11")
+@pytest.mark.parametrize("first", ["expiry", "cancel"])
+def test_external_cancel_in_the_expiry_iteration_is_not_a_timeout(first):
+    async def main():
+        loop = asyncio.get_running_loop()
+        tasks = []
+
+        def cancel_externally():
+            tasks[0].cancel()
+
+        if first == "cancel":
+            loop.call_later(0.05, cancel_externally)
+        tasks.append(asyncio.create_task(
+            _with_deadline(asyncio.sleep(10), 0.05)))
+        await asyncio.sleep(0)           # arms the deadline timer
+        if first == "expiry":
+            loop.call_later(0.05, cancel_externally)
+        time.sleep(0.1)      # both timers come due in one iteration
+        with pytest.raises(asyncio.CancelledError):
+            await tasks[0]
+    asyncio.run(main())
+
+
+def test_guarded_wait_creates_no_task():
+    async def main():
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"buffered\n")
+        before = asyncio.all_tasks()
+        assert await _with_deadline(reader.readline(), 5.0) == \
+            b"buffered\n"
+        during = []
+        loop.call_soon(lambda: (during.append(asyncio.all_tasks()),
+                                reader.feed_data(b"later\n")))
+        assert await _with_deadline(reader.readline(), 5.0) == b"later\n"
+        assert during == [before]
+        assert asyncio.all_tasks() == before
+        assert created == []
+    asyncio.run(main())
 
 
 def test_breaker_open_is_503_then_degraded_mode_answers():

@@ -245,7 +245,7 @@ def test_kept_flights_drop_the_oldest_past_the_bound(monkeypatch):
         assert joined.source == "coalesced"
         assert joined.flight is slow.flight
         _GATES["slow"].set()
-        await service.wait(slow, timeout=30.0)
+        await asyncio.wait_for(service.wait(slow), 30.0)
         repeat = await service.submit(_job(_gated_job, "slow"), "c")
         assert repeat.source == "hit" and repeat.flight is slow.flight
         assert _RUNS == ["k1", "k2", "k3", "slow"]
@@ -255,11 +255,11 @@ def test_kept_flights_drop_the_oldest_past_the_bound(monkeypatch):
 def test_failed_flight_is_not_kept():
     async def body(service):
         first = await service.submit(_job(_flaky_job, "once"), "a")
-        await service.wait(first, timeout=30.0)
+        await asyncio.wait_for(service.wait(first), 30.0)
         assert first.status == "failed"
         second = await service.submit(_job(_flaky_job, "once"), "b")
         assert second.source == "miss"
-        await service.wait(second, timeout=30.0)
+        await asyncio.wait_for(service.wait(second), 30.0)
         assert second.status == "done"
         assert json.loads(second.flight.body)["result"]["calls"] == 2
     serve_run(body)
@@ -272,7 +272,7 @@ def test_degraded_answer_is_not_kept():
 
     async def body(service):
         bad = await service.submit(_job(_failing_job, "bad"), "a")
-        await service.wait(bad, timeout=30.0)
+        await asyncio.wait_for(service.wait(bad), 30.0)
         assert service.breaker.state == "open"
         approx = await service.submit(
             _job(_counted_job, "d"), "b",
@@ -283,7 +283,7 @@ def test_degraded_answer_is_not_kept():
         probe = await service.submit(_job(_counted_job, "d"), "c",
                                      degraded_fn=lambda: [])
         assert probe.source == "miss"
-        await service.wait(probe, timeout=30.0)
+        await asyncio.wait_for(service.wait(probe), 30.0)
         assert service.breaker.state == "closed"
         again = await service.submit(_job(_counted_job, "d"), "d")
         assert again.source == "hit" and again.flight is probe.flight
@@ -330,7 +330,7 @@ def test_flood_from_one_client_does_not_starve_another():
 
         _GATES["fair-block"].set()
         for record in [*flood, victim]:
-            await service.wait(record, timeout=30.0)
+            await asyncio.wait_for(service.wait(record), 30.0)
 
         # Round-robin dispatch bounds the wait at one extra job per
         # competing client per round: the other tenant's single job
@@ -392,7 +392,7 @@ def test_uncacheable_job_is_rejected():
 def test_poison_job_surfaces_typed_failure():
     async def body(service):
         record = await service.submit(_job(_failing_job, "poison"), "a")
-        await service.wait(record, timeout=30.0)
+        await asyncio.wait_for(service.wait(record), 30.0)
         assert record.status == "failed"
         error = record.flight.error
         assert error["error"] == "job-failed"
@@ -408,7 +408,7 @@ def test_poison_job_surfaces_typed_failure():
 def test_transient_failure_retries_then_succeeds():
     async def body(service):
         record = await service.submit(_job(_flaky_job, "flaky"), "a")
-        await service.wait(record, timeout=30.0)
+        await asyncio.wait_for(service.wait(record), 30.0)
         assert record.status == "done"
         assert json.loads(record.flight.body)["result"]["calls"] == 2
         assert service.metrics.retries == 1
@@ -431,8 +431,8 @@ def test_watchdog_kill_requeues_an_in_flight_bystander_uncharged():
         hung = await service.submit(sleeper("hung", 60.0), "a")
         await asyncio.sleep(0.7)
         bystander = await service.submit(sleeper("bystander", 0.6), "b")
-        await service.wait(hung, timeout=30.0)
-        await service.wait(bystander, timeout=30.0)
+        await asyncio.wait_for(service.wait(hung), 30.0)
+        await asyncio.wait_for(service.wait(bystander), 30.0)
         assert hung.status == "failed"
         assert hung.flight.error["kind"] == "timeout"
         assert bystander.status == "done", bystander.flight.error
