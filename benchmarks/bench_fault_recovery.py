@@ -18,9 +18,8 @@ import math
 
 from conftest import run_once
 
-from repro.analysis import format_table
 from repro.config import paper_parameters
-from repro.faults.sweep import run_fault_sweep
+from repro.faults.sweep import format_fault_table, run_fault_sweep
 
 SCHEMES = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
 DROP_PROBS = [0.0, 0.01, 0.05, 0.1]
@@ -38,7 +37,7 @@ def test_fault_recovery_sweep(benchmark, scale):
         SCHEMES, DROP_PROBS, degree=8, per_point=per, params=params,
         seed=7))
     print()
-    print(format_table(
+    print(format_fault_table(
         rows, columns=["scheme", "drop_prob", "completed", "failed",
                        "completion_rate", "retries", "downgrades",
                        "latency", "latency_x"],
@@ -70,7 +69,7 @@ def test_fault_recovery_dead_link(benchmark, scale):
         ["ui-ua", "mi-ua-ec"], [0.0, 0.001], degree=12, per_point=per,
         params=params, link_faults=1, seed=3))
     print()
-    print(format_table(
+    print(format_fault_table(
         rows, columns=["scheme", "drop_prob", "completed", "failed",
                        "completion_rate", "retries", "downgrades",
                        "latency"],

@@ -3,9 +3,9 @@
 Beyond the paper: with a permanent dead link in the mesh, compare three
 recovery postures for the multidestination invalidation schemes:
 
-* **ft** — fault-aware (``+ft``) routing: worms detour around the dead
-  link and blocked multidestination chains are re-planned whole
-  (reroute before downgrade);
+* **ft** — fault-aware routing (``fault_aware_routing=True``): worms
+  detour around the dead link and blocked multidestination chains are
+  re-planned whole (reroute before downgrade);
 * **downgrade** — the baseline recovery protocol: retries plus MI→UI
   unicast fallback, but deterministic base routing (worms whose only
   minimal path crosses the dead link fail typed);
@@ -15,15 +15,14 @@ Expected shape: ft completes *everything* a single dead link allows
 (completion rate 1.0) with zero downgrades, the downgrade-only posture
 loses the transactions whose unicast paths are also blocked, and the
 no-recovery posture does no better.  On the fault-free point all three
-postures are bit-identical (the ft wrapper is a zero-cost no-op when
-unarmed).
+postures are bit-identical (with no fault installed every network
+routes with the base scheme).
 """
 
 from conftest import run_once
 
-from repro.analysis import format_table
 from repro.config import paper_parameters
-from repro.faults.sweep import run_fault_sweep
+from repro.faults.sweep import format_fault_table, run_fault_sweep
 
 SCHEMES = ["mi-ua-ec", "mi-ma-ec"]
 PROBS = [0.0, 0.001]
@@ -48,7 +47,7 @@ def test_fault_reroute_dead_link(benchmark, scale):
                                                        "none")
                                         for r in sweep(mode)])
     print()
-    print(format_table(
+    print(format_fault_table(
         rows, columns=["recovery", "scheme", "drop_prob", "completed",
                        "failed", "completion_rate", "downgrades",
                        "reroutes", "detours", "latency", "latency_x"],
@@ -70,7 +69,7 @@ def test_fault_reroute_dead_link(benchmark, scale):
         assert dg["completion_rate"] >= none["completion_rate"]
         rescued += ft["completed"] - dg["completed"]
         # Fault-free points agree across postures with retries intact:
-        # the unarmed ft wrapper is a zero-op.
+        # no fault plan, no fault-aware wrapper.
         assert by[("ft", scheme, 0.0)]["latency"] == \
             by[("downgrade", scheme, 0.0)]["latency"]
         benchmark.extra_info[f"{scheme}-ft-rate"] = ft["completion_rate"]

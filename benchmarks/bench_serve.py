@@ -124,13 +124,13 @@ def digest_cross_check(host: str, port: int, spec: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="CI scale: 3 specs, a few hundred warm "
+                        help="CI scale: 3 specs, a few thousand warm "
                              "requests")
     parser.add_argument("--clients", type=int, default=None,
                         help="concurrent connections (default: 8 smoke, "
                              "16 full)")
     parser.add_argument("--requests", type=int, default=None,
-                        help="requests per connection (default: 50 "
+                        help="requests per connection (default: 400 "
                              "smoke, 200 full)")
     parser.add_argument("--workers", type=int, default=2,
                         help="server worker processes")
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
                         help="result JSON path (repo root by default)")
     args = parser.parse_args(argv)
     clients = args.clients or (8 if args.smoke else 16)
-    requests = args.requests or (50 if args.smoke else 200)
+    requests = args.requests or (400 if args.smoke else 200)
     specs = spec_set(args.smoke)
 
     failures: list[str] = []

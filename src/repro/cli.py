@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--mesh", type=int, default=8)
     p_faults.add_argument("--seed", type=int, default=0)
     p_faults.add_argument("--fault-aware", action="store_true",
-                          help="route with the fault-aware '+ft' wrapper "
+                          help="route around dead links and routers "
                                "(reroute around known faults before "
                                "downgrading MI to UI)")
     p_faults.add_argument("--detour-limit", type=int,
@@ -421,7 +421,7 @@ def cmd_report(args) -> int:
 
 def cmd_faults(args) -> int:
     """``repro faults``: chaos sweep of the recovery protocol."""
-    from repro.faults.sweep import run_fault_sweep
+    from repro.faults.sweep import format_fault_table, run_fault_sweep
 
     params = paper_parameters(args.mesh,
                               fault_aware_routing=args.fault_aware,
@@ -432,11 +432,8 @@ def cmd_faults(args) -> int:
                            router_faults=args.router_faults,
                            seed=args.seed, jobs=_jobs(args),
                            use_cache=not args.no_cache)
-    for row in rows:
-        # %g, not the table's %.2f: 0.001 must not print as 0.00.
-        row["drop_prob"] = f"{row['drop_prob']:g}"
     routing_note = ", fault-aware routing" if args.fault_aware else ""
-    print(format_table(
+    print(format_fault_table(
         rows, columns=["scheme", "drop_prob", "issued", "completed",
                        "failed", "completion_rate", "retries",
                        "downgrades", "reroutes", "latency", "latency_x"],

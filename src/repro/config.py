@@ -145,11 +145,12 @@ class SystemParameters:
     fault_nack: bool = True
     #: Cycles between a worm's loss and its NACK reaching the source.
     fault_nack_delay: int = 16
-    #: Route with the fault-aware wrapper (``"<base>+ft"``): per-hop
-    #: candidate sets are pruned of dead links/routers and bounded
-    #: non-minimal detours restore reachability around the fault map.
-    #: With no (or an empty) fault plan the wrapper is a pure delegate
-    #: and results are bit-identical to the base routing.
+    #: Route around the fault map: when an installed fault plan kills a
+    #: link or router, ``MeshNetwork.install_faults`` wraps the base
+    #: routing in a fault-aware one whose per-hop candidate sets are
+    #: pruned of dead links/routers and whose bounded non-minimal
+    #: detours restore reachability.  Any other network routes with the
+    #: base scheme itself.
     fault_aware_routing: bool = False
     #: Misroute budget per worm under fault-aware routing: non-minimal
     #: detour hops allowed before the worm must fall back to minimal

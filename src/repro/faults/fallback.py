@@ -15,8 +15,8 @@ failed regions:
   planned worm path (invalidation groups, column gathers, or row
   gathers) downgrades the whole transaction to UI-UA.
 
-Under **fault-aware routing** (``"<base>+ft"``, see
-:class:`~repro.network.routing.FaultAwareRouting`) the decision rule
+Under **fault-aware routing** (``SystemParameters.fault_aware_routing``,
+see :class:`~repro.network.routing.FaultAwareRouting`) the decision rule
 gains a cheaper first resort — *reroute before downgrade*:
 
 * a blocked multidestination group whose destinations the fault-aware
@@ -70,13 +70,15 @@ def degrade_plan(plan: InvalidationPlan, mesh: Mesh2D, faults: FaultState,
     around the fault map.  Both are 0 when the plan is untouched.
     """
     multi = sum(1 for g in plan.groups if len(g.dests) > 1)
-    if multi == 0 and not plan.junctions:
+    if not faults.topology_faults or (multi == 0 and not plan.junctions):
         return plan, 0, 0
 
     ft = faults.ft_routing
 
     def blocked(src, dests) -> bool:
-        return faults.path_known_blocked(src, dests, now)
+        walk = faults.walk_of(src, dests)
+        return walk is not None and faults.blocking_hop(
+            walk, now, permanent_only=True) is not None
 
     def ft_deliverable(src, dests) -> bool:
         return ft is not None and ft.route_walk(

@@ -53,8 +53,25 @@ def _check_window(start: int, end: Optional[int], what: str) -> None:
         raise ValueError(f"{what} window [{start}, {end}) is empty")
 
 
+class _Window:
+    """A fault's cycle window ``[start, end)``; ``end=None`` means
+    permanent.  The one definition of when a link or router fault is in
+    effect."""
+
+    start: int
+    end: Optional[int]
+
+    @property
+    def permanent(self) -> bool:
+        return self.end is None
+
+    def active(self, now: int) -> bool:
+        """True when the fault is in effect at cycle ``now``."""
+        return self.start <= now and (self.end is None or now < self.end)
+
+
 @dataclass(frozen=True)
-class LinkFault:
+class LinkFault(_Window):
     """One dead bidirectional link between adjacent nodes ``a`` and ``b``.
 
     ``end=None`` means permanent.  Permanent faults are assumed to be
@@ -73,17 +90,9 @@ class LinkFault:
             raise ValueError("link fault endpoints must differ")
         _check_window(self.start, self.end, "link fault")
 
-    @property
-    def permanent(self) -> bool:
-        return self.end is None
-
-    def active(self, now: int) -> bool:
-        """True when the link is down at cycle ``now``."""
-        return self.start <= now and (self.end is None or now < self.end)
-
 
 @dataclass(frozen=True)
-class RouterFault:
+class RouterFault(_Window):
     """One dead router: all its links are down and worms to/from it die."""
 
     node: int
@@ -92,13 +101,6 @@ class RouterFault:
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.end, "router fault")
-
-    @property
-    def permanent(self) -> bool:
-        return self.end is None
-
-    def active(self, now: int) -> bool:
-        return self.start <= now and (self.end is None or now < self.end)
 
 
 @dataclass(frozen=True)

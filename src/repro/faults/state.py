@@ -17,9 +17,9 @@ import random
 from typing import Optional
 
 from repro.brcp.model import conformant_walk
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, LinkFault, RouterFault
 from repro.network.routing import Routing
-from repro.network.topology import Mesh2D
+from repro.network.topology import MESH_PORTS, Mesh2D
 
 #: Drop reasons reported through ``MeshNetwork.on_worm_dropped``.
 REASON_LINK = "link-fault"
@@ -36,22 +36,23 @@ class FaultState:
         self.mesh = mesh
         self.routing = routing
         self._rng = random.Random(plan.seed)
-        #: (min(a,b), max(a,b)) -> fault windows, merged over link and
-        #: router faults (a dead router takes every adjacent link down).
-        self._links: dict[tuple[int, int], list[tuple[int, Optional[int]]]] = {}
-        self._routers: dict[int, list[tuple[int, Optional[int]]]] = {}
+        #: (min(a,b), max(a,b)) -> the plan's faults that take the link
+        #: down: its link faults and its end routers' faults (a dead
+        #: router takes every adjacent link down).
+        self._links: dict[tuple[int, int],
+                          list[LinkFault | RouterFault]] = {}
+        self._routers: dict[int, list[RouterFault]] = {}
         for lf in plan.link_faults:
             key = (min(lf.a, lf.b), max(lf.a, lf.b))
-            self._links.setdefault(key, []).append((lf.start, lf.end))
+            self._links.setdefault(key, []).append(lf)
         for rf in plan.router_faults:
-            self._routers.setdefault(rf.node, []).append((rf.start, rf.end))
-            from repro.network.topology import MESH_PORTS
+            self._routers.setdefault(rf.node, []).append(rf)
             for port in MESH_PORTS:
                 nb = mesh.neighbor(rf.node, port)
                 if nb is None:
                     continue
                 key = (min(rf.node, nb), max(rf.node, nb))
-                self._links.setdefault(key, []).append((rf.start, rf.end))
+                self._links.setdefault(key, []).append(rf)
         #: Worms offered to the network so far (drives drop_nth and the
         #: deterministic consumption order of the drop stream).
         self.injections_seen = 0
@@ -59,8 +60,8 @@ class FaultState:
         self.drops = {REASON_LINK: 0, REASON_ROUTER: 0, REASON_DROP: 0}
         #: Fault-aware routing wrapper, set by
         #: ``MeshNetwork.install_faults`` when the network routes with
-        #: one; the injection filter then uses its greedy fault-aware
-        #: walk instead of the base walk to decide a worm's fate.
+        #: one; the injection filter then uses its fault-aware walk
+        #: instead of the base walk to decide a worm's fate.
         self.ft_routing = None
 
     @property
@@ -73,71 +74,45 @@ class FaultState:
     # Topology state queries
     # ------------------------------------------------------------------
     @staticmethod
-    def _active(windows, now: int, permanent_only: bool = False) -> bool:
-        for start, end in windows:
-            if permanent_only and end is not None:
-                continue
-            if start <= now and (end is None or now < end):
-                return True
-        return False
+    def _down(faults, now: int, permanent_only: bool) -> bool:
+        return any(f.active(now) for f in faults
+                   if f.permanent or not permanent_only)
 
     def link_down(self, a: int, b: int, now: int,
                   permanent_only: bool = False) -> bool:
-        """True when the (bidirectional) link a<->b is down at ``now``.
+        """True when the (bidirectional) link a<->b is down at ``now``,
+        by a link fault or a fault of either end router.
 
         ``permanent_only=True`` restricts to the known fault map:
         permanent faults that have already started."""
-        windows = self._links.get((min(a, b), max(a, b)))
-        return windows is not None and self._active(windows, now,
-                                                    permanent_only)
+        faults = self._links.get((min(a, b), max(a, b)))
+        return faults is not None and self._down(faults, now,
+                                                 permanent_only)
 
-    def router_down(self, node: int, now: int,
-                    permanent_only: bool = False) -> bool:
-        """True when ``node``'s router is down at ``now`` (see
-        :meth:`link_down` for ``permanent_only``)."""
-        windows = self._routers.get(node)
-        return windows is not None and self._active(windows, now,
-                                                    permanent_only)
+    def router_down(self, node: int, now: int) -> bool:
+        """True when ``node``'s router is down at ``now``."""
+        faults = self._routers.get(node)
+        return faults is not None and self._down(faults, now, False)
 
     def walk_of(self, src: int, dests) -> Optional[list[int]]:
         """The hop-by-hop walk a worm would take (preferred channels)."""
         return conformant_walk(self.routing, src, list(dests))
 
-    def blocking_hop(self, walk, now: int) -> Optional[int]:
+    def blocking_hop(self, walk, now: int,
+                     permanent_only: bool = False) -> Optional[int]:
         """Index of the first dead hop on ``walk`` at ``now``, or None.
 
         Hop ``i`` is the link ``walk[i] -> walk[i+1]``; a dead router at
-        ``walk[i+1]`` also blocks hop ``i``.
+        ``walk[i+1]`` takes that link down too.  ``permanent_only=True``
+        sees only *known* faults — the permanent ones that have already
+        started, the system-wide fault map used for proactive MI→UI
+        re-planning; transient faults are only discovered by losing
+        worms.
         """
-        if not self._links and not self._routers:
-            return None
         for i, (a, b) in enumerate(zip(walk, walk[1:])):
-            if self.link_down(a, b, now) or self.router_down(b, now):
+            if self.link_down(a, b, now, permanent_only):
                 return i
         return None
-
-    def path_known_blocked(self, src: int, dests, now: int) -> bool:
-        """True when the path crosses a *known* fault at ``now``.
-
-        Known faults are the permanent ones that have already started —
-        the system-wide fault map used for proactive MI→UI re-planning.
-        Transient faults are invisible here; they are only discovered by
-        losing worms.
-        """
-        if not self._links and not self._routers:
-            return False
-        walk = self.walk_of(src, dests)
-        if walk is None:
-            return False
-        for a, b in zip(walk, walk[1:]):
-            windows = self._links.get((min(a, b), max(a, b)))
-            if windows and self._active(windows, now, permanent_only=True):
-                return True
-            rwindows = self._routers.get(b)
-            if rwindows and self._active(rwindows, now,
-                                         permanent_only=True):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Injection filter

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.experiments import _draw_patterns, _mesh_of, check_sweep
+from repro.analysis.tables import format_table
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
@@ -47,8 +48,8 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
     dead links/routers on top of each non-zero drop probability.  The
     pattern stream is shared across schemes and fault levels, so the
     comparison is paired; everything is a pure function of ``seed``.
-    ``params.fault_aware_routing`` routes every point with the scheme's
-    ``+ft`` fault-aware routing (reroute before downgrade).
+    ``params.fault_aware_routing`` routes every faulted point around
+    its dead links and routers (reroute before downgrade).
     ``jobs`` workers (``0`` = one per core) run one job per point;
     ``use_cache``/``cache`` select the result cache (``docs/RUNNER.md``).
     Bad axes, or more faults than the mesh has links or routers, raise
@@ -90,6 +91,15 @@ def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
         row["latency_x"] = (row["latency"] / base
                             if base and row["latency"] else float("nan"))
     return rows
+
+
+def format_fault_table(rows: Sequence[dict], columns: Sequence[str],
+                       title: str) -> str:
+    """:func:`~repro.analysis.tables.format_table` of fault-sweep rows,
+    printing ``drop_prob`` with ``%g``: the table's ``%.2f`` would print
+    0.001 as 0.00.  The rows keep their numeric values."""
+    return format_table([{**row, "drop_prob": f"{row['drop_prob']:g}"}
+                         for row in rows], columns=columns, title=title)
 
 
 def _fault_point_job(scheme: str, prob: float, degree: int,

@@ -22,7 +22,7 @@ which it provably cannot change (:mod:`repro.network.network`).
 from repro.network.network import MeshNetwork
 from repro.network.routing import (ECubeRouting, FaultAwareRouting, Routing,
                                    RoutingError, WestFirstRouting,
-                                   available_routings, make_routing)
+                                   make_routing)
 from repro.network.topology import Mesh2D, Port
 from repro.network.worm import Worm, WormKind
 
@@ -37,6 +37,5 @@ __all__ = [
     "WestFirstRouting",
     "Worm",
     "WormKind",
-    "available_routings",
     "make_routing",
 ]

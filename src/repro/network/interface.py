@@ -73,7 +73,6 @@ class IAckBufferFile:
         #: never re-occupy (and leak) buffer entries.  May be a set
         #: shared across every interface of a network.
         self.dead_txns: set[Hashable] = set()
-        self._blackholed: set[Hashable] = set()
         #: Parked worms swallowed by a purge or its blackhole — they
         #: left the network without a delivery.  Worm-conservation
         #: audits charge them here: injected == delivered + swallowed.
@@ -99,8 +98,6 @@ class IAckBufferFile:
                 # A still-draining worm is counted when its tail-drain
                 # handler hits the dead branch of finish_park_drain.
                 self.swallowed += 1
-        self._blackholed -= {k for k in self._blackholed
-                             if isinstance(k, tuple) and k and k[0] == txn}
         return len(stale)
 
     # ------------------------------------------------------------------
@@ -187,7 +184,6 @@ class IAckBufferFile:
         the gather must stall in place and retry.
         """
         if self._dead(key):
-            self._blackholed.add(key)
             return True
         entry = self._entries.get(key)
         if entry is None:
@@ -210,7 +206,6 @@ class IAckBufferFile:
         worm stays parked and None is returned.
         """
         if self._dead(key):
-            self._blackholed.discard(key)
             self.swallowed += 1
             return None  # the swallowed worm stays gone
         entry = self._entries.get(key)

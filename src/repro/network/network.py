@@ -50,7 +50,7 @@ a scheduled tick, until a calendar event is due or the network goes
 idle; ``_tick`` then schedules the next tick.  The clock parks
 off-calendar whenever no node is busy; injections and parked-worm
 releases wake it.  At a verified stalled fixed point — two consecutive
-cycles with no move, no routing countdown, and no fault plan armed —
+cycles with no move, no routing countdown, and no fault plan installed —
 ``step`` jumps the clock to the cycle before the next calendar event,
 bounded by the deadlock threshold, and replays that fixed point's
 per-cycle ``cc_blocked`` / ``reserve_blocked`` deltas for every skipped
@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.config import SystemParameters
 from repro.network.interface import RouterInterface
-from repro.network.routing import FT_SUFFIX, make_routing
+from repro.network.routing import FaultAwareRouting, make_routing
 from repro.network.topology import MESH_PORTS, OPPOSITE, Mesh2D, Port
 from repro.network.worm import Worm, WormKind
 from repro.sim import Simulator, Tally
@@ -119,10 +119,9 @@ class MeshNetwork:
         self.sim = sim
         self.params = params
         self.mesh = Mesh2D(params.mesh_width, params.mesh_height)
-        if params.fault_aware_routing and not routing.endswith(FT_SUFFIX):
-            routing = routing + FT_SUFFIX
-        self.routing = make_routing(routing, self.mesh,
-                                    detour_limit=params.detour_limit)
+        #: The base routing, or the fault-aware wrapper around it once
+        #: :meth:`install_faults` has built one.
+        self.routing = make_routing(routing, self.mesh)
         #: Per-node router interfaces (consumption channels, i-ack
         #: buffer file, chain-done flags).
         self.interfaces = [RouterInterface(params.consumption_channels,
@@ -250,23 +249,25 @@ class MeshNetwork:
     # ------------------------------------------------------------------
     def install_faults(self, plan) -> "FaultState":
         """Attach a :class:`~repro.faults.plan.FaultPlan` to this network;
-        returns the live :class:`~repro.faults.state.FaultState`.
+        returns the live :class:`~repro.faults.state.FaultState`.  A
+        network takes one plan: a second call raises.
 
         Walk-based fault queries always use the *base* routing (a BRCP
-        path's legality is defined against it); a fault-aware routing is
-        additionally armed with the state so per-hop candidate selection
-        and the injection filter consult the live fault map."""
+        path's legality is defined against it).  Under
+        ``params.fault_aware_routing``, a plan that kills a link or
+        router also wraps the base routing in a
+        :class:`~repro.network.routing.FaultAwareRouting`, so per-hop
+        candidate selection and the injection filter consult the live
+        fault map."""
         from repro.faults.state import FaultState
-        from repro.network.routing import FaultAwareRouting
+        if self.faults is not None:
+            raise RuntimeError("a fault plan is already installed")
         self._quiet_steps = 0
-        routing = self.routing
-        base = routing.base if isinstance(routing, FaultAwareRouting) \
-            else routing
-        self.faults = FaultState(plan, self.mesh, base)
-        if isinstance(routing, FaultAwareRouting):
-            routing.attach_faults(self.faults)
-            self.faults.ft_routing = routing
-        return self.faults
+        faults = self.faults = FaultState(plan, self.mesh, self.routing)
+        if self.params.fault_aware_routing and faults.topology_faults:
+            self.routing = faults.ft_routing = FaultAwareRouting(
+                self.routing, faults, self.params.detour_limit)
+        return faults
 
     def inject(self, worm: Worm) -> None:
         """Hand a worm to its source router for injection.

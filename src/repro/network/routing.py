@@ -1,5 +1,5 @@
 """Routing schemes: deterministic e-cube, west-first turn model, minimal
-fully-adaptive, and fault-aware wrappers around any of them.
+fully-adaptive, and a fault-aware wrapper around any of them.
 
 A routing scheme answers one question at each router: through which output
 port(s) may a worm headed for destination ``dst`` leave?  Deterministic
@@ -12,14 +12,15 @@ The same objects also answer *path conformance* queries for the BRCP model
 (:mod:`repro.brcp`): whether a worm that has already travelled in some
 direction may continue with a given next hop.
 
-:class:`FaultAwareRouting` wraps a base scheme (registered as
-``"<base>+ft"``, e.g. ``"ecube+ft"`` / ``"fa+ft"``) and consults the live
-fault map at candidate-selection time: ports onto links or routers dead
-*now* are pruned, minimal adaptive escapes are tried next, and bounded
-non-minimal detours restore reachability around faults the base scheme
-would walk straight into.  Unarmed (no faults installed, or an empty
-plan), the wrapper is a pure delegate — candidate sets, turn rules, and
-therefore whole-simulation results are bit-identical to the base scheme.
+:func:`make_routing` builds the three base schemes by name.
+:class:`FaultAwareRouting` wraps one of them around a live fault map and
+consults it at candidate-selection time: ports onto links or routers
+dead *now* are pruned, minimal adaptive escapes are tried next, and
+bounded non-minimal detours restore reachability around faults the base
+scheme would walk straight into.  Only ``MeshNetwork.install_faults``
+builds it, when ``SystemParameters.fault_aware_routing`` is set and the
+plan kills a link or router; every other network routes with the base
+scheme itself.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ class Routing:
         self.mesh = mesh
         #: Memoized ``(ports, False)`` results of :meth:`hop_candidates`,
         #: keyed ``current * num_nodes + dst``.  Base candidate sets are
-        #: pure functions of the topology, so the cache is valid until a
-        #: fault map attaches (see :meth:`invalidate_memo` and
-        #: :class:`FaultAwareRouting`) or memoization is switched off.
+        #: pure functions of the topology, so the cache never goes stale
+        #: (:class:`FaultAwareRouting` overrides the method and skips it).
         self._hop_memo: dict[int, tuple[list[Port], bool]] = {}
         self._memo_enabled = True
         self._num_nodes = mesh.num_nodes
@@ -58,12 +58,6 @@ class Routing:
         disables it, so the memo cache is checked against lookups
         computed afresh every time."""
         self._memo_enabled = enabled
-        self._hop_memo.clear()
-
-    def invalidate_memo(self) -> None:
-        """Drop every cached candidate set.  Must be called whenever the
-        inputs of :meth:`candidates` change — today that is exactly one
-        event, a fault map attaching to a fault-aware wrapper."""
         self._hop_memo.clear()
 
     def candidates(self, current: int, dst: int) -> list[Port]:
@@ -81,7 +75,7 @@ class Routing:
         """Traversal-time candidate ports: ``(ports, is_detour)``.
 
         The router calls this (not :meth:`candidates`) at output
-        allocation so fault-aware wrappers can filter per hop.  Base
+        allocation so the fault-aware wrapper can filter per hop.  Base
         schemes ignore the extra context and never detour, which makes
         the result a pure function of ``(current, dst)`` — memoized here,
         tuple and all, so the steady-state hot path is one dict probe.
@@ -247,11 +241,11 @@ DETOUR_ORDER = (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
 
 
 class FaultAwareRouting(Routing):
-    """Fault-aware wrapper around a base routing (``"<base>+ft"``).
+    """Fault-aware wrapper around a base routing and a live fault map.
 
     Per hop the wrapper selects candidates in four tiers, stopping at the
     first tier that offers a live port (a port is *live* when the link it
-    crosses and the router it enters are both up at ``now``):
+    crosses is up at ``now``; a dead router takes its links down):
 
     1. the base scheme's candidates, pruned of dead ports and of the
        180-degree reversal back out the input port;
@@ -270,60 +264,31 @@ class FaultAwareRouting(Routing):
     Termination: tiers 1/2/4 strictly decrease the distance to the
     destination (tier 4's base candidates are minimal) and tier 3 is
     budget-bounded, so no livelock is possible.
-
-    With no :class:`~repro.faults.state.FaultState` attached — or one
-    whose plan has no link/router faults — the wrapper is *unarmed*:
-    every query delegates to the base scheme unchanged.
     """
 
-    def __init__(self, base: Routing, detour_limit: int = 8) -> None:
+    def __init__(self, base: Routing, faults, detour_limit: int) -> None:
         super().__init__(base.mesh)
         self.base = base
-        self.name = base.name + "+ft"
-        self.detour_limit = detour_limit
-        #: Live fault map, attached by ``MeshNetwork.install_faults``.
-        self.faults = None
-
-    def attach_faults(self, faults) -> None:
-        """Arm the wrapper with the network's live fault state.
-
-        Arming changes what :meth:`hop_candidates` may return, so the
-        memoized candidate cache is invalidated here; while armed, the
-        fault-dependent path below bypasses the cache entirely."""
+        self.name = f"fault-aware {base.name}"
+        #: The network's live :class:`~repro.faults.state.FaultState`.
         self.faults = faults
-        self.invalidate_memo()
+        self.detour_limit = detour_limit
 
-    @property
-    def armed(self) -> bool:
-        """True when a fault state with topology faults is attached."""
-        return self.faults is not None and self.faults.topology_faults
-
-    # -- pure delegation (identical to the base scheme when unarmed) ---
     def candidates(self, current: int, dst: int) -> list[Port]:
         return self.base.candidates(current, dst)
 
     def turn_allowed(self, incoming: Optional[Port], outgoing: Port) -> bool:
-        """Unarmed: the base scheme's turn rule.  Armed: detours make
-        walks non-minimal, so only 180-degree reversals stay banned (the
-        relaxed rule fully-adaptive routing uses)."""
-        if not self.armed:
-            return self.base.turn_allowed(incoming, outgoing)
-        if incoming is None:
-            return True
-        return outgoing != incoming
+        """Detours make walks non-minimal, so only 180-degree reversals
+        are banned (the relaxed rule fully-adaptive routing uses)."""
+        return incoming is None or outgoing != incoming
 
     # -- fault-aware candidate selection -------------------------------
-    def _alive(self, node: int, port: Port, now: int,
-               permanent_only: bool = False) -> Optional[int]:
-        """Neighbor through ``port`` when the hop is live, else None."""
+    def _live(self, node: int, port: Port, now: int,
+              permanent_only: bool) -> bool:
+        """True when ``port`` leads onto a link that is up at ``now``."""
         nxt = self.mesh.neighbor(node, port)
-        if nxt is None:
-            return None
-        f = self.faults
-        if (f.link_down(node, nxt, now, permanent_only)
-                or f.router_down(nxt, now, permanent_only)):
-            return None
-        return nxt
+        return nxt is not None and not self.faults.link_down(
+            node, nxt, now, permanent_only)
 
     def _productive(self, current: int, dst: int) -> list[Port]:
         """Every distance-decreasing direction (minimal escape set)."""
@@ -344,17 +309,6 @@ class FaultAwareRouting(Routing):
                        in_port: Optional[Port] = None, misroutes: int = 0,
                        now: int = 0,
                        permanent_only: bool = False) -> tuple[list[Port], bool]:
-        if not self.armed:
-            # Pure delegate: reuse the memoized base-class fast path
-            # (``self.candidates`` forwards to the base scheme).
-            if self._memo_enabled:
-                key = current * self._num_nodes + dst
-                hit = self._hop_memo.get(key)
-                if hit is None:
-                    hit = (self.base.candidates(current, dst), False)
-                    self._hop_memo[key] = hit
-                return hit
-            return self.base.candidates(current, dst), False
         base_ports = self.base.candidates(current, dst)
         # The reversal port: a worm that entered through ``in_port`` was
         # travelling OPPOSITE[in_port], so leaving through ``in_port``
@@ -362,23 +316,21 @@ class FaultAwareRouting(Routing):
         reverse = in_port if in_port is not None and in_port is not Port.LOCAL \
             else None
         alive = [p for p in base_ports if p is not reverse
-                 and self._alive(current, p, now, permanent_only) is not None]
-        # Minimal escape set: armed routing is free to use *any* live
+                 and self._live(current, p, now, permanent_only)]
+        # Minimal escape set: the wrapper is free to use *any* live
         # distance-decreasing port (base-preferred first), because a
         # fault further along the base scheme's only minimal direction
         # may demand leaving it before the fault is adjacent.
         productive = self._productive(current, dst)
         escape = alive + [p for p in productive
                           if p not in base_ports and p is not reverse
-                          and self._alive(current, p, now,
-                                          permanent_only) is not None]
+                          and self._live(current, p, now, permanent_only)]
         if escape:
             return escape, False
         if misroutes < self.detour_limit:
             detours = [p for p in DETOUR_ORDER
                        if p not in productive and p is not reverse
-                       and self._alive(current, p, now,
-                                       permanent_only) is not None]
+                       and self._live(current, p, now, permanent_only)]
             if detours:
                 return detours, True
         return base_ports, False
@@ -424,8 +376,7 @@ class FaultAwareRouting(Routing):
         count seen (fewer misroutes can only widen future candidates),
         which bounds the search at ``5 * num_nodes`` states.
         """
-        faults = self.faults
-        check = self.armed
+        link_down = self.faults.link_down
         best: dict[tuple[int, Optional[Port]], int] = {(src, in_port):
                                                        misroutes}
         stack: list[tuple[int, Optional[Port], int, tuple]] = [
@@ -440,12 +391,7 @@ class FaultAwareRouting(Routing):
                 if not self.turn_allowed(inp, port):
                     continue
                 nxt = self.mesh.neighbor(node, port)
-                if nxt is None:
-                    continue
-                if check and (faults.link_down(node, nxt, now,
-                                               permanent_only)
-                              or faults.router_down(nxt, now,
-                                                    permanent_only)):
+                if nxt is None or link_down(node, nxt, now, permanent_only):
                     continue
                 back = OPPOSITE[port]
                 if nxt == dst:
@@ -462,37 +408,15 @@ class FaultAwareRouting(Routing):
 _SCHEMES = {cls.name: cls for cls in (ECubeRouting, WestFirstRouting,
                                       FullyAdaptiveRouting)}
 
-#: Short aliases accepted by :func:`make_routing` (``"fa+ft"`` etc.).
-_ALIASES = {"ec": "ecube", "wf": "westfirst", "fa": "adaptive"}
 
-#: Suffix selecting the fault-aware wrapper.
-FT_SUFFIX = "+ft"
-
-
-def available_routings() -> list[str]:
-    """Every registered routing scheme name, base schemes first."""
-    names = sorted(_SCHEMES)
-    return names + [n + FT_SUFFIX for n in names]
-
-
-def make_routing(name: str, mesh: Mesh2D,
-                 detour_limit: int = 8) -> Routing:
-    """Factory: ``"ecube"``, ``"westfirst"``, ``"adaptive"`` (aliases
-    ``"ec"``/``"wf"``/``"fa"``), or any of them with a ``"+ft"`` suffix
-    for the fault-aware wrapper (e.g. ``"fa+ft"``, ``"wf+ft"``)."""
-    base_name, sep, suffix = name.partition("+")
-    base_name = _ALIASES.get(base_name, base_name)
-    if sep and suffix != "ft":
-        raise ValueError(f"unknown routing modifier {'+' + suffix!r} in "
-                         f"{name!r}; only {FT_SUFFIX!r} is supported")
+def make_routing(name: str, mesh: Mesh2D) -> Routing:
+    """Factory for the base schemes: ``"ecube"``, ``"westfirst"`` or
+    ``"adaptive"``."""
     try:
-        base = _SCHEMES[base_name](mesh)
+        return _SCHEMES[name](mesh)
     except KeyError:
         raise ValueError(f"unknown routing scheme {name!r}; "
-                         f"choose from {available_routings()}") from None
-    if sep:
-        return FaultAwareRouting(base, detour_limit=detour_limit)
-    return base
+                         f"choose from {sorted(_SCHEMES)}") from None
 
 
 def walk_is_conformant(routing: Routing,
@@ -509,6 +433,5 @@ def walk_is_conformant(routing: Routing,
         out = mesh.port_towards(here, there)
         if not routing.turn_allowed(incoming, out):
             return False
-        from repro.network.topology import OPPOSITE
         incoming = OPPOSITE[out]
     return True

@@ -1,4 +1,4 @@
-"""Property and acceptance tests for fault-aware (``+ft``) routing.
+"""Property and acceptance tests for fault-aware routing.
 
 The headline guarantees, checked here with hypothesis at >= 200 examples
 per property:
@@ -7,14 +7,14 @@ per property:
   mesh (both dims >= 2) the mesh stays connected, and the fault-aware
   walk reaches every destination from every source;
 * **turn legality** — every fault-filtered walk is conformant under the
-  armed wrapper's turn model (no 180-degree reversals) and crosses no
-  dead hop;
+  wrapper's turn model (no 180-degree reversals) and crosses no dead
+  hop;
 * **plan soundness** — chains re-planned by :func:`degrade_plan` around
   permanent faults stay BRCP-conformant for the *base* routing.
 
 Plus the engine-level acceptance scenario from the issue: a single
 permanent dead link on the 8x8 mesh makes downgrade-only recovery fail
-terminally while ``+ft`` routing completes every transaction with zero
+terminally while fault-aware routing completes every transaction with zero
 :class:`~repro.faults.plan.TransactionFailed`.
 """
 
@@ -36,12 +36,10 @@ from tests.test_network_properties import assert_drained
 
 
 def armed_ft(mesh, fault_plan, base_name="ecube", detour_limit=8):
-    """Stand-alone armed wrapper + fault state, no simulator needed."""
+    """Stand-alone wrapper + fault state, no simulator needed."""
     base = make_routing(base_name, mesh)
-    ft = FaultAwareRouting(base, detour_limit=detour_limit)
     fs = FaultState(fault_plan, mesh, base)
-    ft.attach_faults(fs)
-    fs.ft_routing = ft
+    ft = fs.ft_routing = FaultAwareRouting(base, fs, detour_limit)
     return ft, fs
 
 
@@ -105,7 +103,7 @@ def test_fault_filtered_walks_are_turn_legal_and_avoid_faults(mesh_link,
     dst = data.draw(st.integers(0, mesh.num_nodes - 1), label="dst")
     walk = ft.route_walk(src, [dst], now=0)
     assert walk is not None
-    # Single hops only, and legal under the armed turn model (which
+    # Single hops only, and legal under the wrapper's turn model (which
     # walk_is_conformant checks via turn_allowed on the wrapper).
     assert walk_is_conformant(ft, walk)
     for u, v in zip(walk, walk[1:]):
@@ -216,7 +214,7 @@ def test_dead_link_downgrade_only_fails_terminally(scheme):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_dead_link_ft_routing_completes_every_transaction(scheme):
-    """With ``+ft`` routing the same scenario completes outright: no
+    """With fault-aware routing the same scenario completes outright: no
     retries, no drops, and the worms detour around the dead link."""
     record, net = run_dead_link_scenario(scheme, fault_aware=True)
     assert record.attempts == 1
@@ -230,6 +228,49 @@ def test_dead_link_ft_keeps_multidest_chains_rerouted():
     record, _net = run_dead_link_scenario("mi-ma-ec", fault_aware=True)
     assert record.reroutes >= 1
     assert record.downgrades == 0
+
+
+# ----------------------------------------------------------------------
+# One switch: install_faults builds the wrapper, and only when needed
+# ----------------------------------------------------------------------
+INSTALL_PLANS = {
+    "link": FaultPlan(link_faults=(LinkFault(0, 1),)),
+    "router": FaultPlan(router_faults=(RouterFault(5),)),
+    "windowed-link": FaultPlan(link_faults=(LinkFault(0, 1, 100, 200),)),
+    "drops-only": FaultPlan(drop_prob=0.1),
+}
+
+
+@pytest.mark.parametrize("fault_aware", [False, True])
+@pytest.mark.parametrize("kind", sorted(INSTALL_PLANS))
+def test_install_faults_wraps_only_for_link_or_router_faults(fault_aware,
+                                                             kind):
+    """``net.routing`` is a :class:`FaultAwareRouting` iff the switch is
+    on and the plan kills a link or router; the fault map judges walks
+    against the base routing either way."""
+    params = SystemParameters(fault_aware_routing=fault_aware,
+                              detour_limit=3)
+    net = MeshNetwork(Simulator(), params, "westfirst")
+    base = net.routing
+    faults = net.install_faults(INSTALL_PLANS[kind])
+    assert faults.routing is base
+    if fault_aware and kind != "drops-only":
+        assert isinstance(net.routing, FaultAwareRouting)
+        assert net.routing.base is base and net.routing.faults is faults
+        assert net.routing.detour_limit == 3
+        assert faults.ft_routing is net.routing
+    else:
+        assert net.routing is base and faults.ft_routing is None
+
+
+def test_second_install_faults_raises():
+    net = MeshNetwork(Simulator(), SystemParameters(fault_aware_routing=True),
+                      "ecube")
+    net.install_faults(INSTALL_PLANS["link"])
+    routing, faults = net.routing, net.faults
+    with pytest.raises(RuntimeError, match="already installed"):
+        net.install_faults(INSTALL_PLANS["router"])
+    assert net.routing is routing and net.faults is faults
 
 
 # ----------------------------------------------------------------------

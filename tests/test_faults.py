@@ -126,9 +126,15 @@ def test_known_blocked_sees_only_started_permanent_faults():
         LinkFault(1, 2, start=0, end=None),
         LinkFault(9, 10, start=500, end=None),
         LinkFault(17, 18, start=0, end=100))))
-    assert fs.path_known_blocked(0, [3], now=0)          # permanent, live
-    assert not fs.path_known_blocked(8, [11], now=0)     # not started yet
-    assert not fs.path_known_blocked(16, [19], now=0)    # transient
+
+    def known_blocked(src, dst):
+        walk = fs.walk_of(src, [dst])
+        return fs.blocking_hop(walk, now=0, permanent_only=True)
+
+    assert known_blocked(0, 3) == 1                      # permanent, live
+    assert known_blocked(8, 11) is None                  # not started yet
+    assert known_blocked(16, 19) is None                 # transient
+    assert fs.blocking_hop(fs.walk_of(16, [19]), now=0) == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Differential fuzzing of the cycle engine against the oracle.
 
 Hypothesis draws a whole scenario — mesh shape (including 1xN and 2x2
-degenerate meshes), routing algorithm (every registered one, including
-the ``+ft`` fault-aware wrappers with random fault plans), coherence
-scheme, sharing degree, audit level, seed, the router parameters the
-cycle engine reads (routing delay, VC buffer depth, virtual networks,
-consumption channels, i-ack buffers, deferred delivery), and how the
+degenerate meshes), base routing, coherence scheme, sharing degree,
+audit level, seed, random fault plans, the router parameters the cycle
+engine reads (routing delay, VC buffer depth, virtual networks,
+consumption channels, i-ack buffers, deferred delivery, fault-aware
+routing, which routes faulted runs around their dead links), and how the
 simulation is driven (``run_until_event`` or ``run(until=...)``
 slices) — runs it on :class:`~repro.network.network.MeshNetwork` and
 on the frozen reference kernel in ``tests/reference_kernel.py``, and
@@ -38,7 +38,7 @@ from repro.audit import Auditor
 from repro.config import paper_parameters
 from repro.core import InvalidationEngine, build_plan
 from repro.faults import FaultPlan, TransactionFailed
-from repro.network import MeshNetwork, available_routings
+from repro.network import MeshNetwork
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 from repro.workloads.patterns import make_pattern
@@ -60,7 +60,7 @@ def scenarios(draw):
     height = draw(st.integers(min_value=1, max_value=4))
     nodes = width * height
     assume(nodes >= 2)
-    routing = draw(st.sampled_from(sorted(available_routings())))
+    routing = draw(st.sampled_from(["adaptive", "ecube", "westfirst"]))
     scheme = draw(st.sampled_from(SCHEMES))
     degree = draw(st.integers(min_value=1,
                               max_value=min(5, nodes - 1)))
@@ -82,6 +82,7 @@ def scenarios(draw):
         "consumption_channels": draw(st.sampled_from([1, 2, 4])),
         "iack_buffers": draw(st.sampled_from([2, 4])),
         "deferred_delivery": draw(st.booleans()),
+        "fault_aware_routing": draw(st.booleans()),
     }
     return {"width": width, "height": height, "routing": routing,
             "scheme": scheme, "degree": degree, "seed": seed,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemParameters
-from repro.network import MeshNetwork, Worm, WormKind, available_routings
+from repro.faults import FaultPlan, LinkFault
+from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.network import IDLE
 from repro.network.worm import VNET_REQUEST
 from repro.sim import Simulator
@@ -24,6 +25,26 @@ def assert_drained(net):
         assert iface.free_cc == iface.total_cc
 
 
+#: Every base routing, plain and fault-aware (id ``<base>+ft``).  The
+#: fault-aware cases run with the link (3,3)-(3,4) of the 8x8 mesh dead,
+#: so the wrapper is built and worms crossing the cut detour.
+ROUTINGS = [(base, fault_aware) for fault_aware in (False, True)
+            for base in ("adaptive", "ecube", "westfirst")]
+ROUTING_IDS = [f"{base}+ft" if fault_aware else base
+               for base, fault_aware in ROUTINGS]
+DEAD_LINK = (27, 35)
+
+
+def storm_network(routing, fault_aware):
+    """A fresh 8x8 network; fault-aware ones get :data:`DEAD_LINK`."""
+    sim = Simulator()
+    net = MeshNetwork(sim, SystemParameters(fault_aware_routing=fault_aware),
+                      routing)
+    if fault_aware:
+        net.install_faults(FaultPlan(link_faults=(LinkFault(*DEAD_LINK),)))
+    return sim, net
+
+
 def drain(sim, net, limit=500_000):
     while not net.idle():
         assert sim.now < limit, "network did not drain"
@@ -33,33 +54,34 @@ def drain(sim, net, limit=500_000):
     sim.run(until=sim.now)
 
 
-@pytest.mark.parametrize("routing", available_routings())
+@pytest.mark.parametrize("routing,fault_aware", ROUTINGS, ids=ROUTING_IDS)
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63),
                           st.integers(2, 40), st.integers(0, 1)),
                 min_size=1, max_size=25))
-def test_unicast_storm_all_delivered_flits_conserved(routing, messages):
-    """Flit conservation and clean drain hold for *every* registered
-    routing scheme (base and fault-aware alike), so new schemes inherit
-    the harness for free."""
-    sim = Simulator()
-    params = SystemParameters()
-    net = MeshNetwork(sim, params, routing)
+def test_unicast_storm_all_delivered_flits_conserved(routing, fault_aware,
+                                                     messages):
+    """Flit conservation and clean drain hold for *every* routing scheme
+    (base and fault-aware alike), so new schemes inherit the harness for
+    free."""
+    sim, net = storm_network(routing, fault_aware)
     worms = []
-    expected_hops = 0
     for src, dst, size, vnet in messages:
         if src == dst:
             continue
         w = Worm(kind=WormKind.UNICAST, src=src, dests=(dst,),
                  size_flits=size, vnet=vnet)
         worms.append(w)
-        expected_hops += size * net.mesh.manhattan(src, dst)
         net.inject(w)
     drain(sim, net)
     # Every worm delivered exactly once.
-    assert net.delivered == len(worms)
-    # Flit conservation: minimal routes => exact hop counts.
-    assert net.total_flit_hops == expected_hops
+    assert net.delivered == len(worms) and net.worms_dropped == 0
+    # Flit conservation: every hop is minimal except a detour, which
+    # costs one hop away from the destination and one back.
+    assert net.total_flit_hops == sum(
+        w.size_flits * (net.mesh.manhattan(w.src, w.dests[0])
+                        + 2 * w.misroutes) for w in worms)
+    assert net.detours == sum(w.misroutes for w in worms)
     # All router state returned to idle; all channels free.
     assert_drained(net)
 
@@ -115,14 +137,15 @@ def test_multicast_delivers_exactly_once_per_destination(src, dest_set,
     assert sorted(delivered) == sorted(injected_dests)
 
 
-@pytest.mark.parametrize("routing", available_routings())
-def test_mixed_vnet_storm_with_multicasts_drains_clean(routing):
-    """Deadlock freedom under mixed traffic for every registered
-    routing scheme: the storm drains with all deliveries made."""
+@pytest.mark.parametrize("routing,fault_aware", ROUTINGS, ids=ROUTING_IDS)
+def test_mixed_vnet_storm_with_multicasts_drains_clean(routing,
+                                                       fault_aware):
+    """Deadlock freedom under mixed traffic for every routing scheme: the
+    storm drains with all deliveries made.  Fault-aware routing must
+    carry every worm around the dead link, detouring where the storm
+    crosses it."""
     rng = np.random.default_rng(12)
-    sim = Simulator()
-    params = SystemParameters()
-    net = MeshNetwork(sim, params, routing)
+    sim, net = storm_network(routing, fault_aware)
     mesh = net.mesh
     count = 0
     for _ in range(15):
@@ -141,5 +164,6 @@ def test_mixed_vnet_storm_with_multicasts_drains_clean(routing):
                         size_flits=8))
         count += 1
     drain(sim, net)
-    assert net.delivered == count
+    assert net.delivered == count and net.worms_dropped == 0
+    assert (net.detours > 0) == fault_aware
     assert_drained(net)

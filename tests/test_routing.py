@@ -3,11 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network.routing import (ECubeRouting, FaultAwareRouting,
-                                   FullyAdaptiveRouting, Routing,
-                                   RoutingError, WestFirstRouting,
-                                   available_routings, make_routing,
-                                   walk_is_conformant)
+from repro.network.routing import (ECubeRouting, FullyAdaptiveRouting,
+                                   Routing, RoutingError, WestFirstRouting,
+                                   make_routing, walk_is_conformant)
 from repro.network.topology import Mesh2D, Port
 
 
@@ -139,45 +137,13 @@ def test_make_routing_factory():
 
 
 def test_make_routing_aliases_and_ft_suffix():
+    """Fault-aware routing is a ``SystemParameters`` switch, not a name:
+    the factory knows the three base schemes and nothing else."""
     mesh = Mesh2D(4, 4)
-    assert isinstance(make_routing("fa", mesh), FullyAdaptiveRouting)
-    assert isinstance(make_routing("ec", mesh), ECubeRouting)
-    for name, base_cls in (("fa+ft", FullyAdaptiveRouting),
-                           ("wf+ft", WestFirstRouting),
-                           ("ecube+ft", ECubeRouting)):
-        r = make_routing(name, mesh, detour_limit=3)
-        assert isinstance(r, FaultAwareRouting)
-        assert isinstance(r.base, base_cls)
-        assert r.name == base_cls.name + "+ft"
-        assert r.detour_limit == 3
-        assert not r.armed  # no fault state attached yet
-    with pytest.raises(ValueError, match="unknown routing modifier"):
-        make_routing("ecube+turbo", mesh)
-    with pytest.raises(ValueError, match="unknown routing"):
-        make_routing("bogus+ft", mesh)
-
-
-def test_available_routings_lists_base_and_ft():
-    names = available_routings()
-    assert {"ecube", "westfirst", "adaptive"} <= set(names)
-    for base in ("ecube", "westfirst", "adaptive"):
-        assert base + "+ft" in names
-
-
-def test_unarmed_ft_wrapper_delegates_exactly():
-    mesh = Mesh2D(8, 8)
-    ft = make_routing("wf+ft", mesh)
-    base = WestFirstRouting(mesh)
-    for src in (0, 9, 27):
-        for dst in (5, 40, 63):
-            assert ft.candidates(src, dst) == base.candidates(src, dst)
-            if src != dst:
-                assert ft.route_hops(src, dst) == base.route_hops(src, dst)
-                ports, detour = ft.hop_candidates(src, dst, Port.LOCAL, 0, 0)
-                assert ports == base.candidates(src, dst) and not detour
-    for inc in (None, Port.WEST, Port.SOUTH):
-        for out in (Port.EAST, Port.WEST, Port.NORTH):
-            assert ft.turn_allowed(inc, out) == base.turn_allowed(inc, out)
+    assert isinstance(make_routing("adaptive", mesh), FullyAdaptiveRouting)
+    for name in ("ecube+ft", "fa+ft", "fa", "ec", "wf", "ecube+turbo"):
+        with pytest.raises(ValueError, match="unknown routing scheme"):
+            make_routing(name, mesh)
 
 
 # ----------------------------------------------------------------------
