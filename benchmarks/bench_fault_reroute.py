@@ -12,11 +12,12 @@ recovery postures for the multidestination invalidation schemes:
 * **none** — no recovery at all (``txn_max_retries=0``).
 
 Expected shape: ft completes *everything* a single dead link allows
-(completion rate 1.0) with zero downgrades, the downgrade-only posture
-loses the transactions whose unicast paths are also blocked, and the
-no-recovery posture does no better.  On the fault-free point all three
-postures are bit-identical (with no fault installed every network
-routes with the base scheme).
+(completion rate 1.0) with zero downgrades, and does it by detouring
+worms (``detours > 0``) and re-planning chains (``reroutes > 0``); the
+downgrade-only posture loses the transactions whose unicast paths are
+also blocked, and the no-recovery posture does no better.  On the
+fault-free point all three postures are bit-identical (with no fault
+installed every network routes with the base scheme).
 """
 
 from conftest import run_once
@@ -27,6 +28,11 @@ from repro.faults.sweep import format_fault_table, run_fault_sweep
 SCHEMES = ["mi-ua-ec", "mi-ma-ec"]
 PROBS = [0.0, 0.001]
 FAULT_PROB = PROBS[-1]
+#: Places the dead link where ft must detour and re-plan at both
+#: scales.  Under some seeds (3 among them) every rescued transaction
+#: completes through minimal escapes alone, so the figure would show
+#: neither a detour nor a reroute.
+SEED = 2
 
 
 def test_fault_reroute_dead_link(benchmark, scale):
@@ -38,7 +44,7 @@ def test_fault_reroute_dead_link(benchmark, scale):
             else params.evolve(fault_aware_routing=recovery == "ft")
         rows = run_fault_sweep(
             SCHEMES, PROBS, degree=12, per_point=per, params=p,
-            link_faults=1, seed=3)
+            link_faults=1, seed=SEED)
         for row in rows:
             row["recovery"] = recovery
         return rows
@@ -64,6 +70,9 @@ def test_fault_reroute_dead_link(benchmark, scale):
         # every transaction, without a single unicast downgrade.
         assert ft["completion_rate"] == 1.0
         assert ft["downgrades"] == 0.0
+        # ... by detouring worms and re-planning blocked chains.
+        assert ft["detours"] > 0
+        assert ft["reroutes"] > 0
         # Recovery postures are ordered: ft >= downgrade >= none.
         assert ft["completion_rate"] >= dg["completion_rate"]
         assert dg["completion_rate"] >= none["completion_rate"]

@@ -16,39 +16,16 @@ grow and the estimate becomes a lower bound.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Sequence
-
 from repro.brcp.encoding import worm_flits
-from repro.brcp.model import path_length
+from repro.brcp.model import leg_hops, path_length
 from repro.config import SystemParameters
 from repro.core.plan import (ACT_ACK, ACT_CHAIN_FINAL, ACT_LAUNCH,
                              ACT_PIECE, FINAL_HOME, FINAL_JUNCTION,
                              FINAL_TERMINAL, GatherSpec, InvalidationPlan,
                              JUNCTION_DEPOSIT, JUNCTION_LAUNCH,
                              JUNCTION_UNICAST)
-from repro.network.routing import Routing, make_routing
 from repro.network.topology import Mesh2D
 from repro.network.worm import WormKind
-
-
-# ----------------------------------------------------------------------
-# Shared routing objects
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def _cached_routing(name: str, width: int, height: int) -> Routing:
-    return make_routing(name, Mesh2D(width, height))
-
-
-def routing_for(name: str, mesh: Mesh2D) -> Routing:
-    """Memoized :func:`make_routing` for the analytical evaluators.
-
-    The closed-form model only reads topology (``manhattan`` distances)
-    off the routing, so one immutable instance per ``(scheme, mesh
-    shape)`` can serve every plan of a sweep — repeated scheme x mesh
-    points stop rebuilding routing objects on each call.
-    """
-    return _cached_routing(name, mesh.width, mesh.height)
 
 
 # ----------------------------------------------------------------------
@@ -77,14 +54,13 @@ def plan_traffic(plan: InvalidationPlan, params: SystemParameters,
                  mesh: Mesh2D) -> int:
     """Exact flit-hops of a transaction on an idle network (every flit
     crosses every link of its worm's path exactly once)."""
-    routing = routing_for(plan.routing, mesh)
     total = 0
     for group in plan.groups:
-        hops = path_length(routing, plan.home, group.dests)
+        hops = path_length(mesh, plan.home, group.dests)
         total += hops * worm_flits(params, group.kind, len(group.dests))
 
     def gather_traffic(spec: GatherSpec) -> int:
-        hops = path_length(routing, spec.launcher, spec.dests)
+        hops = path_length(mesh, spec.launcher, spec.dests)
         t = hops * worm_flits(params, WormKind.IGATHER, len(spec.dests))
         if spec.final_action == FINAL_TERMINAL:
             t += (mesh.manhattan(spec.dests[-1], plan.home)
@@ -115,18 +91,22 @@ def _unicast_time(params: SystemParameters, hops: int, size: int) -> int:
     return params.router_delay * (hops + 1) + size - 1
 
 
-def _worm_leg_hops(routing: Routing, src: int,
-                   dests: Sequence[int]) -> list[int]:
-    """Cumulative hop counts from src to each destination along the path."""
-    mesh = routing.mesh
-    out = []
-    total = 0
-    prev = src
-    for d in dests:
-        total += mesh.manhattan(prev, d)
-        out.append(total)
-        prev = d
-    return out
+#: The home router's input links, as :func:`ack_link` numbers them.
+ACK_LINKS = ("N", "S", "E", "W")
+
+
+def ack_link(mesh: Mesh2D, home: int, src: int) -> int:
+    """Index in :data:`ACK_LINKS` of the home router input link an ack
+    from ``src`` arrives on: the ack-phase link rule of both the scalar
+    and the vectorized model.  It assumes XY routing for every scheme,
+    so the Y leg comes last unless ``src`` shares the home's row."""
+    hx, hy = mesh.coords(home)
+    sx, sy = mesh.coords(src)
+    if sy > hy:
+        return 0
+    if sy < hy:
+        return 1
+    return 2 if sx > hx else 3
 
 
 def estimate_latency(plan: InvalidationPlan,
@@ -141,7 +121,6 @@ def estimate_latency(plan: InvalidationPlan,
     receive serialization at the home in the acknowledgment phase.
     """
     p = params
-    routing = routing_for(plan.routing, mesh)
     if not plan.sharers:
         return 0
 
@@ -162,7 +141,7 @@ def estimate_latency(plan: InvalidationPlan,
         size = worm_flits(p, group.kind, len(group.dests))
         t_send = max(oc_ready, inject_free)
         inject_free = t_send + size
-        hops = _worm_leg_hops(routing, plan.home, group.dests)
+        hops = leg_hops(mesh, plan.home, group.dests)
         if group.kind is WormKind.CHAIN:
             # Serialized: the worm delivers at header arrival and waits
             # at each stop for the local invalidation before proceeding.
@@ -198,7 +177,7 @@ def estimate_latency(plan: InvalidationPlan,
 
     def run_gather(spec: GatherSpec, t_launch: int, initial: int) -> None:
         size = worm_flits(p, WormKind.IGATHER, len(spec.dests))
-        hops = _worm_leg_hops(routing, spec.launcher, spec.dests)
+        hops = leg_hops(mesh, spec.launcher, spec.dests)
         t = t_launch + p.router_delay  # source router
         acks = initial
         prev_hops = 0
@@ -275,22 +254,11 @@ def estimate_latency(plan: InvalidationPlan,
     assert home_arrivals, "no acknowledgments reach the home"
     assert sum(a[0] for a in home_arrivals) == len(plan.sharers), \
         "analytical ack conservation failed"
-    hx, hy = mesh.coords(plan.home)
-
-    def last_hop_dir(src: int) -> str:
-        # XY routing: the Y leg comes last unless src shares the row.
-        sx, sy = mesh.coords(src)
-        if sy > hy:
-            return "N"
-        if sy < hy:
-            return "S"
-        return "E" if sx > hx else "W"
-
-    link_free = {"N": 0, "S": 0, "E": 0, "W": 0}
+    link_free = [0] * len(ACK_LINKS)
     t_free = 0
     finish = 0
     for _count, t, size, src in sorted(home_arrivals, key=lambda a: a[1]):
-        d = last_hop_dir(src)
+        d = ack_link(mesh, plan.home, src)
         tail = max(t, link_free[d] + size)
         link_free[d] = tail
         t_free = max(t_free, tail) + p.recv_overhead

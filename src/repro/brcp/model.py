@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.network.routing import Routing
-from repro.network.topology import OPPOSITE, Port
+from repro.network.topology import OPPOSITE, Mesh2D, Port
 
 
 def _leg_orders(mesh, a: int, b: int) -> list[list[tuple[Port, int]]]:
@@ -145,8 +145,20 @@ def conformant_walk(routing: Routing, src: int,
     return walk
 
 
-def path_length(routing: Routing, src: int, dests: Sequence[int]) -> int:
+def leg_hops(mesh: Mesh2D, src: int, dests: Sequence[int]) -> list[int]:
+    """Cumulative hop counts from ``src`` to each destination along the
+    multidestination path (legs are minimal)."""
+    out = []
+    total = 0
+    prev = src
+    for d in dests:
+        total += mesh.manhattan(prev, d)
+        out.append(total)
+        prev = d
+    return out
+
+
+def path_length(mesh: Mesh2D, src: int, dests: Sequence[int]) -> int:
     """Total hop count of the multidestination path (legs are minimal)."""
-    mesh = routing.mesh
-    nodes = [src] + list(dests)
-    return sum(mesh.manhattan(a, b) for a, b in zip(nodes, nodes[1:]))
+    hops = leg_hops(mesh, src, dests)
+    return hops[-1] if hops else 0

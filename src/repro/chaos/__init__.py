@@ -8,10 +8,6 @@ greedily shrunk and frozen into JSON bundles that replay exactly.
 from repro.chaos.bundle import (BUNDLE_FORMAT, load_bundle, make_bundle,
                                 replay_bundle, write_bundle)
 from repro.chaos.runner import run_chaos
-from repro.chaos.runner_faults import (RUNNER_CHAOS_SCENARIOS,
-                                       run_runner_chaos)
-from repro.chaos.serve_faults import (SERVE_CHAOS_SCENARIOS,
-                                      run_serve_chaos)
 from repro.chaos.scenario import (CHAOS_SCHEMES, ChaosResult, ChaosScenario,
                                   MUTATIONS, build_fault_plan, build_system,
                                   build_traces, generate_scenario,
@@ -24,8 +20,6 @@ __all__ = [
     "ChaosResult",
     "ChaosScenario",
     "MUTATIONS",
-    "RUNNER_CHAOS_SCENARIOS",
-    "SERVE_CHAOS_SCENARIOS",
     "build_fault_plan",
     "build_system",
     "build_traces",
@@ -34,9 +28,7 @@ __all__ = [
     "make_bundle",
     "replay_bundle",
     "run_chaos",
-    "run_runner_chaos",
     "run_scenario",
-    "run_serve_chaos",
     "shrink",
     "write_bundle",
 ]

@@ -36,9 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.analytical import (_worm_leg_hops, plan_message_count,
-                                       routing_for)
-from repro.brcp.model import path_length
+from repro.analysis.analytical import (ACK_LINKS, ack_link,
+                                       plan_message_count)
+from repro.brcp.encoding import header_flit_count
+from repro.brcp.model import leg_hops, path_length
 from repro.config import SystemParameters
 from repro.core.grouping import build_plan
 from repro.core.plan import (ACT_ACK, ACT_CHAIN_FINAL, ACT_LAUNCH, ACT_PIECE,
@@ -62,8 +63,6 @@ _FIN_NONE = 0
 _FIN_HOME = 1
 _FIN_JUNCTION = 2
 _FIN_TERMINAL = 3
-
-_DIRS = {"N": 0, "S": 1, "E": 2, "W": 3}
 
 
 # ----------------------------------------------------------------------
@@ -135,16 +134,6 @@ class CompiledPlan:
     )
 
 
-def _last_hop_dir(mesh: Mesh2D, home: int, src: int) -> int:
-    hx, hy = mesh.coords(home)
-    sx, sy = mesh.coords(src)
-    if sy > hy:
-        return _DIRS["N"]
-    if sy < hy:
-        return _DIRS["S"]
-    return _DIRS["E"] if sx > hx else _DIRS["W"]
-
-
 def _group_size_class(kind: WormKind) -> int:
     if kind is WormKind.UNICAST:
         return _SZ_CMF
@@ -155,10 +144,9 @@ def _group_size_class(kind: WormKind) -> int:
 
 def compile_plan(plan: InvalidationPlan, mesh: Mesh2D) -> CompiledPlan:
     """Extract the parameter-independent structure of ``plan``."""
-    routing = routing_for(plan.routing, mesh)
     cp = CompiledPlan()
     cp.height = mesh.height
-    cp.mask_flits = max(1, -(-mesh.height // 8))
+    cp.mask_flits = header_flit_count("bitstring", mesh.height, 2)
     cp.n_sharers = len(plan.sharers)
     cp.messages = plan_message_count(plan)
     slot = {s: i for i, s in enumerate(plan.sharers)}
@@ -168,7 +156,7 @@ def compile_plan(plan: InvalidationPlan, mesh: Mesh2D) -> CompiledPlan:
     cp.d_group, cp.d_hops, cp.d_slot = [], [], []
     cp.c_slot, cp.c_delta = [], []
     for gi, group in enumerate(plan.groups):
-        hops = _worm_leg_hops(routing, plan.home, group.dests)
+        hops = leg_hops(mesh, plan.home, group.dests)
         cp.g_code.append(_group_size_class(group.kind))
         cp.g_nd.append(len(group.dests))
         chain = group.kind is WormKind.CHAIN
@@ -205,7 +193,7 @@ def compile_plan(plan: InvalidationPlan, mesh: Mesh2D) -> CompiledPlan:
 
     def arrival(count: int, src: int, sclass: int, nd: int) -> int:
         cp.a_count.append(count)
-        cp.a_dir.append(_last_hop_dir(mesh, plan.home, src))
+        cp.a_dir.append(ack_link(mesh, plan.home, src))
         cp.a_sclass.append(sclass)
         cp.a_nd.append(nd)
         return len(cp.a_count) - 1
@@ -232,7 +220,7 @@ def compile_plan(plan: InvalidationPlan, mesh: Mesh2D) -> CompiledPlan:
         junction lanes depending on the pickup level."""
         acks = initial
         inter, prev = [], 0
-        hops = _worm_leg_hops(routing, spec.launcher, spec.dests)
+        hops = leg_hops(mesh, spec.launcher, spec.dests)
         for node, h in zip(spec.dests[:-1], hops[:-1]):
             if level == 0:
                 ref, picked = slot.get(node, -1), 1
@@ -320,13 +308,13 @@ def compile_plan(plan: InvalidationPlan, mesh: Mesh2D) -> CompiledPlan:
 
     def gather_tfc(spec: GatherSpec) -> None:
         traffic(_SZ_IG, len(spec.dests),
-                path_length(routing, spec.launcher, spec.dests))
+                path_length(mesh, spec.launcher, spec.dests))
         if spec.final_action == FINAL_TERMINAL:
             traffic(_SZ_CMF, 1, mesh.manhattan(spec.dests[-1], plan.home))
 
     for group in plan.groups:
         traffic(_group_size_class(group.kind), len(group.dests),
-                path_length(routing, plan.home, group.dests))
+                path_length(mesh, plan.home, group.dests))
     for node, action in plan.sharer_actions.items():
         if action[0] in (ACT_ACK, ACT_CHAIN_FINAL):
             traffic(_SZ_CMF, 1, mesh.manhattan(node, plan.home))
@@ -731,7 +719,7 @@ def evaluate_batch(batch: PlanBatch,
     d_o = take2(batch.a_dir, order)
     v_o = take2(batch.a_valid, order)
     tails = np.zeros((n, amax), dtype=np.int64)
-    for d in range(4):
+    for d in range(len(ACK_LINKS)):
         mask = v_o & (d_o == d)
         sz = np.where(mask, s_o, 0)
         csz = np.cumsum(sz, axis=1)

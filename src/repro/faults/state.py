@@ -17,6 +17,7 @@ import random
 from typing import Optional
 
 from repro.brcp.model import conformant_walk
+from repro.config import ConfigError
 from repro.faults.plan import FaultPlan, LinkFault, RouterFault
 from repro.network.routing import Routing
 from repro.network.topology import MESH_PORTS, Mesh2D
@@ -28,10 +29,23 @@ REASON_DROP = "random-drop"
 
 
 class FaultState:
-    """Evaluates one plan against one mesh + base routing."""
+    """Evaluates one plan against one mesh + base routing.  A link
+    fault whose ends are not adjacent mesh nodes, or a router fault off
+    the mesh, is a :class:`~repro.config.ConfigError`."""
 
     def __init__(self, plan: FaultPlan, mesh: Mesh2D,
                  routing: Routing) -> None:
+        n = mesh.num_nodes
+        for lf in plan.link_faults:
+            if not (0 <= lf.a < n and 0 <= lf.b < n
+                    and mesh.manhattan(lf.a, lf.b) == 1):
+                raise ConfigError(f"link fault {lf.a}-{lf.b} is not a "
+                                  f"link of the {mesh.width}x"
+                                  f"{mesh.height} mesh")
+        for rf in plan.router_faults:
+            if not 0 <= rf.node < n:
+                raise ConfigError(f"router fault {rf.node} is outside the "
+                                  f"{mesh.width}x{mesh.height} mesh")
         self.plan = plan
         self.mesh = mesh
         self.routing = routing

@@ -47,22 +47,32 @@ async def http_request(reader: asyncio.StreamReader,
     writer.write(("\r\n".join(lines) + "\r\n\r\n").encode()
                  + (body or b""))
     await writer.drain()
+    response = await read_response(reader)
+    if not response[0]:
+        raise ConnectionError("server closed the connection")
+    return response
 
+
+async def read_response(reader: asyncio.StreamReader
+                        ) -> tuple[int, dict[str, str], bytes]:
+    """Read one response off ``reader``: ``(status, headers, body)``
+    with lower-cased header names.  The body is ``Content-Length``
+    bytes, empty without one (a streamed ndjson response's lines
+    follow on ``reader``).  A bare EOF reads as status 0."""
     status_line = await reader.readline()
     if not status_line:
-        raise ConnectionError("server closed the connection")
-    parts = status_line.decode("latin-1").split(None, 2)
-    status = int(parts[1])
-    resp_headers: dict[str, str] = {}
+        return 0, {}, b""
+    status = int(status_line.split(None, 2)[1])
+    headers: dict[str, str] = {}
     while True:
         raw = await reader.readline()
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _sep, value = raw.decode("latin-1").partition(":")
-        resp_headers[name.strip().lower()] = value.strip()
-    length = int(resp_headers.get("content-length", "0"))
-    payload = await reader.readexactly(length) if length else b""
-    return status, resp_headers, payload
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0"))
+    body = await reader.readexactly(length) if length else b""
+    return status, headers, body
 
 
 async def post_job(reader, writer, spec: dict, client: str,

@@ -107,7 +107,7 @@ def test_walk_exists_iff_conformant(case, scheme):
         it = iter(walk)
         assert all(d in it for d in dests), (walk, dests)
         assert walk[-1] == dests[-1]
-        assert len(walk) - 1 == path_length(routing, src, dests)
+        assert len(walk) - 1 == path_length(routing.mesh, src, dests)
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.analytical import (estimate_latency,
-                                       plan_message_count, plan_traffic,
-                                       routing_for)
+                                       plan_message_count, plan_traffic)
 from repro.analysis.experiments import run_analytical_sweep
 from repro.brcp.encoding import worm_flits
 from repro.config import SystemParameters, paper_parameters
@@ -155,12 +154,6 @@ def test_welford_means_replays_tally():
         means[row] = tally.mean
     from repro.explore.vectorized import welford_means
     assert np.array_equal(welford_means(values), means)
-
-
-def test_routing_objects_are_memoized():
-    mesh = Mesh2D(4, 4)
-    assert routing_for("ecube", mesh) is routing_for("ecube", Mesh2D(4, 4))
-    assert routing_for("ecube", mesh) is not routing_for("ecube", Mesh2D(8, 8))
 
 
 def test_param_vector_covers_only_analytical_fields():

@@ -21,7 +21,7 @@ terminally while fault-aware routing completes every transaction with zero
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import SystemParameters, paper_parameters
+from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.core import InvalidationEngine, build_plan
 from repro.core.grouping import SCHEMES
 from repro.brcp.model import is_conformant_path
@@ -271,6 +271,20 @@ def test_second_install_faults_raises():
     with pytest.raises(RuntimeError, match="already installed"):
         net.install_faults(INSTALL_PLANS["router"])
     assert net.routing is routing and net.faults is faults
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan(link_faults=(LinkFault(0, 5), LinkFault(3, 999))),
+    FaultPlan(link_faults=(LinkFault(0, 999),)),
+    FaultPlan(router_faults=(RouterFault(500),)),
+], ids=["not-adjacent", "off-mesh-link", "off-mesh-router"])
+def test_plan_off_the_mesh_is_a_config_error_and_installs_nothing(plan):
+    net = MeshNetwork(Simulator(), SystemParameters(fault_aware_routing=True),
+                      "ecube")
+    base = net.routing
+    with pytest.raises(ConfigError, match="8x8 mesh"):
+        net.install_faults(plan)
+    assert net.faults is None and net.routing is base
 
 
 # ----------------------------------------------------------------------

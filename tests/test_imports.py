@@ -26,3 +26,17 @@ def test_imports_first_thing(module):
     proc = subprocess.run([sys.executable, "-c", f"import {module}"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_chaos_soak_imports_no_serving_stack():
+    """``repro.chaos`` is the protocol soak alone: importing it loads
+    nothing of the HTTP front end."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.chaos; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.serve')))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

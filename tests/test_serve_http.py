@@ -12,6 +12,8 @@ import asyncio
 import inspect
 import json
 import logging
+import os
+import signal
 import socket
 import tempfile
 import threading
@@ -21,36 +23,43 @@ import pytest
 
 from repro.analysis.experiments import (run_analytical_sweep,
                                         run_invalidation_sweep)
-from repro.runner import ResultCache
+from repro.runner import Job, ResultCache, run_jobs
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import (JobSpec, ServeConfig, ServeServer, ServiceConfig,
-                         SimulationService, run_load)
+                         SimulationService, result_body, run_load,
+                         run_server)
 from repro.serve.http import _COUNTS_CANCELS, MAX_HEADERS, _with_deadline
 from repro.serve.loadtest import (fetch_json, fetch_result, http_request,
-                                  open_http, post_job)
+                                  open_http, post_job, read_response)
 
 #: Smallest legal sweep: 4-node mesh, one degree, one pattern.
 SPEC = {"scheme": "ui-ua", "mesh": 2, "degrees": [2], "per_degree": 1,
         "seed": 0}
 
 
-def serve_run(test_coro, serve_config=None, debug=False, **overrides):
-    """Boot service + server, run the test body, tear down.
-
-    The body coroutine may take ``(host, port, service)`` or
-    ``(host, port, service, server)`` — the listener is passed when a
-    test wants to poke connection accounting directly.
-    """
+def _service_config(**overrides) -> ServiceConfig:
     config = dict(workers=2, executor="thread",
                   policy=RetryPolicy(timeout=0, max_retries=0,
                                      retry_delay=0.001))
     config.update(overrides)
+    return ServiceConfig(**config)
 
+
+def serve_run(test_coro, serve_config=None, debug=False, cache=None,
+              **overrides):
+    """Boot service + server, run the test body, tear down.
+
+    The body coroutine may take ``(host, port, service)`` or
+    ``(host, port, service, server)`` — the listener is passed when a
+    test wants to poke connection accounting directly.  ``cache``
+    defaults to an empty store in a temp dir.
+    """
     async def main():
         with tempfile.TemporaryDirectory(
                 prefix="repro-serve-http-") as root:
-            service = SimulationService(cache=ResultCache(root),
-                                        config=ServiceConfig(**config))
+            service = SimulationService(
+                cache=cache if cache is not None else ResultCache(root),
+                config=_service_config(**overrides))
             await service.start()
             server = ServeServer(service, "127.0.0.1", 0,
                                  config=serve_config)
@@ -72,6 +81,29 @@ async def _close(writer):
         await writer.wait_closed()
     except (ConnectionError, OSError):
         pass
+
+
+def _gate_jobs(service, gate: threading.Event) -> None:
+    """Hold every job ``service`` runs until ``gate`` opens (keys kept,
+    so digests and coalescing are unchanged)."""
+    def gated(fn, args):
+        assert gate.wait(30.0)
+        return fn(*args)
+
+    async def gated_submit(job, client, _original=service.submit,
+                           **kwargs):
+        return await _original(
+            Job(fn=gated, args=(job.fn, job.args), key=job.key,
+                label=job.label), client, **kwargs)
+
+    service.submit = gated_submit
+
+
+def _serial_body(spec=SPEC) -> bytes:
+    """The body a clean serial ``run_jobs`` run renders for ``spec``."""
+    job_spec = JobSpec.from_mapping(spec)
+    (rows,) = run_jobs([job_spec.to_job()], workers=1)
+    return result_body(job_spec.digest, rows)
 
 
 # -- submission ------------------------------------------------------------
@@ -99,6 +131,62 @@ def test_cold_miss_then_warm_hit_bodies_are_byte_identical():
         finally:
             await _close(writer)
     serve_run(body)
+
+
+def test_fresh_service_purges_a_corrupt_entry_once_under_a_storm(
+        tmp_path):
+    """A fresh server holds nothing in memory, so a storm on a digest
+    whose disk entry is corrupt must read the damage once: one purge,
+    one simulation, every reply byte-identical to a serial run."""
+    spec = JobSpec.from_mapping(SPEC)
+    seeded = ResultCache(str(tmp_path))
+    (rows,) = run_jobs([spec.to_job()], workers=1, cache=seeded)
+    expected = result_body(spec.digest, rows)
+    with open(seeded._path(spec.digest), "r+b") as fh:
+        fh.seek(80)
+        fh.write(b"\xde\xad\xbe\xef")
+    cache = ResultCache(str(tmp_path))        # counters start at zero
+
+    async def body(host, port, service):
+        async def one(i):
+            reader, writer = await open_http(host, port)
+            try:
+                return await post_job(reader, writer, SPEC, f"storm-{i}")
+            finally:
+                await _close(writer)
+
+        replies = await asyncio.wait_for(
+            asyncio.gather(*[one(i) for i in range(8)]), 30.0)
+        assert [status for status, _h, _b in replies] == [200] * 8
+        assert all(resp == expected for _s, _h, resp in replies)
+        assert cache.corrupt == 1
+        assert service.metrics.misses == 1
+    serve_run(body, cache=cache)
+    report = cache.fsck()
+    assert (report["purged"], report["ok"]) == (0, 1)
+
+
+def test_one_byte_quota_answers_the_repeat_from_memory(tmp_path):
+    """A quota no entry fits evicts every store, so the disk serves
+    nothing; the repeat is still a hit, on the kept flight."""
+    cache = ResultCache(str(tmp_path), quota_bytes=1)
+    expected = _serial_body()
+
+    async def body(host, port, service):
+        reader, writer = await open_http(host, port)
+        try:
+            replies = [await asyncio.wait_for(
+                post_job(reader, writer, SPEC, client), 30.0)
+                for client in ("alice", "bob")]
+        finally:
+            await _close(writer)
+        assert [(status, headers["x-cache"])
+                for status, headers, _b in replies] == \
+            [(200, "miss"), (200, "hit")]
+        assert replies[0][2] == replies[1][2] == expected
+        assert cache.evictions >= 1
+        assert cache.hits == 0
+    serve_run(body, cache=cache)
 
 
 def test_result_endpoint_serves_cached_digest():
@@ -338,8 +426,6 @@ def test_failed_job_is_500_with_supervision_verdict():
         # Reach past the HTTP-validated spec surface: make the worker
         # itself die so the supervised JobFailed verdict travels back
         # as a typed 500.
-        from repro.runner import Job
-
         def _boom():
             raise RuntimeError("worker exploded")
 
@@ -421,24 +507,6 @@ def test_run_load_fleet_end_to_end():
 
 # -- connection lifecycle ---------------------------------------------------
 
-async def _raw_response(reader):
-    """Read one HTTP response straight off the stream."""
-    head = await reader.readline()
-    parts = head.split()
-    status = int(parts[1]) if len(parts) > 1 else 0
-    headers = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _sep, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    if "content-length" in headers:
-        body = await reader.readexactly(int(headers["content-length"]))
-    return status, headers, body
-
-
 def test_negative_content_length_is_400_and_closes():
     # Regression: ``Content-Length: -17`` used to reach
     # ``readexactly(-17)``, whose ValueError killed the connection
@@ -449,7 +517,7 @@ def test_negative_content_length_is_400_and_closes():
             writer.write(b"POST /jobs HTTP/1.1\r\n"
                          b"Content-Length: -17\r\n\r\n")
             await writer.drain()
-            status, headers, resp = await _raw_response(reader)
+            status, headers, resp = await read_response(reader)
             assert status == 400
             payload = json.loads(resp)
             assert payload["error"] == "bad-request"
@@ -475,7 +543,7 @@ def test_header_flood_is_431_and_closes():
             writer.write((f"GET /healthz HTTP/1.1\r\n{flood}\r\n"
                           f"GET /metrics HTTP/1.1\r\n\r\n").encode())
             await writer.drain()
-            status, headers, resp = await _raw_response(reader)
+            status, headers, resp = await read_response(reader)
             assert status == 431
             assert json.loads(resp)["error"] == "headers-too-large"
             assert headers["connection"] == "close"
@@ -491,7 +559,7 @@ def test_stalled_header_block_is_408():
         try:
             writer.write(b"GET /healthz HTTP/1.1\r\nX-Slow: ")
             await writer.drain()
-            status, headers, resp = await _raw_response(reader)
+            status, headers, resp = await read_response(reader)
             assert status == 408
             assert json.loads(resp)["error"] == "request-timeout"
             assert headers["connection"] == "close"
@@ -576,7 +644,7 @@ def test_stalled_body_is_408():
             writer.write(b"POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n"
                          b"\r\n{\"a\"")
             await writer.drain()
-            status, headers, resp = await _raw_response(reader)
+            status, headers, resp = await read_response(reader)
             assert status == 408
             payload = json.loads(resp)
             assert payload["error"] == "request-timeout"
@@ -587,6 +655,49 @@ def test_stalled_body_is_408():
         finally:
             await _close(writer)
     serve_run(body, serve_config=ServeConfig(body_timeout=0.2))
+
+
+def test_healthy_request_is_answered_beside_slowloris_peers():
+    """Silent, header-trickling and truncated-body peers hold their
+    connections while a healthy request is answered in full; then each
+    peer ends typed at its deadline."""
+    expected = _serial_body()
+
+    async def body(host, port, service, server):
+        peers = [await open_http(host, port) for _ in range(3)]
+        (silent, _w), (trickling, trickle), (truncated, truncate) = peers
+        try:
+            trickle.write(b"POST /jobs HTTP/1.1\r\nHost: x\r\n")
+            truncate.write(b"POST /jobs HTTP/1.1\r\nContent-Length: 64"
+                           b"\r\n\r\n{\"a\"")
+            await trickle.drain()
+            await truncate.drain()
+            assert await _settle(lambda: len(server._connections) == 3)
+            reader, writer = await open_http(host, port)
+            try:
+                status, _headers, resp = await asyncio.wait_for(
+                    post_job(reader, writer, SPEC, "healthy"), 10.0)
+                # Answered while every peer still holds its connection.
+                assert len(server._connections) == 4
+                assert server.stats["request_timeouts"] == 0
+            finally:
+                await _close(writer)
+            assert status == 200
+            assert resp == expected
+            assert await asyncio.wait_for(silent.read(), 10.0) == b""
+            for reader in (trickling, truncated):
+                status, headers, resp = await asyncio.wait_for(
+                    read_response(reader), 10.0)
+                assert status == 408
+                assert json.loads(resp)["error"] == "request-timeout"
+                assert headers["connection"] == "close"
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            assert server.stats["request_timeouts"] == 2
+        finally:
+            for _reader, peer in peers:
+                await _close(peer)
+    serve_run(body, serve_config=ServeConfig(
+        header_timeout=1.5, body_timeout=1.5, idle_timeout=1.5))
 
 
 def test_non_reading_peer_hits_the_write_deadline():
@@ -636,21 +747,8 @@ def test_drain_returns_once_in_flight_requests_are_answered(pipelined,
     # after answering; close(drain=...) must not wait for it to end.
     # A request pipelined behind the in-flight one is answered 503.
     async def body(host, port, service, server):
-        from repro.runner import Job
-
         gate = threading.Event()
-
-        def gated(fn, args):
-            assert gate.wait(30.0)
-            return fn(*args)
-
-        async def gated_submit(job, client, _original=service.submit,
-                               **kwargs):
-            return await _original(
-                Job(fn=gated, args=(job.fn, job.args), key=job.key,
-                    label=job.label), client, **kwargs)
-
-        service.submit = gated_submit
+        _gate_jobs(service, gate)
         reader, writer = await open_http(host, port)
         try:
             post = json.dumps(dict(SPEC, client="alice")).encode()
@@ -665,11 +763,11 @@ def test_drain_returns_once_in_flight_requests_are_answered(pipelined,
             await server.close(drain=5.0)
             assert time.monotonic() - started < 1.0
             status, _headers, _resp = await asyncio.wait_for(
-                _raw_response(reader), 5.0)
+                read_response(reader), 5.0)
             assert status == 200                      # answered in full
             if pipelined:
                 status, headers, resp = await asyncio.wait_for(
-                    _raw_response(reader), 5.0)
+                    read_response(reader), 5.0)
                 assert status == 503
                 assert json.loads(resp)["error"] == "draining"
                 assert headers["connection"] == "close"
@@ -683,6 +781,70 @@ def test_drain_returns_once_in_flight_requests_are_answered(pipelined,
     # A connection task that ends cancelled is logged as an error by
     # asyncio's stream callback on 3.11 and 3.12.
     assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+def test_sigterm_ends_an_open_status_stream_with_a_typed_tail():
+    """A real SIGTERM to ``run_server`` while a client streams a job
+    that cannot finish: the stream ends with a ``draining`` tail line
+    and EOF, and the server returns within its drain deadline."""
+    if threading.current_thread() is not threading.main_thread():
+        pytest.skip("loop signal handlers need the main thread")
+    drain = 5.0
+
+    async def main():
+        with tempfile.TemporaryDirectory(
+                prefix="repro-serve-http-") as root:
+            service = SimulationService(cache=ResultCache(root),
+                                        config=_service_config())
+            gate = threading.Event()
+            _gate_jobs(service, gate)
+            bound = asyncio.get_running_loop().create_future()
+            server = asyncio.create_task(run_server(
+                service, "127.0.0.1", 0, ready=bound.set_result,
+                config=ServeConfig(drain=drain)))
+            writer = None
+            try:
+                host, port = await asyncio.wait_for(bound, 10.0)
+                # Without the loop's handler the signal would end
+                # the test process instead of draining the server.
+                assert signal.getsignal(signal.SIGTERM) not in (
+                    signal.SIG_DFL, signal.SIG_IGN, None)
+                reader, writer = await open_http(host, port)
+                status, _headers, resp = await asyncio.wait_for(
+                    post_job(reader, writer, SPEC, "alice", wait=False),
+                    10.0)
+                assert status == 202
+                writer.write(f"GET /jobs/{json.loads(resp)['id']}"
+                             f"?stream=1 HTTP/1.1\r\n\r\n".encode())
+                await writer.drain()
+                status, headers, _resp = await asyncio.wait_for(
+                    read_response(reader), 10.0)
+                assert status == 200
+                assert headers["content-type"] == "application/x-ndjson"
+                first = json.loads(await asyncio.wait_for(
+                    reader.readline(), 10.0))
+                assert first["status"] in ("queued", "running")
+
+                started = time.monotonic()
+                os.kill(os.getpid(), signal.SIGTERM)
+                tail = []
+                while line := await asyncio.wait_for(reader.readline(),
+                                                     2 * drain):
+                    tail.append(json.loads(line))
+                assert tail
+                assert tail[-1].get("error") == "draining" \
+                    or tail[-1].get("status") in ("done", "failed")
+                await asyncio.wait_for(server, 2 * drain)
+                assert time.monotonic() - started < drain
+            finally:
+                gate.set()
+                if writer is not None:
+                    await _close(writer)
+                if not server.done():
+                    server.cancel()
+                await asyncio.wait_for(
+                    asyncio.gather(server, return_exceptions=True), 10.0)
+    asyncio.run(main())
 
 
 # -- the deadline helper ---------------------------------------------------
@@ -772,8 +934,6 @@ def test_guarded_wait_creates_no_task():
 def test_breaker_open_is_503_then_degraded_mode_answers():
     async def body(host, port, service):
         import dataclasses
-
-        from repro.runner import Job
 
         def _boom():
             raise RuntimeError("poisoned worker")

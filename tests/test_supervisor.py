@@ -415,6 +415,26 @@ def test_interrupted_cached_sweep_reruns_only_unfinished_jobs(tmp_path,
                         "0 failed (4 job(s))"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_corrupt_cache_entry_reruns_only_that_job(tmp_path, workers):
+    cache = ResultCache(str(tmp_path))
+    clean = run_jobs(_jobs(4), workers=1)
+    run_jobs(_jobs(4), workers=workers, cache=cache)
+    victim = _jobs(4)[2]
+    with open(cache._path(cache.digest(victim.key)), "wb") as fh:
+        fh.write(b"bit rot")
+    lines = []
+    rows = run_jobs(_jobs(4), workers=workers, cache=cache,
+                    progress=lines.append)
+    assert rows == clean
+    assert cache.corrupt == 1
+    assert sorted(lines[:-1]) == ["[1/4] j0: cache hit",
+                                  "[2/4] j1: cache hit", "[3/4] j2: ran",
+                                  "[4/4] j3: cache hit"]
+    assert lines[-1] == "done: 3 hit / 1 ran / 0 retried / " \
+                        "0 failed (4 job(s))"
+
+
 def test_keyless_jobs_are_never_cached(tmp_path):
     cache = ResultCache(str(tmp_path))
     rows = run_jobs(_jobs(3, keyed=False), workers=1, cache=cache)
