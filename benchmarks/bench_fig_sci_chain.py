@@ -11,7 +11,9 @@ the invalidations and stays far flatter.
 from conftest import run_once
 
 from repro.analysis import format_table, run_invalidation_sweep
+from repro.chaos import generate_scenario, run_scenario
 from repro.config import paper_parameters
+from repro.runner import Job, run_jobs
 
 
 def test_fig_sci_chain_serialization(benchmark, scale):
@@ -41,3 +43,20 @@ def test_fig_sci_chain_serialization(benchmark, scale):
               - by[("sci-chain", degrees[0])]["latency"]) / (top - degrees[0])
     p = params
     assert growth >= p.cache_invalidate
+
+
+def test_sci_chain_chaos_soak(benchmark):
+    """The chaos generator never draws sci-chain, so soak it here: full
+    generator seeds 0-39 (fault storms, 6x6 and 8x4 meshes, capacity
+    pressure, limited-pointer directories) re-run under the chained
+    worm must all pass at full audit."""
+    jobs = [Job(fn=run_scenario,
+                args=(generate_scenario(seed).evolve(scheme="sci-chain"),
+                      "full"),
+                label=f"sci-chain:seed{seed}") for seed in range(40)]
+    results = run_once(benchmark, lambda: run_jobs(jobs, workers=0))
+    failed = [(r.scenario.seed, r.signature, r.message[:200])
+              for r in results if not r.ok]
+    benchmark.extra_info["expected_failures"] = sum(
+        r.expected_failures for r in results)
+    assert not failed, failed

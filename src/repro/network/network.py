@@ -868,9 +868,11 @@ class MeshNetwork:
             self.deliver_chain(node, worm)
         if (worm.txn, node) not in iface.chain_done:
             return  # local invalidation still in progress
-        iface.chain_done.discard((worm.txn, node))
         next_dest = worm.dests[worm.ptr + 1]
         if self._alloc_output(vid, node, next_dest, True):
+            # The flag outlives a busy output channel: the worm retries
+            # next cycle on the same completed invalidation.
+            iface.chain_done.discard((worm.txn, node))
             worm.advance()
 
     def _do_reservations(self, worm: Worm, node: int) -> bool:

@@ -34,6 +34,7 @@ inherit ``sys.path`` and loaded modules at near-zero cost).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -59,6 +60,12 @@ class Job:
     kwargs: dict = field(default_factory=dict)
     key: Optional[dict] = None
     label: str = ""
+
+    @functools.cached_property
+    def digest(self) -> Optional[str]:
+        """The cache digest of ``key`` (``None`` for an uncached job),
+        computed on first use and kept: a key is never mutated."""
+        return None if self.key is None else key_digest(self.key)
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -125,7 +132,7 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
     n = len(jobs)
     results: list[Any] = [None] * n
     say = progress or (lambda msg: None)
-    digests = ({i: key_digest(job.key) for i, job in enumerate(jobs)
+    digests = ({i: job.digest for i, job in enumerate(jobs)
                 if job.key is not None} if cache is not None else {})
 
     # Cache lookups (parent process, submission order).

@@ -21,6 +21,10 @@ Endpoints:
 ``GET /healthz``           liveness probe
 =========================  ==========================================
 
+A validated ``POST /jobs`` body is kept by its exact bytes, so a
+repeat skips the JSON decode, spec validation and key digest; the
+client, admission and breaker checks still run per request.
+
 Typed errors: malformed specs are 400 with ``{"error":
 "bad-request"}``, admission rejections 429 with the reason
 (``rate-limited`` / ``queue-full``), an open circuit breaker 503 with
@@ -52,12 +56,18 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.config import ConfigError
+from repro.runner import Job
 from repro.serve.jobspec import JobSpec, SpecError
-from repro.serve.service import (AdmissionError, BreakerOpen,
+from repro.serve.service import (MAX_RECORDS, AdmissionError, BreakerOpen,
                                  SimulationService)
 
 #: Request bodies larger than this are rejected with 413.
 MAX_BODY_BYTES = 1 << 20
+#: Validated ``POST /jobs`` bodies up to this size are kept by their
+#: exact bytes (at most ``MAX_RECORDS``, oldest dropped first), so a
+#: repeat skips parsing and validation.  The largest valid spec is
+#: about 1 KiB pretty-printed; a bigger body is parsed every time.
+MAX_KEPT_BODY = 2048
 #: Hard cap on header lines per request (431 past it).
 MAX_HEADERS = 100
 
@@ -125,6 +135,36 @@ class Request:
     error_status: Optional[int] = None
     error_detail: str = ""
     extra: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Submission:
+    """A validated ``POST /jobs`` body: everything a request needs from
+    it, so a repeat of the same bytes is answered without parsing."""
+
+    spec: JobSpec
+    job: Job
+    #: The body's own ``client`` field (``None``: the ``X-Client``
+    #: header, else the peer address, names the client).
+    client: Optional[str]
+    wait: bool
+
+
+def _parse_submission(body: bytes) -> _Submission:
+    """Validate a ``POST /jobs`` body; :class:`SpecError` says why it
+    is a 400."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SpecError(f"invalid JSON: {exc}") from None
+    spec = JobSpec.from_mapping(payload)
+    client = payload.get("client") or None
+    if client is not None and not isinstance(client, str):
+        raise SpecError("client must be a non-empty string")
+    wait = payload.get("wait", True)
+    if not isinstance(wait, bool):
+        raise SpecError("wait must be a boolean")
+    return _Submission(spec, spec.to_job(), client, wait)
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -300,6 +340,8 @@ class ServeServer:
         #: Set by a graceful :meth:`close` while requests are in
         #: flight; resolved when the last of them is answered.
         self._drained: Optional[asyncio.Future] = None
+        #: Validated bodies by their exact bytes, oldest first.
+        self._bodies: dict[bytes, _Submission] = {}
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -478,35 +520,28 @@ class ServeServer:
     async def _post_jobs(self, request: Request,
                          writer: asyncio.StreamWriter) -> None:
         t0 = time.monotonic()
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            _write_response(writer, 400,
-                            _json_bytes({"error": "bad-request",
-                                         "detail": f"invalid JSON: {exc}"}),
-                            request.keep_alive)
-            return
-        try:
-            spec = JobSpec.from_mapping(payload)
-        except SpecError as exc:
-            _write_response(writer, 400,
-                            _json_bytes({"error": "bad-request",
-                                         "detail": str(exc)}),
-                            request.keep_alive)
-            return
-        client = payload.get("client") \
+        body = request.body
+        keep = len(body) <= MAX_KEPT_BODY
+        submission = self._bodies.get(body) if keep else None
+        if submission is None:
+            try:
+                submission = _parse_submission(body)
+            except SpecError as exc:
+                _write_response(writer, 400,
+                                _json_bytes({"error": "bad-request",
+                                             "detail": str(exc)}),
+                                request.keep_alive)
+                return
+            if keep:
+                self._bodies[body] = submission
+                if len(self._bodies) > MAX_RECORDS:
+                    self._bodies.pop(next(iter(self._bodies)))
+        client = submission.client \
             or request.headers.get("x-client") or request.peer
-        if not isinstance(client, str) or not client:
-            _write_response(writer, 400,
-                            _json_bytes({"error": "bad-request",
-                                         "detail": "client must be a "
-                                                   "non-empty string"}),
-                            request.keep_alive)
-            return
-        wait = payload.get("wait", True)
         try:
             record = await self.service.submit(
-                spec.to_job(), client, degraded_fn=spec.analytical_rows)
+                submission.job, client,
+                degraded_fn=submission.spec.analytical_rows)
         except AdmissionError as exc:
             _write_response(writer, 429,
                             _json_bytes({"error": exc.reason,
@@ -523,7 +558,7 @@ class ServeServer:
                 request.keep_alive,
                 extra_headers=(("Retry-After", str(retry_after)),))
             return
-        if not wait:
+        if not submission.wait:
             _write_response(
                 writer, 202 if record.status != "done" else 200,
                 _json_bytes(record.snapshot()), request.keep_alive,

@@ -26,7 +26,7 @@ from typing import Any, Mapping, Optional
 from repro.analysis.experiments import (_analytical_scheme_job,
                                         check_sweep, scheme_job)
 from repro.config import ConfigError, SystemParameters, paper_parameters
-from repro.runner import Job, key_digest
+from repro.runner import Job
 
 #: Hard per-request ceilings (admission control at the spec level).
 MAX_MESH = 16
@@ -167,7 +167,7 @@ class JobSpec:
     @property
     def digest(self) -> str:
         """The content-addressed cache digest of this spec's job."""
-        return key_digest(self.to_job().key)
+        return self.to_job().digest
 
     def describe(self) -> dict:
         """Canonical echo of the spec (for job-status responses)."""

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.config import ConfigError
-from repro.runner import Job, ResultCache, default_cache, key_digest
+from repro.runner import Job, ResultCache, default_cache
 from repro.runner.cache import MISS, _json_default
 from repro.runner.supervisor import JobFailed, RetryPolicy, SupervisedPool
 from repro.sim.stats import Histogram
@@ -588,7 +588,7 @@ class SimulationService:
                 "rate-limited",
                 f"client {client!r} exceeded {self.config.rate:g} "
                 f"requests/s (burst {self.config.burst})")
-        digest = key_digest(job.key)
+        digest = job.digest
 
         flight = self._flights.get(digest)
         if flight is not None:

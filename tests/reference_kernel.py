@@ -231,9 +231,9 @@ class LegacyRouter:
             network.deliver_chain(self.node, worm)
         if (worm.txn, self.node) not in self.interface.chain_done:
             return
-        self.interface.chain_done.discard((worm.txn, self.node))
         next_dest = worm.dests[worm.ptr + 1]
         if self._alloc_output(vc, network, next_dest, absorb=True):
+            self.interface.chain_done.discard((worm.txn, self.node))
             worm.advance()
 
     def _do_reservations(self, worm: Worm) -> bool:

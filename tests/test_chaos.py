@@ -218,6 +218,18 @@ def test_retried_invalidation_after_finish_is_stale():
     assert result.metrics["stale_deliveries"] >= 1
 
 
+@pytest.mark.parametrize("seed", [1, 6, 24, 27, 31, 37])
+def test_chain_stop_waits_out_a_busy_output_channel(seed):
+    """A chain worm whose local invalidation is done but whose next
+    output channel is busy retries next cycle: these fault-free full
+    generator seeds deadlocked under sci-chain when the stop's done
+    flag was dropped before the channel was won."""
+    scenario = generate_scenario(seed).evolve(scheme="sci-chain")
+    assert not scenario.has_faults
+    result = run_scenario(scenario, audit="full")
+    assert result.ok, f"{result.signature}: {result.message}"
+
+
 def test_storm_ending_in_typed_failure_still_audits_settled_entries():
     """A storm that ends in its expected ``TransactionFailed`` counts as
     a pass only once every settled directory entry passes the entry

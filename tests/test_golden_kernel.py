@@ -95,7 +95,7 @@ COHERENCE_RUNS = [
     for scheme in ("ui-ua", "mi-ma-ec", "mi-ua-tm")
 ] + [
     ("barnes-hut", barnes_hut.BHConfig(bodies=8, steps=1, processors=8),
-     scheme) for scheme in ("ui-ua", "mi-ma-ec")
+     scheme) for scheme in ("ui-ua", "mi-ma-ec", "sci-chain")
 ] + [("lu", lu.LUConfig(n=16, block=8, processors=16), "ui-ua")]
 
 

@@ -28,9 +28,10 @@ from repro.explore.calibrate import calibrate, simulate_cells
 from repro.explore.refine import refine
 from repro.faults.sweep import run_fault_sweep
 from repro.runner import (CACHE_SCHEMA, Job, MISS, ResultCache,
-                          code_fingerprint, default_cache,
+                          code_fingerprint, default_cache, key_digest,
                           resolve_execution, resolve_jobs, run_jobs)
 from repro.runner import cache as cache_mod
+from repro.runner import jobs as jobs_mod
 
 PARAMS = paper_parameters(4)
 
@@ -372,6 +373,22 @@ def test_cache_digest_is_key_order_independent(tmp_path):
     cache = ResultCache(str(tmp_path))
     assert cache.digest({"a": 1, "b": 2}) == cache.digest({"b": 2, "a": 1})
     assert cache.digest({"a": 1}) != cache.digest({"a": 2})
+
+
+def test_job_digest_is_its_key_digest_computed_once(monkeypatch):
+    key = {"fn": "add", "args": [1, 2]}
+    job = Job(fn=_add, args=(1, 2), key=key)
+    expected = key_digest(key)
+    assert job.digest == expected
+    fresh = pickle.loads(pickle.dumps(Job(fn=_add, args=(1, 2), key=key)))
+    kept = pickle.loads(pickle.dumps(job))
+    assert fresh.digest == kept.digest == expected
+    assert Job(fn=_add, args=(1, 2)).digest is None
+
+    def recomputed(_key):
+        raise AssertionError("a job's digest is computed once")
+    monkeypatch.setattr(jobs_mod, "key_digest", recomputed)
+    assert job.digest == kept.digest == expected
 
 
 def test_cache_rejects_unjsonable_keys(tmp_path):

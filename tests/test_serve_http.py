@@ -18,17 +18,21 @@ import socket
 import tempfile
 import threading
 import time
+import types
 
 import pytest
 
 from repro.analysis.experiments import (run_analytical_sweep,
                                         run_invalidation_sweep)
 from repro.runner import Job, ResultCache, run_jobs
+from repro.runner import jobs as jobs_module
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import (JobSpec, ServeConfig, ServeServer, ServiceConfig,
                          SimulationService, result_body, run_load,
                          run_server)
-from repro.serve.http import _COUNTS_CANCELS, MAX_HEADERS, _with_deadline
+from repro.serve import http as http_module
+from repro.serve.http import (_COUNTS_CANCELS, MAX_HEADERS, MAX_KEPT_BODY,
+                              _with_deadline)
 from repro.serve.loadtest import (fetch_json, fetch_result, http_request,
                                   open_http, post_job, read_response)
 
@@ -463,6 +467,170 @@ def test_oversized_body_is_413():
             assert b"413" in head
         finally:
             await _close(writer)
+    serve_run(body)
+
+
+@pytest.mark.parametrize("wait", ["false", 0])
+def test_non_boolean_wait_is_400(wait):
+    """``"wait": "false"`` used to block until the result (a truthy
+    string) and ``"wait": 0`` to answer 202: both are 400 now."""
+    async def body(host, port, service, server):
+        reader, writer = await open_http(host, port)
+        try:
+            replies = [await http_request(
+                reader, writer, "POST", "/jobs",
+                json.dumps(dict(SPEC, wait=wait)).encode())
+                for _ in range(2)]
+        finally:
+            await _close(writer)
+        for status, _headers, resp in replies:
+            assert status == 400
+            assert json.loads(resp) == {"error": "bad-request",
+                                        "detail": "wait must be a boolean"}
+        assert server._bodies == {}
+        assert service.metrics.submitted == 0
+    serve_run(body)
+
+
+# -- validated-body store --------------------------------------------------
+
+def _count_parse_calls(monkeypatch) -> dict:
+    """Count every parse-path call a ``POST /jobs`` body can make: the
+    JSON decode, spec validation, the job lowering, the key digest."""
+    calls = dict.fromkeys(("json.loads", "from_mapping", "to_job",
+                           "key_digest"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(http_module, "json", types.SimpleNamespace(
+        loads=counted("json.loads", json.loads), dumps=json.dumps,
+        JSONDecodeError=json.JSONDecodeError))
+    monkeypatch.setattr(JobSpec, "from_mapping", classmethod(
+        counted("from_mapping", JobSpec.from_mapping.__func__)))
+    monkeypatch.setattr(JobSpec, "to_job",
+                        counted("to_job", JobSpec.to_job))
+    monkeypatch.setattr(jobs_module, "key_digest",
+                        counted("key_digest", jobs_module.key_digest))
+    return calls
+
+
+async def _post_bodies(host, port, payloads, headers=()):
+    reader, writer = await open_http(host, port)
+    try:
+        return [await asyncio.wait_for(http_request(
+            reader, writer, "POST", "/jobs", payload, headers=headers),
+            30.0) for payload in payloads]
+    finally:
+        await _close(writer)
+
+
+def test_repeated_body_skips_the_parse(monkeypatch):
+    """A repeat of a kept body's exact bytes makes no JSON decode, spec
+    validation, job lowering or key digest, and gets the miss's bytes."""
+    calls = _count_parse_calls(monkeypatch)
+    payload = json.dumps(dict(SPEC, client="alice")).encode()
+
+    async def body(host, port, service, server):
+        (first,) = await _post_bodies(host, port, [payload])
+        assert calls == dict.fromkeys(calls, 1)
+        calls.update(dict.fromkeys(calls, 0))
+        repeats = await _post_bodies(host, port, [payload] * 3)
+        assert calls == dict.fromkeys(calls, 0)
+        assert (first[0], first[1]["x-cache"]) == (200, "miss")
+        for status, headers, resp in repeats:
+            assert (status, headers["x-cache"]) == (200, "hit")
+            assert headers["x-digest"] == first[1]["x-digest"]
+            assert resp == first[2]
+        assert list(server._bodies) == [payload]
+    serve_run(body)
+
+
+def test_rejected_body_is_rejected_again_and_never_kept(monkeypatch):
+    calls = _count_parse_calls(monkeypatch)
+    payload = json.dumps(dict(SPEC, scheme="warp-speed")).encode()
+
+    async def body(host, port, service, server):
+        replies = await _post_bodies(host, port, [payload] * 2)
+        assert [status for status, _h, _b in replies] == [400, 400]
+        assert replies[0][2] == replies[1][2]
+        assert "scheme" in json.loads(replies[0][2])["detail"]
+        assert calls["from_mapping"] == 2
+        assert server._bodies == {}
+    serve_run(body)
+
+
+def test_kept_body_is_rate_limited_per_client_header(monkeypatch):
+    """The client is per request: one kept body under two ``X-Client``
+    headers draws on two token buckets."""
+    calls = _count_parse_calls(monkeypatch)
+    payload = json.dumps(SPEC).encode()
+
+    async def body(host, port, service):
+        alice = await _post_bodies(host, port, [payload] * 2,
+                                   headers=(("X-Client", "alice"),))
+        (bob,) = await _post_bodies(host, port, [payload],
+                                    headers=(("X-Client", "bob"),))
+        assert [status for status, _h, _b in alice] == [200, 429]
+        assert json.loads(alice[1][2])["error"] == "rate-limited"
+        assert "'alice'" in json.loads(alice[1][2])["detail"]
+        assert bob[0] == 200 and bob[1]["x-cache"] == "hit"
+        assert calls["from_mapping"] == 1
+    serve_run(body, rate=0.0001, burst=1)
+
+
+def test_one_spec_in_two_key_orders_runs_once():
+    """Other bytes for the same spec take the parse path and still
+    reach the one kept flight."""
+    forward = json.dumps(SPEC).encode()
+    backward = json.dumps(dict(reversed(list(SPEC.items())))).encode()
+    assert forward != backward
+
+    async def body(host, port, service, server):
+        replies = await _post_bodies(host, port, [forward, backward])
+        assert [(status, headers["x-cache"])
+                for status, headers, _b in replies] == \
+            [(200, "miss"), (200, "hit")]
+        assert replies[0][2] == replies[1][2] == _serial_body()
+        assert service.metrics.misses == service.metrics.completed == 1
+        assert list(server._bodies) == [forward, backward]
+    serve_run(body)
+
+
+def test_body_over_the_keep_cap_is_answered_and_not_kept(monkeypatch):
+    expected = _serial_body()
+    calls = _count_parse_calls(monkeypatch)
+    payload = json.dumps(SPEC, indent=MAX_KEPT_BODY).encode()
+    assert len(payload) > MAX_KEPT_BODY
+
+    async def body(host, port, service, server):
+        replies = await _post_bodies(host, port, [payload] * 2)
+        assert [(status, headers["x-cache"])
+                for status, headers, _b in replies] == \
+            [(200, "miss"), (200, "hit")]
+        assert replies[0][2] == replies[1][2] == expected
+        assert calls["from_mapping"] == 2
+        assert server._bodies == {}
+    serve_run(body)
+
+
+def test_body_store_is_bounded_and_drops_the_oldest(monkeypatch):
+    monkeypatch.setattr(http_module, "MAX_RECORDS", 2)
+    calls = _count_parse_calls(monkeypatch)
+    first, second, third = (json.dumps(SPEC, indent=n).encode()
+                            for n in (None, 1, 2))
+
+    async def body(host, port, service, server):
+        replies = await _post_bodies(host, port, [first, second, third])
+        assert list(server._bodies) == [second, third]
+        replies += await _post_bodies(host, port, [first])
+        assert list(server._bodies) == [third, first]
+        assert calls["from_mapping"] == 4
+        assert [status for status, _h, _b in replies] == [200] * 4
+        assert len({resp for _s, _h, resp in replies}) == 1
     serve_run(body)
 
 

@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.runner import Job, ResultCache
+from repro.runner import jobs as jobs_module
 from repro.runner.supervisor import RetryPolicy
 from repro.serve import (AdmissionError, BreakerOpen, CircuitBreaker,
                          ServiceConfig, ServiceMetrics, SimulationService,
@@ -299,8 +300,7 @@ def test_key_mismatch_under_one_digest_is_not_served_from_memory(
         monkeypatch):
     """Two keys forced onto one digest: the second must not be served
     the first's kept body."""
-    monkeypatch.setattr(service_module, "key_digest",
-                        lambda key: "ab" * 32)
+    monkeypatch.setattr(jobs_module, "key_digest", lambda key: "ab" * 32)
 
     async def body(service):
         first = await service.submit(_job(_counted_job, "one"), "a")
