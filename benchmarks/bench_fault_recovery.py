@@ -18,8 +18,8 @@ import math
 
 from conftest import run_once
 
+from repro.analysis.experiments import format_fault_table, run_fault_sweep
 from repro.config import paper_parameters
-from repro.faults.sweep import format_fault_table, run_fault_sweep
 
 SCHEMES = ["ui-ua", "mi-ua-ec", "mi-ma-ec"]
 DROP_PROBS = [0.0, 0.01, 0.05, 0.1]

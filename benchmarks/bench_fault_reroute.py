@@ -22,8 +22,8 @@ installed every network routes with the base scheme).
 
 from conftest import run_once
 
+from repro.analysis.experiments import format_fault_table, run_fault_sweep
 from repro.config import paper_parameters
-from repro.faults.sweep import format_fault_table, run_fault_sweep
 
 SCHEMES = ["mi-ua-ec", "mi-ma-ec"]
 PROBS = [0.0, 0.001]

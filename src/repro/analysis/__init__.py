@@ -6,8 +6,8 @@
   estimation methodology, extended to every scheme).  Cross-validated
   against the cycle simulator on an idle network (experiment E10).
 * :mod:`repro.analysis.experiments` — sweep runners used by the
-  benchmarks: invalidation-latency sweeps, application runs, miss-latency
-  micro-transactions.
+  benchmarks: invalidation-latency and fault sweeps, application runs,
+  miss-latency micro-transactions.
 * :mod:`repro.analysis.tables` — fixed-width and markdown table output
   matching the paper's reporting style.
 """

@@ -3,51 +3,43 @@
 Each function returns plain row dicts so benchmarks and examples can
 print paper-style tables with :mod:`repro.analysis.tables`.
 
-The figure sweeps fan out across CPU cores through
-:func:`repro.runner.run_jobs` — one job per scheme, since each scheme
-runs on its own simulator instance — and replay unchanged configs from
-the content-addressed result cache (``jobs=1``/``use_cache=True`` by
-default).  Every decomposition is a pure function of the call
-arguments, so serial, parallel, and cached runs return bit-identical
-row lists (``tests/test_runner.py``).
+Every sweep follows the paper's microbenchmark method: one invalidation
+at a time on an otherwise idle mesh, over the seeded pattern stream of
+:func:`repro.workloads.patterns.draw_patterns`.  The figure sweeps fan
+out across CPU cores through :func:`repro.runner.run_jobs` — one job
+per scheme, since each scheme runs on its own simulator instance — and
+the fault sweep one job per (scheme, drop probability) point; both
+replay unchanged configs from the content-addressed result cache
+(``jobs=1``/``use_cache=True`` by default).  Every decomposition is a
+pure function of the call arguments, so serial, parallel, and cached
+runs return bit-identical row lists (``tests/test_runner.py``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.analytical import (estimate_latency,
                                        plan_home_occupancy,
                                        plan_message_count, plan_traffic)
+from repro.analysis.tables import format_table
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.coherence.processor import run_program
 from repro.coherence.system import DSMSystem
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
 from repro.core.metrics import aggregate_records
+from repro.faults.plan import FaultPlan, TransactionFailed
 from repro.network import MeshNetwork
+from repro.network.topology import Mesh2D
 from repro.runner import Job, params_key, resolve_execution, run_jobs
 from repro.sim import Simulator, Tally
-from repro.workloads.patterns import PATTERN_KINDS, make_pattern, max_degree
+from repro.workloads.patterns import PATTERN_KINDS, draw_patterns, max_degree
 
 
 # ----------------------------------------------------------------------
 # Invalidation microbenchmark sweeps (figures E4-E6, E9)
 # ----------------------------------------------------------------------
-def _draw_patterns(params: SystemParameters, degrees: Sequence[int],
-                   per_degree: int, kind: str, seed: int,
-                   home: Optional[int]) -> dict[int, list]:
-    """Pre-draw the shared pattern stream — a pure function of ``seed``,
-    so every scheme's job (in any process) sees identical sharer sets,
-    exactly as the historical single-loop implementation did."""
-    rng = np.random.default_rng(seed)
-    return {d: [make_pattern(kind, _mesh_of(params), d, rng, home=home)
-                for _ in range(per_degree)]
-            for d in degrees}
-
-
 def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
                 per_degree: int = 1, degrees: Sequence[int] = (),
                 params: Optional[SystemParameters] = None,
@@ -69,16 +61,27 @@ def check_sweep(schemes: Sequence[str], *, kind: str = "uniform",
                           f"{per_degree}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    mesh = _mesh_of(params) if params is not None else None
-    for degree in degrees:
+    if degrees:
+        mesh = Mesh2D(params.mesh_width, params.mesh_height)
         limit = max_degree(kind, mesh)
-        if not 1 <= degree <= limit:
-            raise ConfigError(f"degree {degree} is outside 1..{limit} for "
-                              f"{kind} sharers on a {mesh.width}x"
-                              f"{mesh.height} mesh")
+        for degree in degrees:
+            if not 1 <= degree <= limit:
+                raise ConfigError(f"degree {degree} is outside 1..{limit} "
+                                  f"for {kind} sharers on a {mesh.width}x"
+                                  f"{mesh.height} mesh")
     for prob in drop_probs:
         if not 0 <= prob <= 1:
             raise ConfigError(f"drop probability {prob} is outside [0, 1]")
+
+
+def _idle_engine(scheme: str,
+                 params: SystemParameters) -> InvalidationEngine:
+    """A fresh simulator, network and engine for one sweep job: the
+    network routes with ``scheme``'s base routing, and the job runs its
+    transactions on it one at a time."""
+    sim = Simulator()
+    net = MeshNetwork(sim, params, SCHEMES[scheme][1])
+    return InvalidationEngine(sim, net, params)
 
 
 def _invalidation_scheme_job(scheme: str, degrees: tuple[int, ...],
@@ -86,18 +89,15 @@ def _invalidation_scheme_job(scheme: str, degrees: tuple[int, ...],
                              kind: str, seed: int,
                              home: Optional[int]) -> list[dict]:
     """One sweep job: every degree for one scheme on a fresh simulator."""
-    patterns = _draw_patterns(params, degrees, per_degree, kind, seed, home)
-    routing = SCHEMES[scheme][1]
-    sim = Simulator()
-    net = MeshNetwork(sim, params, routing)
-    engine = InvalidationEngine(sim, net, params)
+    engine = _idle_engine(scheme, params)
+    mesh = engine.net.mesh
+    patterns = draw_patterns(mesh, degrees, per_degree, kind, seed, home)
     rows: list[dict] = []
     for degree in degrees:
         latency, messages = Tally("lat"), Tally("msg")
         traffic, occupancy = Tally("hop"), Tally("occ")
         for pattern in patterns[degree]:
-            plan = build_plan(scheme, net.mesh, pattern.home,
-                              pattern.sharers)
+            plan = build_plan(scheme, mesh, pattern.home, pattern.sharers)
             record = engine.run(plan, limit=5_000_000)
             latency.add(record.latency)
             messages.add(record.total_messages)
@@ -173,18 +173,12 @@ def run_invalidation_sweep(schemes: Sequence[str], degrees: Sequence[int],
     return [row for rows in per_scheme for row in rows]
 
 
-def _mesh_of(params: SystemParameters):
-    from repro.network.topology import Mesh2D
-    return Mesh2D(params.mesh_width, params.mesh_height)
-
-
 def _analytical_scheme_job(scheme: str, degrees: tuple[int, ...],
                            per_degree: int, params: SystemParameters,
                            kind: str, seed: int) -> list[dict]:
     """Closed-form counterpart of :func:`_invalidation_scheme_job`."""
-    mesh = _mesh_of(params)
-    patterns = _draw_patterns(params, degrees, per_degree, kind, seed,
-                              home=None)
+    mesh = Mesh2D(params.mesh_width, params.mesh_height)
+    patterns = draw_patterns(mesh, degrees, per_degree, kind, seed)
     rows: list[dict] = []
     for degree in degrees:
         latency, messages, traffic = Tally("l"), Tally("m"), Tally("t")
@@ -227,6 +221,129 @@ def run_analytical_sweep(schemes: Sequence[str], degrees: Sequence[int],
 
 
 # ----------------------------------------------------------------------
+# Fault sweep (figures E13, E13b, E14)
+# ----------------------------------------------------------------------
+def run_fault_sweep(schemes: Sequence[str], drop_probs: Sequence[float],
+                    degree: int = 8, per_point: int = 10,
+                    params: Optional[SystemParameters] = None,
+                    link_faults: int = 0, router_faults: int = 0,
+                    kind: str = "uniform", seed: int = 0, jobs: int = 1,
+                    use_cache: bool = True, cache=None) -> list[dict]:
+    """Row dicts for every (scheme, drop probability) grid point: the
+    invalidation microbenchmark under a seeded
+    :class:`~repro.faults.plan.FaultPlan` (``repro faults``).
+
+    Each row reports the completion rate (transactions that finished,
+    possibly through retransmission or unicast fallback; the rest ended
+    in a typed :class:`~repro.faults.plan.TransactionFailed`), the mean
+    retries, downgrades and reroutes per completed transaction, and
+    ``latency_x``, the mean latency over the same scheme's fault-free
+    point.  ``link_faults``/``router_faults`` add that many permanent
+    random dead links/routers on top of each non-zero drop probability.
+    The pattern stream is shared across schemes and fault levels, so
+    the comparison is paired; everything is a pure function of
+    ``seed``.  ``params.fault_aware_routing`` routes every faulted
+    point around its dead links and routers (reroute before
+    downgrade).  ``jobs`` workers (``0`` = one per core) run one job
+    per point; ``use_cache``/``cache`` select the result cache
+    (``docs/RUNNER.md``).  Bad axes, or more faults than the mesh has
+    links or routers, raise :class:`ConfigError` (:func:`check_sweep`).
+    """
+    params = params or paper_parameters()
+    check_sweep(schemes, kind=kind, per_degree=per_point, degrees=(degree,),
+                params=params, drop_probs=drop_probs, seed=seed)
+    w, h = params.mesh_width, params.mesh_height
+    links = w * (h - 1) + h * (w - 1)
+    if not (0 <= link_faults <= links and 0 <= router_faults <= w * h):
+        raise ConfigError(f"need 0..{links} link faults and 0..{w * h} "
+                          f"router faults on a {w}x{h} mesh, got "
+                          f"{link_faults} and {router_faults}")
+    workers, cache = resolve_execution(jobs, use_cache, cache)
+    grid = [(scheme, prob) for scheme in schemes for prob in drop_probs]
+    job_list = [
+        Job(fn=_fault_point_job,
+            args=(scheme, prob, degree, per_point, params, link_faults,
+                  router_faults, kind, seed),
+            key={"fn": "fault_sweep/point", "params": params_key(params),
+                 "scheme": scheme, "drop_prob": prob, "degree": degree,
+                 "per_point": per_point, "link_faults": link_faults,
+                 "router_faults": router_faults, "kind": kind,
+                 "seed": seed},
+            label=f"faults:{scheme}@{prob:g}")
+        for scheme, prob in grid]
+    rows = run_jobs(job_list, workers=workers, cache=cache)
+    # Latency inflation is relative to the scheme's fault-free point —
+    # a cross-point measure, so it is derived at merge time (preserving
+    # the historical iteration-order semantics: points before the
+    # prob==0 entry have no baseline and report NaN).
+    baseline: dict[str, float] = {}
+    for row in rows:
+        if row["drop_prob"] == 0:
+            baseline[row["scheme"]] = row["latency"]
+        base = baseline.get(row["scheme"])
+        row["latency_x"] = (row["latency"] / base
+                            if base and row["latency"] else float("nan"))
+    return rows
+
+
+def _fault_point_job(scheme: str, prob: float, degree: int,
+                     per_point: int, params: SystemParameters,
+                     link_faults: int, router_faults: int, kind: str,
+                     seed: int) -> dict:
+    """One grid point on a fresh simulator: the shared pattern stream
+    and the point's fault plan are both pure functions of ``seed``."""
+    engine = _idle_engine(scheme, params)
+    net = engine.net
+    if prob > 0:
+        fault_plan = FaultPlan.random(
+            net.mesh, seed=seed, link_faults=link_faults,
+            router_faults=router_faults, drop_prob=prob)
+        if not fault_plan.empty:
+            net.install_faults(fault_plan)
+    patterns = draw_patterns(net.mesh, (degree,), per_point, kind, seed)
+    completed = failed = 0
+    latency, retries = Tally("lat"), Tally("rty")
+    downgrades, reroutes = Tally("dg"), Tally("rr")
+    for pattern in patterns[degree]:
+        plan = build_plan(scheme, net.mesh, pattern.home, pattern.sharers)
+        try:
+            record = engine.run(plan, limit=50_000_000)
+        except TransactionFailed:
+            failed += 1
+            continue
+        completed += 1
+        latency.add(record.latency)
+        retries.add(record.retries)
+        downgrades.add(record.downgrades)
+        reroutes.add(record.reroutes)
+    issued = completed + failed
+    snapshot = engine.metrics_snapshot()
+    return {
+        "scheme": scheme,
+        "drop_prob": prob,
+        "issued": issued,
+        "completed": completed,
+        "failed": failed,
+        "completion_rate": completed / issued if issued else float("nan"),
+        "latency": latency.mean if completed else float("nan"),
+        "retries": retries.mean if completed else float("nan"),
+        "downgrades": downgrades.mean if completed else float("nan"),
+        "reroutes": reroutes.mean if completed else float("nan"),
+        "worms_dropped": snapshot["net.worms_dropped"],
+        "detours": snapshot["net.detours"],
+    }
+
+
+def format_fault_table(rows: Sequence[dict], columns: Sequence[str],
+                       title: str) -> str:
+    """:func:`~repro.analysis.tables.format_table` of fault-sweep rows,
+    printing ``drop_prob`` with ``%g``: the table's ``%.2f`` would print
+    0.001 as 0.00.  The rows keep their numeric values."""
+    return format_table([{**row, "drop_prob": f"{row['drop_prob']:g}"}
+                         for row in rows], columns=columns, title=title)
+
+
+# ----------------------------------------------------------------------
 # Miss-latency micro-transactions (Tables 4 and 5)
 # ----------------------------------------------------------------------
 def _fresh_system(params: SystemParameters,
@@ -258,7 +375,7 @@ def miss_latency_micro(params: Optional[SystemParameters] = None,
     type at neighbor distance and at the mesh's average distance.
     """
     params = params or paper_parameters()
-    mesh = _mesh_of(params)
+    mesh = Mesh2D(params.mesh_width, params.mesh_height)
     n = params.num_nodes
     if n < 3:
         raise ConfigError(f"Table 4 needs a mesh of >= 3 nodes, got {n}")

@@ -88,8 +88,7 @@ class Auditor:
 
     def __init__(self, level: str, *, sim, net,
                  engine: Optional["InvalidationEngine"] = None,
-                 system: Optional["DSMSystem"] = None,
-                 trail_limit: int = 4096) -> None:
+                 system: Optional["DSMSystem"] = None) -> None:
         level = resolve_level(level)
         if level == "off":
             raise ValueError("construct no Auditor for level 'off'")
@@ -99,7 +98,7 @@ class Auditor:
         self.net = net
         self.engine = engine
         self.system = system
-        self.trail = EventTrail(trail_limit)
+        self.trail = EventTrail()
         #: Violations found (each is also raised at detection time).
         self.violations: list[InvariantViolation] = []
         self._txns: dict[Any, _TxnAudit] = {}
@@ -113,8 +112,8 @@ class Auditor:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def install(cls, system: "DSMSystem", level: str,
-                trail_limit: int = 4096) -> Optional["Auditor"]:
+    def install(cls, system: "DSMSystem",
+                level: str) -> Optional["Auditor"]:
         """Attach a full-system auditor (caches, directories, engine,
         network) to ``system``; returns None when the resolved level
         (the stricter of ``level`` and ``REPRO_AUDIT``) is ``off``."""
@@ -122,8 +121,7 @@ class Auditor:
         if level == "off":
             return None
         auditor = cls(level, sim=system.sim, net=system.net,
-                      engine=system.engine, system=system,
-                      trail_limit=trail_limit)
+                      engine=system.engine, system=system)
         for cache in system.caches:
             cache.audit = auditor
         for directory in system.dirs:
@@ -134,8 +132,8 @@ class Auditor:
         return auditor
 
     @classmethod
-    def install_engine(cls, engine: "InvalidationEngine", level: str,
-                       trail_limit: int = 4096) -> Optional["Auditor"]:
+    def install_engine(cls, engine: "InvalidationEngine",
+                       level: str) -> Optional["Auditor"]:
         """Attach an engine-only auditor (engine and network, no
         caches/directories: checks transaction conservation and worm
         conservation)."""
@@ -143,7 +141,7 @@ class Auditor:
         if level == "off":
             return None
         auditor = cls(level, sim=engine.sim, net=engine.net,
-                      engine=engine, trail_limit=trail_limit)
+                      engine=engine)
         engine.audit = auditor
         return auditor
 

@@ -6,8 +6,8 @@ base routing could itself take — i.e. every turn the worm makes is a turn
 the base routing permits.  This package provides:
 
 * :func:`~repro.brcp.model.is_conformant_path` — validity check of a
-  destination order under a given base routing (exact, by dynamic
-  programming over per-leg hop orders);
+  destination order under a given base routing (exact, by a
+  memoized search over per-leg hop orders);
 * :mod:`repro.brcp.paths` — constructors for the conformant path shapes
   the paper's grouping schemes use: e-cube row/column paths and
   west-first staircases;

@@ -9,17 +9,18 @@ per-leg hop interleaving makes every turn legal for the base routing.
 Minimal legs in a 2-D mesh only need two canonical hop orders (X-then-Y
 and Y-then-X: any legal interleaving is legal in one of the canonical
 orders too, because the turn rules of e-cube and the turn model only
-constrain direction *pairs*).  We check all combinations by dynamic
-programming over the direction the worm is travelling at each leg
-boundary.
+constrain direction *pairs*).  One memoized search over the direction
+the worm is travelling at each leg boundary answers both the validity
+check and the concrete walk.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.network.routing import Routing
-from repro.network.topology import OPPOSITE, Mesh2D, Port
+from repro.network.topology import OPPOSITE, PORT_DELTA, Mesh2D, Port
 
 
 def _leg_orders(mesh, a: int, b: int) -> list[list[tuple[Port, int]]]:
@@ -51,9 +52,8 @@ def _leg_orders(mesh, a: int, b: int) -> list[list[tuple[Port, int]]]:
 def _segments_ok(routing: Routing, entering: Optional[Port],
                  segments: Sequence[tuple[Port, int]]) -> Optional[Port]:
     """Check one leg's segment list starting while travelling ``entering``
-    (None at the source).  Returns the direction travelled at the end, or
-    None... (failure is signalled by raising StopIteration-like sentinel).
-    """
+    (None at the source).  Returns the direction travelled at the end of
+    the leg, or None when the routing forbids one of its turns."""
     direction = entering
     for seg_dir, _count in segments:
         incoming = OPPOSITE[direction] if direction is not None else None
@@ -63,59 +63,17 @@ def _segments_ok(routing: Routing, entering: Optional[Port],
     return direction if direction is not None else entering
 
 
-def is_conformant_path(routing: Routing, src: int,
-                       dests: Sequence[int]) -> bool:
-    """True iff a worm from ``src`` visiting ``dests`` in order can follow
-    the base routing at every hop (BRCP validity)."""
-    mesh = routing.mesh
-    nodes = [src] + list(dests)
-    # DP over the travelling direction at each leg boundary.
-    states: set[Optional[Port]] = {None}
-    for a, b in zip(nodes, nodes[1:]):
-        if a == b:
-            return False  # repeated node is not a leg
-        next_states: set[Optional[Port]] = set()
-        for entering in states:
-            for order in _leg_orders(mesh, a, b):
-                if not order:
-                    continue
-                out = _segments_ok(routing, entering, order)
-                if out is not None:
-                    next_states.add(out)
-        if not next_states:
-            return False
-        states = next_states
-    return True
+def _leg_plan(routing: Routing, src: int,
+              dests: Sequence[int]) -> Optional[tuple]:
+    """The hop order (segment list) of every leg of one conformant
+    realization of the path, or None when there is none.
 
-
-def conformant_walk(routing: Routing, src: int,
-                    dests: Sequence[int]) -> Optional[list[int]]:
-    """A concrete hop-by-hop node walk realizing the path, or None.
-
-    Greedy reconstruction over the same DP; used by tests and by the
-    analytical model to count path lengths.
+    Depth-first over the legs, trying each leg's canonical orders in
+    turn, memoized on (leg index, entering direction); the first
+    realization found is the one :func:`conformant_walk` expands.
     """
     mesh = routing.mesh
     nodes = [src] + list(dests)
-
-    def expand(a: int, segments) -> list[int]:
-        walk = []
-        x, y = mesh.coords(a)
-        for seg_dir, count in segments:
-            for _ in range(count):
-                if seg_dir is Port.EAST:
-                    x += 1
-                elif seg_dir is Port.WEST:
-                    x -= 1
-                elif seg_dir is Port.NORTH:
-                    y += 1
-                else:
-                    y -= 1
-                walk.append(mesh.node_at(x, y))
-        return walk
-
-    # Depth-first search with memo on (leg index, entering direction).
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def solve(leg: int, entering: Optional[Port]) -> Optional[tuple]:
@@ -123,10 +81,8 @@ def conformant_walk(routing: Routing, src: int,
             return ()
         a, b = nodes[leg], nodes[leg + 1]
         if a == b:
-            return None
+            return None  # a repeated node is not a leg
         for order in _leg_orders(mesh, a, b):
-            if not order:
-                continue
             out = _segments_ok(routing, entering, order)
             if out is None:
                 continue
@@ -135,12 +91,35 @@ def conformant_walk(routing: Routing, src: int,
                 return (tuple(order),) + rest
         return None
 
-    plan = solve(0, None)
+    return solve(0, None)
+
+
+def is_conformant_path(routing: Routing, src: int,
+                       dests: Sequence[int]) -> bool:
+    """True iff a worm from ``src`` visiting ``dests`` in order can follow
+    the base routing at every hop (BRCP validity)."""
+    return _leg_plan(routing, src, dests) is not None
+
+
+def conformant_walk(routing: Routing, src: int,
+                    dests: Sequence[int]) -> Optional[list[int]]:
+    """A concrete hop-by-hop node walk realizing the path, or None.
+
+    Used by tests, the fault map and the worm plots.
+    """
+    plan = _leg_plan(routing, src, dests)
     if plan is None:
         return None
+    mesh = routing.mesh
+    nodes = [src] + list(dests)
     walk = [src]
     for leg, segments in enumerate(plan):
-        walk.extend(expand(nodes[leg], segments))
+        x, y = mesh.coords(nodes[leg])
+        for seg_dir, count in segments:
+            dx, dy = PORT_DELTA[seg_dir]
+            for _ in range(count):
+                x, y = x + dx, y + dy
+                walk.append(mesh.node_at(x, y))
         assert walk[-1] == nodes[leg + 1]
     return walk
 

@@ -421,7 +421,8 @@ def cmd_report(args) -> int:
 
 def cmd_faults(args) -> int:
     """``repro faults``: chaos sweep of the recovery protocol."""
-    from repro.faults.sweep import format_fault_table, run_fault_sweep
+    from repro.analysis.experiments import (format_fault_table,
+                                            run_fault_sweep)
 
     params = paper_parameters(args.mesh,
                               fault_aware_routing=args.fault_aware,
@@ -621,6 +622,20 @@ def cmd_worms(args) -> int:
     return 0
 
 
+def _axis_value(text: str):
+    """One ``--axis`` value: an int, a float or ``true``/``false`` when
+    it reads as one, else the string itself (``SystemParameters``
+    rejects a value of the wrong type)."""
+    if text in ("true", "false"):
+        return text == "true"
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def cmd_atlas(args) -> int:
     """``repro atlas``: screen -> calibrate -> refine -> report."""
     from pathlib import Path
@@ -639,8 +654,7 @@ def cmd_atlas(args) -> int:
         axes["consumption_channels"] = tuple(args.channels)
     for spec in args.axis:
         name, _, values = spec.partition("=")
-        axes[name] = tuple(int(v) if v.lstrip("-").isdigit() else v
-                           for v in values.split(",") if v)
+        axes[name] = tuple(_axis_value(v) for v in values.split(",") if v)
     grid = ScreenGrid.make(meshes=tuple(tuple(m) for m in args.meshes),
                            degrees=tuple(args.degrees),
                            schemes=tuple(args.schemes), kind=args.kind,

@@ -14,8 +14,9 @@ hardware measurements (Table 5).
 
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 
@@ -168,6 +169,10 @@ class SystemParameters:
     multidest_encoding: str = "bitstring"
 
     def __post_init__(self) -> None:
+        for name, kind, ok in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if self.mesh_width < 1 or self.mesh_height < 1:
             raise ConfigError("mesh dimensions must be >= 1")
         if self.net_cycle_ns <= 0:
@@ -244,6 +249,23 @@ class SystemParameters:
         """Return a copy with ``changes`` applied (validation re-runs)."""
         return replace(self, **changes)
 
+
+#: What a value of each field annotation must be, and its test.  A bool
+#: is an int to Python, so the int and float tests exclude it; numpy
+#: integers and floats pass.
+_ANNOTATION_TYPES = {
+    "int": ("an integer",
+            lambda v: type(v) is int or (isinstance(v, numbers.Integral)
+                                         and not isinstance(v, bool))),
+    "float": ("a number",
+              lambda v: type(v) is float or (isinstance(v, numbers.Real)
+                                             and not isinstance(v, bool))),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+#: ``(name, what it must be, test)`` of every field, in declaration order.
+_FIELD_TYPES = tuple((f.name, *_ANNOTATION_TYPES[f.type])
+                     for f in fields(SystemParameters))
 
 #: Paper-default parameter set (8x8 mesh).
 DEFAULT_PARAMETERS = SystemParameters()

@@ -24,6 +24,7 @@ from typing import Optional
 from repro.audit import violate
 from repro.brcp.encoding import worm_flits
 from repro.config import SystemParameters
+from repro.core.grouping import degrade_plan
 from repro.core.metrics import TransactionRecord
 from repro.core.plan import (ACT_ACK,
                              ACT_DEPOSIT, ACT_GATHER_TERMINAL, ACT_LAUNCH,
@@ -31,9 +32,6 @@ from repro.core.plan import (ACT_ACK,
                              FINAL_TERMINAL, GatherSpec, InvalGroup,
                              InvalidationPlan, JUNCTION_DEPOSIT,
                              JUNCTION_LAUNCH, JUNCTION_UNICAST)
-# A module handle, not ``degrade_plan`` itself: when ``repro.faults``
-# is imported first, fallback is still initialising at this point.
-from repro.faults import fallback
 from repro.faults.plan import TransactionFailed
 from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.worm import VNET_REPLY, VNET_REQUEST
@@ -162,7 +160,7 @@ class InvalidationEngine:
     def _start(self, st: _TxnState) -> None:
         faults = self.net.faults
         if faults is not None:
-            degraded, downgraded, rerouted = fallback.degrade_plan(
+            degraded, downgraded, rerouted = degrade_plan(
                 st.plan, self.net.mesh, faults, self.sim.now)
             st.reroutes += rerouted
             if downgraded:

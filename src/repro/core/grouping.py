@@ -21,13 +21,15 @@ rejects.  See DESIGN.md for the mapping.
 ========================  ============================================
 
 Every path produced here is BRCP-valid for the scheme's base routing;
-property tests assert this.
+property tests assert this.  :func:`degrade_plan` re-plans a built plan
+around the known faults of a network before the engine injects it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.brcp.model import is_conformant_path
 from repro.brcp.paths import (adaptive_chain_paths, column_path_sides,
@@ -38,10 +40,13 @@ from repro.core.plan import (ACT_ACK, ACT_CHAIN, ACT_CHAIN_FINAL,
                              FINAL_TERMINAL, GatherSpec, InvalGroup,
                              InvalidationPlan, JunctionPlan,
                              JUNCTION_DEPOSIT, JUNCTION_LAUNCH,
-                             JUNCTION_UNICAST)
+                             JUNCTION_UNICAST, plan_worms)
 from repro.network.routing import WestFirstRouting
 from repro.network.topology import Mesh2D
 from repro.network.worm import WormKind
+
+if TYPE_CHECKING:
+    from repro.faults.state import FaultState
 
 
 def _by_column(mesh: Mesh2D, sharers: Sequence[int]) -> dict[int, list[int]]:
@@ -365,7 +370,7 @@ def plan_sci_chain(mesh: Mesh2D, home: int,
 
 
 # ----------------------------------------------------------------------
-# Fault-time re-planning helper
+# Fault-time re-planning (graceful degradation)
 # ----------------------------------------------------------------------
 def split_group_for_faults(routing, home: int, group: InvalGroup,
                            deliverable: Callable[[tuple[int, ...]], bool],
@@ -373,14 +378,14 @@ def split_group_for_faults(routing, home: int, group: InvalGroup,
     """Split a multidestination ``group`` into maximal sub-chains the
     ``deliverable(dests)`` predicate accepts, preserving visit order.
 
-    Used by :func:`repro.faults.fallback.degrade_plan` when fault-aware
-    routing can still serve *part* of a blocked chain: instead of
-    degrading every destination to a unicast, contiguous deliverable runs
-    stay multidestination worms.  Runs of one destination — and runs that
-    are no longer BRCP-conformant from ``home`` under the base
-    ``routing`` once cut loose from their prefix — become unicasts.  A
-    predicate that rejects everything reproduces the pure per-destination
-    unicast split.
+    Used by :func:`degrade_plan` when fault-aware routing can still
+    serve *part* of a blocked chain: instead of degrading every
+    destination to a unicast, contiguous deliverable runs stay
+    multidestination worms.  Runs of one destination — and runs that are
+    no longer BRCP-conformant from ``home`` under the base ``routing``
+    once cut loose from their prefix — become unicasts.  A predicate
+    that rejects everything reproduces the pure per-destination unicast
+    split.
     """
     runs: list[list[int]] = []
     current: list[int] = []
@@ -406,6 +411,88 @@ def split_group_for_faults(routing, home: int, group: InvalGroup,
         else:
             out.extend(InvalGroup(WormKind.UNICAST, (d,)) for d in run)
     return out
+
+
+def degrade_plan(plan: InvalidationPlan, mesh: Mesh2D, faults: FaultState,
+                 now: int) -> tuple[InvalidationPlan, int, int]:
+    """Return ``(plan', downgraded_groups, rerouted_paths)``: ``plan``
+    re-planned around the known faults (permanent faults that have
+    already started) before the home injects it, the way multicast
+    NoCs degrade to unicast around failed regions.
+
+    * An MI-UA plan (every sharer acks by unicast) degrades per worm:
+      only the multidestination groups whose BRCP path crosses a known
+      fault split into unicast invalidations.
+    * An MA or chain plan couples its invalidation worms to gather
+      worms, i-ack reservations and junction collectors, so a fault on
+      any planned path (invalidation groups, column or row gathers)
+      downgrades the whole transaction to UI-UA.
+
+    Under fault-aware routing (``SystemParameters.fault_aware_routing``)
+    a cheaper first resort applies, *reroute before downgrade*: a
+    blocked group the fault-aware walk still delivers whole stays one
+    worm and counts as a reroute; one it cannot serve whole splits into
+    maximal deliverable sub-chains (:func:`split_group_for_faults`); an
+    MA/chain plan stays whole when every blocked path is deliverable.
+
+    The degraded plan keeps the scheme name, so per-scheme metrics stay
+    attributable.  ``downgraded_groups`` counts multidestination groups
+    replaced by unicasts (or whole-plan fallbacks); ``rerouted_paths``
+    counts blocked paths kept multidestination by detouring.  Both are
+    0 when the plan is untouched.
+    """
+    multi = sum(1 for g in plan.groups if len(g.dests) > 1)
+    if not faults.topology_faults or (multi == 0 and not plan.junctions):
+        return plan, 0, 0
+
+    ft = faults.ft_routing
+
+    def blocked(src, dests) -> bool:
+        walk = faults.walk_of(src, dests)
+        return walk is not None and faults.blocking_hop(
+            walk, now, permanent_only=True) is not None
+
+    def ft_deliverable(src, dests) -> bool:
+        return ft is not None and ft.route_walk(
+            src, dests, now, permanent_only=True) is not None
+
+    ack_only = all(a[0] == ACT_ACK for a in plan.sharer_actions.values())
+    if ack_only:
+        groups: list[InvalGroup] = []
+        downgraded = rerouted = 0
+        for g in plan.groups:
+            if len(g.dests) > 1 and blocked(plan.home, g.dests):
+                if ft_deliverable(plan.home, g.dests):
+                    groups.append(g)
+                    rerouted += 1
+                elif ft is not None:
+                    pieces = split_group_for_faults(
+                        ft.base, plan.home, g,
+                        lambda run: ft_deliverable(plan.home, run))
+                    groups.extend(pieces)
+                    downgraded += 1
+                    rerouted += sum(1 for p in pieces if len(p.dests) > 1)
+                else:
+                    groups.extend(InvalGroup(WormKind.UNICAST, (d,))
+                                  for d in g.dests)
+                    downgraded += 1
+            else:
+                groups.append(g)
+        if not downgraded:
+            # Every blocked group was kept whole: the plan is unchanged.
+            return plan, 0, rerouted
+        return replace(plan, groups=tuple(groups)), downgraded, rerouted
+
+    # MA / chain plan: reroute-whole or all-or-nothing fallback.
+    blocked_paths = [(src, dests) for role, _, src, dests in plan_worms(plan)
+                     if role != "ack" and blocked(src, dests)]
+    if not blocked_paths:
+        return plan, 0, 0
+    if all(ft_deliverable(src, dests) for src, dests in blocked_paths):
+        return plan, 0, len(blocked_paths)
+    fallback = replace(plan_ui_ua(mesh, plan.home, plan.sharers),
+                       scheme=plan.scheme)
+    return fallback, max(1, multi), 0
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,13 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.experiments import _draw_patterns, check_sweep
+from repro.analysis.experiments import check_sweep
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.explore.vectorized import (ANALYTICAL_FIELDS, ParamVector,
                                       PlanBatch, compiled_plan,
                                       evaluate_batch, welford_means)
 from repro.network.topology import Mesh2D
-from repro.workloads.patterns import max_degree
+from repro.workloads.patterns import draw_patterns, max_degree
 
 #: SystemParameters fields a grid may sweep or fix (all but the mesh
 #: shape, which is the ``meshes`` axis).
@@ -200,9 +200,9 @@ def screen(grid: ScreenGrid) -> ScreenResult:
         # One single-degree draw per degree, so screen cells coincide
         # with single-degree scalar sweep calls (and their simulator
         # cache keys).
-        params = grid.params_for(w, h)
-        patterns = {d: _draw_patterns(params, (d,), grid.per_degree,
-                                      grid.kind, grid.seed, None)[d]
+        mesh = Mesh2D(w, h)
+        patterns = {d: draw_patterns(mesh, (d,), grid.per_degree,
+                                     grid.kind, grid.seed)[d]
                     for d in degrees}
 
         t0 = time.perf_counter()

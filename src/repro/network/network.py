@@ -75,7 +75,7 @@ from repro.network.interface import RouterInterface
 from repro.network.routing import FaultAwareRouting, make_routing
 from repro.network.topology import MESH_PORTS, OPPOSITE, Mesh2D, Port
 from repro.network.worm import Worm, WormKind
-from repro.sim import Simulator, Tally
+from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.state import FaultState
@@ -152,8 +152,6 @@ class MeshNetwork:
         self.total_flit_hops = 0
         self.injected = 0
         self.delivered = 0
-        self.latency: dict[WormKind, Tally] = {
-            kind: Tally(f"latency.{kind.value}") for kind in WormKind}
         self.cycles_stepped = 0
         #: Cycles proved no-op and advanced past without stepping;
         #: ``cycles_stepped + cycles_skipped`` is the simulated total.
@@ -163,7 +161,6 @@ class MeshNetwork:
         #: order actually had to be re-sorted (``busy_sorts /
         #: cycles_stepped`` is the dirty rate).
         self.phase_decide_visits = 0
-        self.phase_select_visits = 0
         self.moves_applied = 0
         self.busy_sorts = 0
 
@@ -350,16 +347,14 @@ class MeshNetwork:
         ``cycles_skipped`` split the simulated cycles into those stepped
         and those skipped at stalled fixed points; ``busy_sorts`` /
         ``busy_sort_rate`` count rebuilds of the busy-node order; and
-        ``phase_decide_visits`` / ``phase_select_visits`` both count the
-        same fused decide-and-select node visits, one per busy node per
-        stepped cycle.
+        ``phase_decide_visits`` counts the fused decide-and-select node
+        visits, one per busy node per stepped cycle.
         """
         cycles = self.cycles_stepped
         return {
             "cycles_stepped": cycles,
             "cycles_skipped": self.cycles_skipped,
             "phase_decide_visits": self.phase_decide_visits,
-            "phase_select_visits": self.phase_select_visits,
             "moves_applied": self.moves_applied,
             "busy_sorts": self.busy_sorts,
             "busy_sort_rate": self.busy_sorts / cycles if cycles else 0.0,
@@ -391,8 +386,6 @@ class MeshNetwork:
         if final:
             worm.delivered_at = self.sim.now
             self.delivered += 1
-            assert worm.injected_at is not None
-            self.latency[worm.kind].add(self.sim.now - worm.injected_at)
         if self.audit is not None:
             self.audit.on_worm_deliver(node, worm, final)
         handler = self.on_deliver
@@ -728,7 +721,6 @@ class MeshNetwork:
                         self._busy_dirty = True
                 idle.clear()
             self.phase_decide_visits += len(order)
-            self.phase_select_visits += len(order)
             if nmoves:
                 self._stalled_cycles = 0
                 self._quiet_steps = 0

@@ -89,8 +89,7 @@ class Routing:
             return hit
         return self.candidates(current, dst), False
 
-    def route_hops(self, src: int, dst: int,
-                   prefer_first: bool = True) -> list[int]:
+    def route_hops(self, src: int, dst: int) -> list[int]:
         """Node sequence (excluding ``src``) of the route the scheme takes
         when every preferred channel is free.  Only tests call it, to
         check a routing function's walk; the simulator routes hop by hop
@@ -107,7 +106,7 @@ class Routing:
                 raise RoutingError(
                     f"{self.name}: no candidate port at node {current} "
                     f"toward {dst}")
-            port = ports[0 if prefer_first else -1]
+            port = ports[0]
             nxt = self.mesh.neighbor(current, port)
             if nxt is None:
                 raise RoutingError(
@@ -204,11 +203,17 @@ class FullyAdaptiveRouting(Routing):
     every hop; only 180-degree reversals are banned.
 
     Duato's theory makes this deadlock-free with escape virtual channels,
-    which this model does not simulate separately — the request/reply
-    virtual networks double as the escape resource for the light loads
-    studied here (documented deviation).  Its value for the paper is the
-    extra BRCP flexibility: a worm may cover destinations along *any*
-    monotone (diagonal) chain, not just rows and columns.
+    which this model does not simulate (a documented deviation, see
+    DESIGN.md).  With every turn allowed, the channels of one virtual
+    network can close a cycle, and DSM traffic does close one:
+    full-generator chaos workloads re-run under ``mi-ua-fa`` end in
+    :class:`~repro.sim.engine.Deadlock` (a hold-and-wait cycle of 8-14
+    unicasts) in 5 of seeds 0-119, all fault-free, and under
+    ``mi-ma-fa`` in 1 (seed 54, during its fault storm).  The
+    invalidation sweeps run one transaction at a time on an idle mesh.
+    The routing's value for the paper is the extra BRCP flexibility: a
+    worm may cover destinations along *any* monotone (diagonal) chain,
+    not just rows and columns.
     """
 
     name = "adaptive"
@@ -417,21 +422,3 @@ def make_routing(name: str, mesh: Mesh2D) -> Routing:
     except KeyError:
         raise ValueError(f"unknown routing scheme {name!r}; "
                          f"choose from {sorted(_SCHEMES)}") from None
-
-
-def walk_is_conformant(routing: Routing,
-                       nodes: Sequence[int]) -> bool:
-    """True iff the *hop-by-hop* node walk (adjacent nodes, starting at the
-    source) only uses turns the base routing permits.  This is the BRCP
-    validity test at the level of a concrete walk.
-    """
-    mesh = routing.mesh
-    incoming: Optional[Port] = None
-    for here, there in zip(nodes, nodes[1:]):
-        if mesh.manhattan(here, there) != 1:
-            raise ValueError(f"walk {here}->{there} is not a single hop")
-        out = mesh.port_towards(here, there)
-        if not routing.turn_allowed(incoming, out):
-            return False
-        incoming = OPPOSITE[out]
-    return True

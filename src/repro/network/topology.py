@@ -89,26 +89,6 @@ class Mesh2D:
         nx, ny = x + dx, y + dy
         return self.node_at(nx, ny) if self.contains(nx, ny) else None
 
-    def port_towards(self, src: int, dst: int) -> Port:
-        """Port for one *axis-aligned* hop direction from src toward dst.
-
-        ``src`` and ``dst`` must differ in exactly one coordinate; this is
-        a low-level helper for path walking, not a router.
-        """
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        if sx != dx and sy != dy:
-            raise ValueError(f"{src}->{dst} is not axis-aligned")
-        if dx > sx:
-            return Port.EAST
-        if dx < sx:
-            return Port.WEST
-        if dy > sy:
-            return Port.NORTH
-        if dy < sy:
-            return Port.SOUTH
-        raise ValueError(f"{src}->{dst}: same node")
-
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ cache.  All four sweep consumers route through it:
 * :func:`repro.analysis.experiments.run_invalidation_sweep` and
   :func:`~repro.analysis.experiments.run_analytical_sweep` (one job per
   scheme);
-* :func:`repro.faults.sweep.run_fault_sweep` (one job per grid point);
+* :func:`repro.analysis.experiments.run_fault_sweep` (one job per grid
+  point);
 * :func:`repro.chaos.runner.run_chaos` (one job per scenario seed);
 * ``benchmarks/harness.py`` (one job per workload, plus the
   parallel-scaling section of ``BENCH_perf.json``).

@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.config import ConfigError, max_jobs
 from repro.runner.cache import MISS, ResultCache, default_cache, key_digest
 from repro.runner.supervisor import (JobFailed, RetryPolicy, _Entry,
-                                     run_supervised)
+                                     _label, run_supervised)
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ def resolve_execution(jobs: int = 1, use_cache: bool = True,
     return workers, (cache if cache is not None else default_cache())
 
 
-def _job_label(job: Job) -> str:
-    return job.label or getattr(job.fn, "__name__", "job")
-
-
 def run_jobs(jobs: Sequence[Job], workers: int = 1,
              cache: Optional[ResultCache] = None,
              progress: Optional[Callable[[str], None]] = None,
@@ -144,7 +140,7 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
             if hit is not MISS:
                 results[i] = hit
                 hits += 1
-                say(f"[{i + 1}/{n}] {_job_label(job)}: cache hit")
+                say(f"[{i + 1}/{n}] {_label(job)}: cache hit")
                 continue
         pending.append(i)
 
@@ -158,7 +154,7 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
             if i in digests:
                 cache.store(digests[i], jobs[i].key, result)
             tag = "ran" if attempts == 1 else f"ran (attempt {attempts})"
-            say(f"[{i + 1}/{n}] {_job_label(jobs[i])}: {tag}")
+            say(f"[{i + 1}/{n}] {_label(jobs[i])}: {tag}")
 
         entries = [_Entry(index=i, job=jobs[i]) for i in pending]
         failures, events = run_supervised(entries, workers, policy,

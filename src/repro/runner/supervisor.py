@@ -166,6 +166,8 @@ def execute_job(job) -> Any:
 
 
 def _label(job) -> str:
+    """A job's name in progress lines and failure reports: its label,
+    else its function's name."""
     return job.label or getattr(job.fn, "__name__", "job")
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.analysis.experiments import (_analytical_scheme_job,
-                                        check_sweep, scheme_job)
+from repro.analysis.experiments import (check_sweep, run_analytical_sweep,
+                                        scheme_job)
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.runner import Job
 
@@ -104,7 +104,7 @@ class JobSpec:
                 f"per request (use 'mesh' for the topology)")
         try:
             params = paper_parameters(mesh, **dict(overrides))
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             raise SpecError(f"invalid parameters: {exc}") from None
 
         degrees_raw = payload.get("degrees", [2, 4, 8])
@@ -160,20 +160,11 @@ class JobSpec:
         placement — which is fine for a response explicitly marked as
         an approximation.
         """
-        return _analytical_scheme_job(self.scheme, self.degrees,
-                                      self.per_degree, self.params,
-                                      self.kind, self.seed)
+        return run_analytical_sweep([self.scheme], self.degrees,
+                                    self.per_degree, self.params,
+                                    self.kind, self.seed, use_cache=False)
 
     @property
     def digest(self) -> str:
         """The content-addressed cache digest of this spec's job."""
         return self.to_job().digest
-
-    def describe(self) -> dict:
-        """Canonical echo of the spec (for job-status responses)."""
-        return {"scheme": self.scheme, "degrees": list(self.degrees),
-                "per_degree": self.per_degree, "kind": self.kind,
-                "seed": self.seed, "home": self.home,
-                "analytical": self.analytical,
-                "mesh": [self.params.mesh_width,
-                         self.params.mesh_height]}

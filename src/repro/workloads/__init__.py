@@ -20,10 +20,10 @@ access pattern mirrors the algorithm's true data dependencies; traces are
 replayed execution-driven on :class:`~repro.coherence.DSMSystem`.
 """
 
-from repro.workloads.patterns import (InvalidationPattern,
+from repro.workloads.patterns import (InvalidationPattern, draw_patterns,
                                       pattern_column_clustered,
                                       pattern_row_clustered,
-                                      pattern_uniform, sweep_degrees)
+                                      pattern_uniform)
 from repro.workloads.traces import BlockAllocator, trace_stats
 
 
@@ -45,10 +45,10 @@ def paper_app_configs() -> dict:
 __all__ = [
     "BlockAllocator",
     "InvalidationPattern",
+    "draw_patterns",
     "pattern_column_clustered",
     "pattern_row_clustered",
     "paper_app_configs",
     "pattern_uniform",
-    "sweep_degrees",
     "trace_stats",
 ]

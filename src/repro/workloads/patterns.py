@@ -21,7 +21,7 @@ so every experiment is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,12 +149,16 @@ def make_pattern(kind: str, mesh: Mesh2D, degree: int,
     return gen(mesh, degree, rng, home=home)
 
 
-def sweep_degrees(mesh: Mesh2D, degrees: Sequence[int], per_degree: int,
-                  seed: int = 0, kind: str = "uniform",
-                  home: Optional[int] = None) -> Iterator[tuple[int, InvalidationPattern]]:
-    """Yield ``(degree, pattern)`` pairs: ``per_degree`` random patterns
-    for each requested degree of sharing, reproducibly seeded."""
+def draw_patterns(mesh: Mesh2D, degrees: Sequence[int], per_degree: int,
+                  kind: str = "uniform", seed: int = 0,
+                  home: Optional[int] = None
+                  ) -> dict[int, list[InvalidationPattern]]:
+    """The shared pattern stream of every invalidation sweep:
+    ``per_degree`` ``kind`` patterns per degree of sharing, drawn degree
+    by degree from one generator seeded with ``seed``.  It is a pure
+    function of its arguments, so every scheme's job, in any process,
+    sees the same sharer sets and the comparison is paired."""
     rng = np.random.default_rng(seed)
-    for degree in degrees:
-        for _ in range(per_degree):
-            yield degree, make_pattern(kind, mesh, degree, rng, home=home)
+    return {d: [make_pattern(kind, mesh, d, rng, home=home)
+                for _ in range(per_degree)]
+            for d in degrees}

@@ -35,8 +35,7 @@ from repro.sim import Timeout
 KERNEL_PRIVATE_COUNTERS = frozenset({
     "busy_sorts",          # the oracle sorts every cycle
     "busy_sort_rate",      # derived from busy_sorts
-    "phase_decide_visits",  # visits per stepped cycle ...
-    "phase_select_visits",
+    "phase_decide_visits",  # one per busy node per stepped cycle
     "cycles_stepped",      # MeshNetwork skips cycles the oracle steps
     "cycles_skipped",      # ... but stepped + skipped is invariant
 })
@@ -402,7 +401,6 @@ class LegacyMeshNetwork(MeshNetwork):
                 self.busy.discard(nid)
         nrouters = len(order)
         self.phase_decide_visits += nrouters
-        self.phase_select_visits += nrouters
         if moved:
             self._stalled_cycles = 0
         elif self.busy and not self._any_routing(

@@ -8,8 +8,7 @@ from repro.brcp.paths import adaptive_chain_paths
 from repro.core import InvalidationEngine, build_plan
 from repro.core.grouping import plan_mi_ua_ec, plan_mi_ua_fa
 from repro.network import MeshNetwork
-from repro.network.routing import (FullyAdaptiveRouting, make_routing,
-                                   walk_is_conformant)
+from repro.network.routing import FullyAdaptiveRouting, make_routing
 from repro.network.topology import Mesh2D, Port
 from repro.config import SystemParameters
 from repro.sim import Simulator
@@ -46,7 +45,7 @@ def test_adaptive_routes_minimal(a, b):
     r = FullyAdaptiveRouting(MESH)
     hops = r.route_hops(a, b)
     assert len(hops) == MESH.manhattan(a, b)
-    assert walk_is_conformant(r, [a] + hops)
+    assert is_conformant_path(r, a, hops)
 
 
 def test_make_routing_knows_adaptive():

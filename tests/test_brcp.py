@@ -1,5 +1,7 @@
 """BRCP model tests: conformance checking, path construction, encoding."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +10,8 @@ from repro.brcp import (bitstring_header, column_path_sides,
                         staircase_paths)
 from repro.brcp.encoding import decode_bitstring
 from repro.brcp.model import conformant_walk, path_length
-from repro.network.routing import (ECubeRouting, WestFirstRouting,
-                                   walk_is_conformant)
-from repro.network.topology import Mesh2D
+from repro.network.routing import ECubeRouting, WestFirstRouting
+from repro.network.topology import OPPOSITE, Mesh2D, Port
 
 
 @pytest.fixture
@@ -91,19 +92,46 @@ def random_path_case(draw):
     return mesh, src, dests
 
 
+def _some_hop_order_is_legal(routing, src, dests) -> bool:
+    """Brute force: some per-leg choice of X-then-Y or Y-then-X hops
+    makes every hop of the walk a turn the routing allows."""
+    mesh = routing.mesh
+
+    def hop_orders(a, b):
+        (ax, ay), (bx, by) = mesh.coords(a), mesh.coords(b)
+        xs = [Port.EAST if bx > ax else Port.WEST] * abs(bx - ax)
+        ys = [Port.NORTH if by > ay else Port.SOUTH] * abs(by - ay)
+        return {tuple(xs + ys), tuple(ys + xs)}
+
+    nodes = [src] + list(dests)
+    for legs in itertools.product(*(hop_orders(a, b)
+                                    for a, b in zip(nodes, nodes[1:]))):
+        incoming = None
+        legal = all(leg for leg in legs)
+        for port in (p for leg in legs for p in leg):
+            legal = legal and routing.turn_allowed(incoming, port)
+            incoming = OPPOSITE[port]
+        if legal:
+            return True
+    return False
+
+
 @settings(max_examples=150)
 @given(random_path_case(), st.sampled_from(["ecube", "westfirst"]))
 def test_walk_exists_iff_conformant(case, scheme):
     mesh, src, dests = case
     routing = (ECubeRouting if scheme == "ecube" else WestFirstRouting)(mesh)
     ok = is_conformant_path(routing, src, dests)
+    assert ok == _some_hop_order_is_legal(routing, src, dests)
     walk = conformant_walk(routing, src, dests)
     assert (walk is not None) == ok
     if walk is not None:
         # The walk visits the destinations in order (as a subsequence —
         # the walk may also pass *through* a destination earlier) and is
-        # hop-legal.
-        assert walk_is_conformant(routing, walk)
+        # made of hop-legal single hops.
+        assert all(mesh.manhattan(u, v) == 1
+                   for u, v in zip(walk, walk[1:]))
+        assert is_conformant_path(routing, walk[0], walk[1:])
         it = iter(walk)
         assert all(d in it for d in dests), (walk, dests)
         assert walk[-1] == dests[-1]

@@ -357,6 +357,35 @@ def test_atlas_rejects_bad_axis(capsys):
     assert code == 2
 
 
+def test_atlas_axis_value_of_the_wrong_type_exits_2(capsys):
+    code = main(["atlas", "--axis", "router_delay=x", "--meshes", "4x4",
+                 "--degrees", "2", "--schemes", "ui-ua"])
+    assert code == 2
+    assert "router_delay must be an integer" in capsys.readouterr().err
+
+
+def test_atlas_axis_values_parse_as_int_float_or_bool():
+    from repro.cli import _axis_value
+
+    assert [_axis_value(v) for v in ("3", "-2", "2.5", "true", "false",
+                                     "list")] == \
+        [3, -2, 2.5, True, False, "list"]
+    assert type(_axis_value("3")) is int
+
+
+@pytest.mark.parametrize("axis", ["net_cycle_ns=2.5,5",
+                                  "deferred_delivery=true,false"])
+def test_atlas_runs_float_and_bool_axes(capsys, tmp_path, axis):
+    code, out = run_cli(
+        capsys, "atlas", "--meshes", "4x4", "--degrees", "2",
+        "--per-degree", "1", "--schemes", "ui-ua",
+        "--calibrate-per-scheme", "1", "--no-refine", "--jobs", "1",
+        "--no-cache", "--encodings", "bitstring", "--axis", axis,
+        "--out", str(tmp_path / "atlas"))
+    assert code == 0
+    assert "screened 6 configurations" in out  # x 3 default channels
+
+
 @pytest.mark.parametrize("degrees", ["2,12", "8"])
 def test_atlas_column_degrees_within_clusters(capsys, tmp_path, degrees):
     """Degree 12 cannot be drawn from two columns of a 4x4 mesh and is

@@ -1,5 +1,6 @@
 """Configuration parameter tests."""
 
+import numpy as np
 import pytest
 
 from repro.audit import AUDIT_ENV_VAR, resolve_level
@@ -74,6 +75,33 @@ def test_validation_rejects_bad_values(field, value):
 def test_validation_raises_typed_config_error(field, value):
     with pytest.raises(ConfigError):
         SystemParameters(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("router_delay", "x", "an integer"),
+    ("router_delay", 2.5, "an integer"),
+    ("mesh_width", None, "an integer"),
+    ("iack_buffers", True, "an integer"),
+    ("net_cycle_ns", "5", "a number"),
+    ("net_cycle_ns", True, "a number"),
+    ("deferred_delivery", "false", "a boolean"),
+    ("fault_nack", 1, "a boolean"),
+    ("fault_aware_routing", np.bool_(True), "a boolean"),
+    ("multidest_encoding", 3, "a string"),
+])
+def test_wrong_field_type_is_a_config_error(field, value, kind):
+    """Each field is checked against its annotation: a bool is no
+    integer or number here, and a number is no boolean."""
+    with pytest.raises(ConfigError, match=f"{field} must be {kind}"):
+        SystemParameters(**{field: value})
+
+
+def test_numeric_fields_take_any_integral_or_real_type():
+    p = SystemParameters(mesh_width=np.int64(4), router_delay=np.int32(3),
+                         net_cycle_ns=5)
+    assert (p.mesh_width, p.router_delay, p.net_cycle_ns) == (4, 3, 5)
+    assert SystemParameters(net_cycle_ns=np.float64(2.5)).net_cycle_ns \
+        == 2.5
 
 
 def test_config_error_is_a_value_error():

@@ -23,13 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ConfigError, SystemParameters, paper_parameters
 from repro.core import InvalidationEngine, build_plan
-from repro.core.grouping import SCHEMES
+from repro.core.grouping import SCHEMES, degrade_plan
 from repro.brcp.model import is_conformant_path
 from repro.faults import (FaultPlan, FaultState, LinkFault, RouterFault,
-                          TransactionFailed, degrade_plan)
+                          TransactionFailed)
 from repro.network import MeshNetwork, Worm, WormKind
-from repro.network.routing import (FaultAwareRouting, make_routing,
-                                   walk_is_conformant)
+from repro.network.routing import FaultAwareRouting, make_routing
 from repro.network.topology import Mesh2D, Port
 from repro.sim import Simulator
 from tests.test_network_properties import assert_drained
@@ -104,8 +103,8 @@ def test_fault_filtered_walks_are_turn_legal_and_avoid_faults(mesh_link,
     walk = ft.route_walk(src, [dst], now=0)
     assert walk is not None
     # Single hops only, and legal under the wrapper's turn model (which
-    # walk_is_conformant checks via turn_allowed on the wrapper).
-    assert walk_is_conformant(ft, walk)
+    # is_conformant_path checks via turn_allowed on the wrapper).
+    assert is_conformant_path(ft, walk[0], walk[1:])
     for u, v in zip(walk, walk[1:]):
         assert mesh.manhattan(u, v) == 1
         assert not fs.link_down(u, v, 0), "walk crosses the dead link"
@@ -137,8 +136,9 @@ def test_multi_fault_walks_are_sound(w, h, link_seeds, data):
     if walk is None:
         return  # may legitimately be unreachable
     assert walk[0] == src and walk[-1] == dests[-1]
-    assert walk_is_conformant(ft, walk)
+    assert is_conformant_path(ft, walk[0], walk[1:])
     for u, v in zip(walk, walk[1:]):
+        assert mesh.manhattan(u, v) == 1
         assert not fs.link_down(u, v, 0)
         assert not fs.router_down(v, 0)
 

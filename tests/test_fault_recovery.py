@@ -8,11 +8,11 @@ typed :class:`TransactionFailed` — never the kernel's generic
 
 import pytest
 
+from repro.analysis.experiments import run_fault_sweep
 from repro.config import SystemParameters, paper_parameters
 from repro.core import InvalidationEngine, build_plan
 from repro.core.grouping import SCHEMES
 from repro.faults import FaultPlan, LinkFault, RouterFault, TransactionFailed
-from repro.faults.sweep import run_fault_sweep
 from repro.network import MeshNetwork
 from repro.sim import Simulator
 

@@ -4,9 +4,8 @@ proactive MI→UI degradation."""
 import pytest
 
 from repro.config import SystemParameters
-from repro.core.grouping import build_plan
-from repro.faults import (FaultPlan, FaultState, LinkFault, RouterFault,
-                          degrade_plan)
+from repro.core.grouping import build_plan, degrade_plan
+from repro.faults import FaultPlan, FaultState, LinkFault, RouterFault
 from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.interface import IAckBufferFile
 from repro.network.routing import make_routing

@@ -40,3 +40,18 @@ def test_chaos_soak_imports_no_serving_stack():
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_fault_model_imports_no_protocol_stack():
+    """``repro.faults`` is the fault model alone: the protocol engine,
+    the planners, the sweeps and the auditor import it, never the
+    reverse."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.faults; "
+         "print(sorted(m for m in sys.modules if m.startswith("
+         "('repro.core', 'repro.analysis', 'repro.audit'))))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 from repro.config import SystemParameters
 from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.worm import VNET_REPLY, VNET_REQUEST
-from repro.sim import Simulator
+from repro.sim import Simulator, Tally
 
 
 def make_net(routing="ecube", **overrides):
@@ -135,10 +135,13 @@ def test_different_vnets_do_not_block_each_other():
 
 def test_latency_tally_collects():
     sim, net, _ = make_net()
-    for i in range(3):
-        net.inject(unicast(0, 9 + i, size=6))
+    worms = [unicast(0, 9 + i, size=6) for i in range(3)]
+    for worm in worms:
+        net.inject(worm)
     run_until_delivered(sim, net, 3)
-    tally = net.latency[WormKind.UNICAST]
+    tally = Tally()
+    for worm in worms:
+        tally.add(worm.delivered_at - worm.injected_at)
     assert tally.n == 3
     assert tally.min > 0
 

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.brcp.model import is_conformant_path
 from repro.network.routing import (ECubeRouting, FullyAdaptiveRouting,
                                    Routing, RoutingError, WestFirstRouting,
-                                   make_routing, walk_is_conformant)
+                                   make_routing)
 from repro.network.topology import Mesh2D, Port
 
 
@@ -107,7 +108,7 @@ def test_westfirst_route_is_minimal_and_conformant(a, b):
     r = WestFirstRouting(mesh)
     hops = r.route_hops(a, b)
     assert len(hops) == mesh.manhattan(a, b)
-    assert walk_is_conformant(r, [a] + hops)
+    assert is_conformant_path(r, a, hops)
 
 
 @given(st.integers(0, 63), st.integers(0, 63))
@@ -115,7 +116,7 @@ def test_ecube_route_is_conformant(a, b):
     mesh = Mesh2D(8, 8)
     r = ECubeRouting(mesh)
     hops = r.route_hops(a, b)
-    assert walk_is_conformant(r, [a] + hops)
+    assert is_conformant_path(r, a, hops)
 
 
 def test_yx_walk_not_ecube_conformant():
@@ -123,9 +124,9 @@ def test_yx_walk_not_ecube_conformant():
     r = ECubeRouting(mesh)
     # Walk north then east: banned under XY routing.
     walk = [mesh.node_at(2, 2), mesh.node_at(2, 3), mesh.node_at(3, 3)]
-    assert not walk_is_conformant(r, walk)
+    assert not is_conformant_path(r, walk[0], walk[1:])
     # Same walk is fine under west-first.
-    assert walk_is_conformant(WestFirstRouting(mesh), walk)
+    assert is_conformant_path(WestFirstRouting(mesh), walk[0], walk[1:])
 
 
 def test_make_routing_factory():
@@ -179,10 +180,3 @@ def test_routing_error_is_not_assertion_error():
     # Callers can catch it without relying on -O-stripped asserts.
     assert issubclass(RoutingError, Exception)
     assert not issubclass(RoutingError, AssertionError)
-
-
-def test_walk_requires_single_hops():
-    mesh = Mesh2D(4, 4)
-    r = ECubeRouting(mesh)
-    with pytest.raises(ValueError, match="single hop"):
-        walk_is_conformant(r, [0, 2])

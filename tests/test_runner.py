@@ -18,6 +18,7 @@ import pickle
 import pytest
 
 from repro.analysis.experiments import (run_analytical_sweep,
+                                        run_fault_sweep,
                                         run_invalidation_sweep)
 from repro.analysis.report import generate_report
 from repro.chaos.runner import run_chaos
@@ -26,7 +27,6 @@ from repro.config import (ConfigError, SystemParameters, max_jobs,
                           paper_parameters)
 from repro.explore.calibrate import calibrate, simulate_cells
 from repro.explore.refine import refine
-from repro.faults.sweep import run_fault_sweep
 from repro.runner import (CACHE_SCHEMA, Job, MISS, ResultCache,
                           code_fingerprint, default_cache, key_digest,
                           resolve_execution, resolve_jobs, run_jobs)

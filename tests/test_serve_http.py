@@ -372,6 +372,14 @@ def test_malformed_json_is_400():
     (dict(SPEC, mesh=4, kind="column", degrees=[12]), "degree"),
     (dict(SPEC, params={"audit": "full"}), "unknown parameter"),
     (dict(SPEC, params={"multidest_header_flits": 3}), "unknown parameter"),
+    (dict(SPEC, params={"deferred_delivery": "no"}),
+     "deferred_delivery must be a boolean"),
+    (dict(SPEC, params={"router_delay": 2.5}),
+     "router_delay must be an integer"),
+    (dict(SPEC, params={"iack_buffers": True}),
+     "iack_buffers must be an integer"),
+    (dict(SPEC, params={"net_cycle_ns": "5"}),
+     "net_cycle_ns must be a number"),
 ])
 def test_invalid_spec_is_400_with_detail(spec, fragment):
     async def body(host, port, service):

@@ -52,18 +52,6 @@ def test_opposite_ports_consistent():
         assert mesh.neighbor(neighbor, OPPOSITE[port]) == node
 
 
-def test_port_towards():
-    mesh = Mesh2D(8, 8)
-    a = mesh.node_at(2, 3)
-    assert mesh.port_towards(a, mesh.node_at(6, 3)) == Port.EAST
-    assert mesh.port_towards(a, mesh.node_at(0, 3)) == Port.WEST
-    assert mesh.port_towards(a, mesh.node_at(2, 7)) == Port.NORTH
-    assert mesh.port_towards(a, mesh.node_at(2, 0)) == Port.SOUTH
-    with pytest.raises(ValueError):
-        mesh.port_towards(a, mesh.node_at(3, 4))
-    with pytest.raises(ValueError):
-        mesh.port_towards(a, a)
-
 
 def test_manhattan_distance():
     mesh = Mesh2D(8, 8)

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from repro.analysis.experiments import check_sweep, run_invalidation_sweep
 from repro.config import ConfigError, paper_parameters
 from repro.network.topology import Mesh2D
-from repro.workloads import (BlockAllocator, pattern_column_clustered,
+from repro.workloads import (BlockAllocator, draw_patterns,
+                             pattern_column_clustered,
                              pattern_row_clustered, pattern_uniform,
-                             sweep_degrees, trace_stats)
+                             trace_stats)
 from repro.workloads import apsp, barnes_hut, lu
 from repro.workloads.patterns import make_pattern, max_degree
 from repro.workloads.traces import blocks_for_bytes
@@ -91,14 +92,20 @@ def test_clustered_max_degree_leaves_room_for_the_home():
 
 
 def test_sweep_is_reproducible():
-    a = list(sweep_degrees(MESH, [2, 4], 3, seed=9))
-    b = list(sweep_degrees(MESH, [2, 4], 3, seed=9))
+    a = draw_patterns(MESH, [2, 4], 3, seed=9)
+    b = draw_patterns(MESH, [2, 4], 3, seed=9)
     assert a == b
-    assert [d for d, _ in a] == [2, 2, 2, 4, 4, 4]
+    assert {d: [p.degree for p in ps] for d, ps in a.items()} == \
+        {2: [2, 2, 2], 4: [4, 4, 4]}
+    # One generator, drawn degree by degree: the stream is the same as
+    # drawing every pattern in turn from one seeded generator.
+    rng = np.random.default_rng(9)
+    assert a == {d: [make_pattern("uniform", MESH, d, rng)
+                     for _ in range(3)] for d in (2, 4)}
 
 
 def test_fixed_home_sweep():
-    for _d, p in sweep_degrees(MESH, [3], 5, seed=1, home=27):
+    for p in draw_patterns(MESH, [3], 5, seed=1, home=27)[3]:
         assert p.home == 27
 
 
