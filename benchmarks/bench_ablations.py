@@ -45,8 +45,7 @@ def _concurrent_multicast(consumption_channels: int, scheme: str,
             states = [engine.execute(build_plan(
                 scheme, net.mesh,
                 *(lambda p: (p.home, p.sharers))(
-                    pattern_column_clustered(net.mesh, degree, rng,
-                                             columns=2))))
+                    pattern_column_clustered(net.mesh, degree, rng))))
                 for _ in range(concurrent)]
             for st in states:
                 latencies.append(
@@ -92,7 +91,7 @@ def test_ablation_deferred_delivery(benchmark, scale):
         rng = np.random.default_rng(43)
         latencies = []
         for _ in range(6):
-            pats = [pattern_column_clustered(net.mesh, 10, rng, columns=2)
+            pats = [pattern_column_clustered(net.mesh, 10, rng)
                     for _ in range(4)]
             states = [engine.execute(build_plan(
                 "mi-ma-ec", net.mesh, p.home, p.sharers)) for p in pats]
@@ -125,7 +124,7 @@ def test_ablation_header_encoding(benchmark, scale):
     rng = np.random.default_rng(47)
 
     def traffic_for(degree):
-        pat = pattern_column_clustered(mesh, degree, rng, columns=2)
+        pat = pattern_column_clustered(mesh, degree, rng)
         plan = build_plan("mi-ua-ec", mesh, pat.home, pat.sharers)
         return {
             "degree": degree,

@@ -33,8 +33,7 @@ def _run(iack_buffers: int, width: int, concurrent: int, batches: int,
         for _ in range(batches):
             states = []
             for _ in range(concurrent):
-                pat = pattern_column_clustered(net.mesh, degree, rng,
-                                               columns=2)
+                pat = pattern_column_clustered(net.mesh, degree, rng)
                 states.append(engine.execute(
                     build_plan("mi-ma-ec", net.mesh, pat.home,
                                pat.sharers)))

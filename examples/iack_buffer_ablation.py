@@ -31,8 +31,7 @@ def run_batch(iack_buffers: int, concurrent: int = 6, batches: int = 4,
     for _ in range(batches):
         states = []
         for _ in range(concurrent):
-            pattern = pattern_column_clustered(net.mesh, degree, rng,
-                                               columns=2)
+            pattern = pattern_column_clustered(net.mesh, degree, rng)
             plan = build_plan("mi-ma-ec", net.mesh, pattern.home,
                               pattern.sharers)
             states.append(engine.execute(plan))

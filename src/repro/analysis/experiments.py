@@ -28,7 +28,6 @@ from repro.coherence.processor import run_program
 from repro.coherence.system import DSMSystem
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
-from repro.core.metrics import aggregate_records
 from repro.faults.plan import FaultPlan, TransactionFailed
 from repro.network import MeshNetwork
 from repro.network.topology import Mesh2D
@@ -488,8 +487,9 @@ def run_application_experiment(app: str, scheme: str,
     sim = Simulator()
     system = DSMSystem(sim, params, scheme)
     stats = run_program(system, traces, limit=limit)
-    summaries = aggregate_records(system.engine.records)
-    inval = summaries.get(scheme)
+    inval = Tally("inval_latency")
+    for rec in system.engine.records:
+        inval.add(rec.latency)
     return {
         "app": app,
         "scheme": scheme,
@@ -499,10 +499,10 @@ def run_application_experiment(app: str, scheme: str,
         "misses": stats["misses"],
         "upgrades": stats["upgrades"],
         "invalidations": stats["invalidations"],
-        "inval_transactions": inval.transactions if inval else 0,
-        "inval_latency": inval.latency.mean if inval else 0.0,
-        "avg_sharers": (stats["invalidations"] / inval.transactions
-                        if inval and inval.transactions else 0.0),
+        "inval_transactions": inval.n,
+        "inval_latency": inval.mean,
+        "avg_sharers": (stats["invalidations"] / inval.n
+                        if inval.n else 0.0),
         "messages": stats["messages"],
         "flit_hops": stats["flit_hops"],
         "read_miss_latency": system.read_miss_latency.mean,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.brcp.model import conformant_walk
+from repro.core.grouping import SCHEMES
 from repro.core.plan import InvalidationPlan
 from repro.network.routing import make_routing
 from repro.network.topology import Mesh2D
@@ -116,7 +117,7 @@ def worm_map(mesh: Mesh2D, plan: InvalidationPlan) -> str:
     """ASCII map of ``plan``'s invalidation worms, north row on top:
     each worm's BRCP walk is stamped with its own letter, uppercase at
     the sharers it covers, over ``@`` for the home."""
-    routing = make_routing(plan.routing, mesh)
+    routing = make_routing(SCHEMES[plan.scheme][1], mesh)
     grid = [["." for _ in range(mesh.width)] for _ in range(mesh.height)]
     for i, group in enumerate(plan.groups):
         walk = conformant_walk(routing, plan.home, list(group.dests))

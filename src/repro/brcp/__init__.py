@@ -15,12 +15,11 @@ the base routing permits.  This package provides:
   (bit-string presence-bit headers vs. destination lists).
 """
 
-from repro.brcp.encoding import bitstring_header, header_flit_count
+from repro.brcp.encoding import header_flit_count
 from repro.brcp.model import conformant_walk, is_conformant_path
 from repro.brcp.paths import (column_path_sides, staircase_paths)
 
 __all__ = [
-    "bitstring_header",
     "column_path_sides",
     "conformant_walk",
     "header_flit_count",

@@ -14,53 +14,23 @@ destination and strips the leading flit at each intermediate destination.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from repro.network.topology import Mesh2D
 from repro.network.worm import WormKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemParameters
 
-
-def bitstring_header(mesh: Mesh2D, nodes: Sequence[int]) -> tuple[int, int]:
-    """Encode a set of same-column destinations as ``(column, row_mask)``.
-
-    ``row_mask`` has bit ``y`` set for each destination ``(column, y)``.
-    Raises if the nodes span several columns (bit-string worms are
-    column-oriented, mirroring the presence-bit organization).
-    """
-    if not nodes:
-        raise ValueError("empty destination set")
-    columns = {mesh.coords(n)[0] for n in nodes}
-    if len(columns) != 1:
-        raise ValueError(f"bit-string header spans columns {sorted(columns)}")
-    column = columns.pop()
-    mask = 0
-    for n in nodes:
-        mask |= 1 << mesh.coords(n)[1]
-    return column, mask
+#: Bits per flit: a bit-string header's row mask fills
+#: ``ceil(height / FLIT_BITS)`` flits.
+FLIT_BITS = 8
 
 
-def decode_bitstring(mesh: Mesh2D, column: int, row_mask: int) -> list[int]:
-    """Inverse of :func:`bitstring_header`, rows in ascending order."""
-    nodes = []
-    y = 0
-    mask = row_mask
-    while mask:
-        if mask & 1:
-            nodes.append(mesh.node_at(column, y))
-        mask >>= 1
-        y += 1
-    return nodes
-
-
-def header_flit_count(encoding: str, mesh_height: int, ndests: int,
-                      flit_bits: int = 8) -> int:
+def header_flit_count(encoding: str, mesh_height: int, ndests: int) -> int:
     """Extra header flits of a multidestination worm beyond the unicast
     routing flit.
 
-    * ``bitstring``: fixed — the row mask (``ceil(height / flit_bits)``
+    * ``bitstring``: fixed — the row mask (``ceil(height / FLIT_BITS)``
       flits) regardless of how many destinations are covered;
     * ``list``: one flit per destination beyond the first (stripped at
       each intermediate destination).
@@ -68,7 +38,7 @@ def header_flit_count(encoding: str, mesh_height: int, ndests: int,
     if ndests < 1:
         raise ValueError("need at least one destination")
     if encoding == "bitstring":
-        return max(1, math.ceil(mesh_height / flit_bits))
+        return max(1, math.ceil(mesh_height / FLIT_BITS))
     if encoding == "list":
         return max(0, ndests - 1)
     raise ValueError(f"unknown encoding {encoding!r}")

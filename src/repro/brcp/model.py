@@ -9,9 +9,9 @@ per-leg hop interleaving makes every turn legal for the base routing.
 Minimal legs in a 2-D mesh only need two canonical hop orders (X-then-Y
 and Y-then-X: any legal interleaving is legal in one of the canonical
 orders too, because the turn rules of e-cube and the turn model only
-constrain direction *pairs*).  One memoized search over the direction
-the worm is travelling at each leg boundary answers both the validity
-check and the concrete walk.
+constrain direction *pairs*).  One memoized search over the port the
+worm entered by at each leg boundary answers both the validity check
+and the concrete walk.
 """
 
 from __future__ import annotations
@@ -23,44 +23,27 @@ from repro.network.routing import Routing
 from repro.network.topology import OPPOSITE, PORT_DELTA, Mesh2D, Port
 
 
-def _leg_orders(mesh, a: int, b: int) -> list[list[tuple[Port, int]]]:
+def _leg_orders(mesh: Mesh2D, a: int,
+                b: int) -> list[list[tuple[Port, int]]]:
     """Canonical hop orders of a minimal leg from ``a`` to ``b``:
     each order is a list of ``(direction, count)`` segments."""
-    ax, ay = mesh.coords(a)
-    bx, by = mesh.coords(b)
-    if bx > ax:
-        xseg = (Port.EAST, bx - ax)
-    elif bx < ax:
-        xseg = (Port.WEST, ax - bx)
-    else:
-        xseg = None
-    if by > ay:
-        yseg = (Port.NORTH, by - ay)
-    elif by < ay:
-        yseg = (Port.SOUTH, ay - by)
-    else:
-        yseg = None
-    if xseg and yseg:
-        return [[xseg, yseg], [yseg, xseg]]
-    if xseg:
-        return [[xseg]]
-    if yseg:
-        return [[yseg]]
-    return [[]]
+    segments = [seg for seg in mesh.productive(a, b) if seg[0] is not None]
+    if len(segments) == 2:
+        return [segments, segments[::-1]]
+    return [segments]
 
 
-def _segments_ok(routing: Routing, entering: Optional[Port],
+def _segments_ok(routing: Routing, incoming: Optional[Port],
                  segments: Sequence[tuple[Port, int]]) -> Optional[Port]:
-    """Check one leg's segment list starting while travelling ``entering``
-    (None at the source).  Returns the direction travelled at the end of
-    the leg, or None when the routing forbids one of its turns."""
-    direction = entering
-    for seg_dir, _count in segments:
-        incoming = OPPOSITE[direction] if direction is not None else None
-        if not routing.turn_allowed(incoming, seg_dir):
+    """Check one leg's segment list for a worm that entered its first
+    router through ``incoming`` (None at the source).  Returns the port
+    it enters the leg's last router by, or None when the routing
+    forbids one of its turns."""
+    for direction, _count in segments:
+        if not routing.turn_allowed(incoming, direction):
             return None
-        direction = seg_dir
-    return direction if direction is not None else entering
+        incoming = OPPOSITE[direction]
+    return incoming
 
 
 def _leg_plan(routing: Routing, src: int,
@@ -69,21 +52,21 @@ def _leg_plan(routing: Routing, src: int,
     realization of the path, or None when there is none.
 
     Depth-first over the legs, trying each leg's canonical orders in
-    turn, memoized on (leg index, entering direction); the first
-    realization found is the one :func:`conformant_walk` expands.
+    turn, memoized on (leg index, entering port); the first realization
+    found is the one :func:`conformant_walk` expands.
     """
     mesh = routing.mesh
     nodes = [src] + list(dests)
 
     @lru_cache(maxsize=None)
-    def solve(leg: int, entering: Optional[Port]) -> Optional[tuple]:
+    def solve(leg: int, incoming: Optional[Port]) -> Optional[tuple]:
         if leg == len(nodes) - 1:
             return ()
         a, b = nodes[leg], nodes[leg + 1]
         if a == b:
             return None  # a repeated node is not a leg
         for order in _leg_orders(mesh, a, b):
-            out = _segments_ok(routing, entering, order)
+            out = _segments_ok(routing, incoming, order)
             if out is None:
                 continue
             rest = solve(leg + 1, out)

@@ -41,7 +41,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
         self.upgrades = 0
-        self.invalidations_received = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
@@ -93,7 +92,6 @@ class Cache:
 
     def invalidate(self, block: int) -> bool:
         """Drop a line (remote invalidation); True if it was present."""
-        self.invalidations_received += 1
         present = self._lines.pop(block, None) is not None
         if self.audit is not None:
             self.audit.on_cache_invalidate(self, block, present)

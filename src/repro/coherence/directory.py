@@ -137,11 +137,3 @@ class Directory:
     def known_blocks(self) -> list[int]:
         """Blocks with a directory entry, for inspection."""
         return sorted(self._entries)
-
-    def sharers(self, block: int, exclude: Optional[int] = None) -> list[int]:
-        """Current presence set (optionally excluding one node), sorted
-        for deterministic worm construction."""
-        entry = self.entry(block)
-        nodes = entry.presence if exclude is None \
-            else entry.presence - {exclude}
-        return sorted(nodes)

@@ -28,11 +28,6 @@ class CohType(Enum):
     WB_DATA = "wb_data"
 
 
-#: Message types that carry a full cache block.
-DATA_CARRYING = frozenset({CohType.DATA_REPLY, CohType.EX_GRANT,
-                           CohType.WB_DATA})
-
-
 def coh_payload(mtype: CohType, block: int, requester: int,
                 **extra) -> dict:
     """Build the worm payload dict for a coherence message."""

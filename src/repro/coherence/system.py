@@ -36,7 +36,8 @@ from repro.network import MeshNetwork, Worm, WormKind
 from repro.network.worm import VNET_REPLY, VNET_REQUEST
 from repro.sim import Event, Facility, Simulator, Tally
 
-#: Message types travelling on the reply virtual network.
+#: Message types that carry a full cache block; they travel on the
+#: reply virtual network.
 _REPLY_TYPES = frozenset({CohType.DATA_REPLY, CohType.EX_GRANT,
                           CohType.WB_DATA})
 
@@ -80,10 +81,9 @@ class DSMSystem:
         # needs at most two entries per interface) — without the cap,
         # write-heavy applications can deadlock the buffer files.
         self.engine = InvalidationEngine(
-            sim, self.net, params, attach=False,
+            sim, self.net, params,
             max_concurrent_ma=max(1, params.iack_buffers // 2))
         self.net.on_deliver = self._dispatch
-        self.net.on_chain_deliver = self.engine.handle_chain_delivery
         self.engine.invalidate_hook = self._engine_invalidate
         # Fault injection: an empty plan is treated as "no faults" so
         # that the recovery machinery stays fully inert (bit-identical
@@ -212,8 +212,7 @@ class DSMSystem:
     # ------------------------------------------------------------------
     def _send(self, src: int, dst: int, payload: dict) -> None:
         mtype: CohType = payload["type"]
-        data = mtype in (CohType.DATA_REPLY, CohType.EX_GRANT,
-                         CohType.WB_DATA) and payload.get("data", True)
+        data = mtype in _REPLY_TYPES and payload.get("data", True)
         size = (self.params.data_message_flits if data
                 else self.params.control_message_flits)
         if src == dst:

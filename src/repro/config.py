@@ -14,6 +14,7 @@ hardware measurements (Table 5).
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
@@ -252,14 +253,18 @@ class SystemParameters:
 
 #: What a value of each field annotation must be, and its test.  A bool
 #: is an int to Python, so the int and float tests exclude it; numpy
-#: integers and floats pass.
+#: integers and floats pass.  NaN and the infinities are no number here:
+#: a NaN parameter never equals itself, so its result could never be
+#: found in the result cache again.
 _ANNOTATION_TYPES = {
     "int": ("an integer",
             lambda v: type(v) is int or (isinstance(v, numbers.Integral)
                                          and not isinstance(v, bool))),
     "float": ("a number",
-              lambda v: type(v) is float or (isinstance(v, numbers.Real)
-                                             and not isinstance(v, bool))),
+              lambda v: (type(v) is float
+                         or (isinstance(v, numbers.Real)
+                             and not isinstance(v, bool)))
+              and math.isfinite(v)),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
 }

@@ -24,7 +24,7 @@ west-first turn-model routing; see :mod:`repro.core.grouping`.
 
 from repro.core.engine import InvalidationEngine
 from repro.core.grouping import SCHEMES, build_plan
-from repro.core.metrics import TransactionRecord, aggregate_records
+from repro.core.metrics import TransactionRecord
 from repro.core.plan import GatherSpec, InvalGroup, InvalidationPlan, JunctionPlan
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "JunctionPlan",
     "SCHEMES",
     "TransactionRecord",
-    "aggregate_records",
     "build_plan",
 ]

@@ -83,7 +83,7 @@ class InvalidationEngine:
     ROLES = frozenset({"inval", "ack", "gather"})
 
     def __init__(self, sim: Simulator, net: MeshNetwork,
-                 params: SystemParameters, attach: bool = True,
+                 params: SystemParameters,
                  max_concurrent_ma: Optional[int] = None) -> None:
         """``max_concurrent_ma`` bounds how many i-ack-buffer-using
         transactions run at once (None = unbounded).  A transaction
@@ -103,10 +103,8 @@ class InvalidationEngine:
         self.oc = [Facility(sim, f"oc.{i}") for i in range(n)]
         #: Node processing facility (receive handling, cache ops).
         self.proc = [Facility(sim, f"proc.{i}") for i in range(n)]
-        if attach:
-            net.on_deliver = self.handle_delivery
-            net.on_chain_deliver = self.handle_chain_delivery
-            net.on_worm_dropped = self.handle_worm_dropped
+        net.on_deliver = self.handle_delivery
+        net.on_worm_dropped = self.handle_worm_dropped
         self._txns: dict[int, _TxnState] = {}
         self._ids = itertools.count(1)
         #: Runtime invariant auditor, set by
@@ -287,9 +285,11 @@ class InvalidationEngine:
                 self.sim.spawn(
                     self._retry_sharer(st, node, worm.payload["retry"]),
                     name=f"txn{st.txn}.rinv.{node}")
+            elif worm.kind is WormKind.CHAIN and not final:
+                # An intermediate stop: the worm waits for this node.
+                self.sim.spawn(self._chain_stop(st, node),
+                               name=f"txn{st.txn}.chain.{node}")
             elif worm.kind is WormKind.CHAIN:
-                # Intermediate chain stops arrive via on_chain_deliver;
-                # only the final consumption lands here.
                 self.sim.spawn(self._chain_final(
                     st, node, worm.payload["chain_count"]),
                     name=f"txn{st.txn}.chainfin.{node}")
@@ -306,14 +306,6 @@ class InvalidationEngine:
                            name=f"txn{st.txn}.gather.{node}")
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown payload role {role!r}")
-
-    def handle_chain_delivery(self, node: int, worm: Worm) -> None:
-        """The network's chain-worm header-delivery handler."""
-        st = self._open(worm.txn, node, "chain delivery")
-        if st is None:
-            return
-        self.sim.spawn(self._chain_stop(st, node),
-                       name=f"txn{st.txn}.chain.{node}")
 
     # ------------------------------------------------------------------
     # Node-side processes

@@ -81,8 +81,7 @@ def plan_ui_ua(mesh: Mesh2D, home: int,
     """Unicast invalidation, unicast acknowledgment (the baseline)."""
     groups = tuple(InvalGroup(WormKind.UNICAST, (s,)) for s in sharers)
     actions = {s: (ACT_ACK,) for s in sharers}
-    return InvalidationPlan("ui-ua", "ecube", home, tuple(sharers),
-                            groups, actions)
+    return InvalidationPlan("ui-ua", home, tuple(sharers), groups, actions)
 
 
 def plan_mi_ua_ec(mesh: Mesh2D, home: int,
@@ -92,8 +91,7 @@ def plan_mi_ua_ec(mesh: Mesh2D, home: int,
     groups = tuple(InvalGroup(WormKind.MULTICAST, tuple(path))
                    for path in _ec_side_lists(mesh, home, sharers))
     actions = {s: (ACT_ACK,) for s in sharers}
-    return InvalidationPlan("mi-ua-ec", "ecube", home, tuple(sharers),
-                            groups, actions)
+    return InvalidationPlan("mi-ua-ec", home, tuple(sharers), groups, actions)
 
 
 def plan_mi_ua_tm(mesh: Mesh2D, home: int,
@@ -103,8 +101,7 @@ def plan_mi_ua_tm(mesh: Mesh2D, home: int,
     groups = tuple(InvalGroup(WormKind.MULTICAST, tuple(path))
                    for path in staircase_paths(mesh, home, sharers))
     actions = {s: (ACT_ACK,) for s in sharers}
-    return InvalidationPlan("mi-ua-tm", "westfirst", home, tuple(sharers),
-                            groups, actions)
+    return InvalidationPlan("mi-ua-tm", home, tuple(sharers), groups, actions)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +234,7 @@ def _ma_ec_plan(mesh: Mesh2D, home: int, sharers: Sequence[int], *,
                                          extra_reserve=extra,
                                          no_reserve=frozenset({s})))
 
-    return InvalidationPlan(name, "ecube", home, tuple(sharers),
+    return InvalidationPlan(name, home, tuple(sharers),
                             tuple(groups), actions, tuple(junctions))
 
 
@@ -303,7 +300,7 @@ def plan_mi_ma_tm(mesh: Mesh2D, home: int,
         actions[launcher] = (ACT_LAUNCH, spec)
         groups.append(InvalGroup(WormKind.IRESERVE, tuple(path),
                                  no_reserve=frozenset(no_reserve)))
-    return InvalidationPlan("mi-ma-tm", "westfirst", home, tuple(sharers),
+    return InvalidationPlan("mi-ma-tm", home, tuple(sharers),
                             tuple(groups), actions)
 
 
@@ -318,8 +315,7 @@ def plan_mi_ua_fa(mesh: Mesh2D, home: int,
     groups = tuple(InvalGroup(WormKind.MULTICAST, tuple(path))
                    for path in adaptive_chain_paths(mesh, home, sharers))
     actions = {s: (ACT_ACK,) for s in sharers}
-    return InvalidationPlan("mi-ua-fa", "adaptive", home, tuple(sharers),
-                            groups, actions)
+    return InvalidationPlan("mi-ua-fa", home, tuple(sharers), groups, actions)
 
 
 def plan_mi_ma_fa(mesh: Mesh2D, home: int,
@@ -346,7 +342,7 @@ def plan_mi_ma_fa(mesh: Mesh2D, home: int,
         actions[launcher] = (ACT_LAUNCH, spec)
         groups.append(InvalGroup(WormKind.IRESERVE, tuple(path),
                                  no_reserve=frozenset({launcher})))
-    return InvalidationPlan("mi-ma-fa", "adaptive", home, tuple(sharers),
+    return InvalidationPlan("mi-ma-fa", home, tuple(sharers),
                             tuple(groups), actions)
 
 
@@ -365,7 +361,7 @@ def plan_sci_chain(mesh: Mesh2D, home: int,
         for s in path[:-1]:
             actions[s] = (ACT_CHAIN,)
         actions[path[-1]] = (ACT_CHAIN_FINAL, len(path))
-    return InvalidationPlan("sci-chain", "ecube", home, tuple(sharers),
+    return InvalidationPlan("sci-chain", home, tuple(sharers),
                             tuple(groups), actions)
 
 
@@ -500,7 +496,8 @@ def degrade_plan(plan: InvalidationPlan, mesh: Mesh2D, faults: FaultState,
 # ----------------------------------------------------------------------
 PlanBuilder = Callable[[Mesh2D, int, Sequence[int]], InvalidationPlan]
 
-#: name -> (builder, base routing).  The six grouping schemes plus the
+#: name -> (builder, base routing): the only map from a scheme to the
+#: routing its worm paths conform to.  The six grouping schemes plus the
 #: UI-UA baseline and the SCI chained-worm comparison.
 SCHEMES: dict[str, tuple[PlanBuilder, str]] = {
     "ui-ua": (plan_ui_ua, "ecube"),

@@ -13,9 +13,6 @@ For each invalidation transaction we record:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-from repro.sim.stats import Tally
 
 
 @dataclass(frozen=True)
@@ -54,56 +51,3 @@ class TransactionRecord:
     def home_occupancy(self) -> int:
         """Messages handled at the home node (sent + received)."""
         return self.home_sent + self.home_recv
-
-
-@dataclass
-class SchemeSummary:
-    """Aggregated measures over a set of transactions of one scheme."""
-
-    scheme: str
-    transactions: int
-    latency: Tally
-    messages: Tally
-    flit_hops: Tally
-    home_occupancy: Tally
-
-    def as_row(self) -> dict:
-        """Flat dict for table printing."""
-        return {
-            "scheme": self.scheme,
-            "n": self.transactions,
-            "latency": self.latency.mean,
-            "latency_max": self.latency.max,
-            "messages": self.messages.mean,
-            "flit_hops": self.flit_hops.mean,
-            "home_occupancy": self.home_occupancy.mean,
-        }
-
-
-def aggregate_records(records: Iterable[TransactionRecord]) -> dict[str, SchemeSummary]:
-    """Group records by scheme and aggregate the four measures."""
-    summaries: dict[str, SchemeSummary] = {}
-    for rec in records:
-        s = summaries.get(rec.scheme)
-        if s is None:
-            s = SchemeSummary(rec.scheme, 0, Tally("latency"),
-                              Tally("messages"), Tally("flit_hops"),
-                              Tally("home_occupancy"))
-            summaries[rec.scheme] = s
-        s.transactions += 1
-        s.latency.add(rec.latency)
-        s.messages.add(rec.total_messages)
-        s.flit_hops.add(rec.flit_hops)
-        s.home_occupancy.add(rec.home_occupancy)
-    return summaries
-
-
-def normalized_latency(summaries: dict[str, SchemeSummary],
-                       baseline: str = "ui-ua") -> dict[str, float]:
-    """Mean latency of each scheme relative to ``baseline``."""
-    if baseline not in summaries:
-        raise KeyError(f"baseline {baseline!r} missing from summaries")
-    base = summaries[baseline].latency.mean
-    if base == 0:
-        raise ValueError("baseline has zero latency")
-    return {name: s.latency.mean / base for name, s in summaries.items()}

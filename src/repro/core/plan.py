@@ -117,9 +117,9 @@ class InvalGroup:
 class InvalidationPlan:
     """Complete description of one invalidation transaction."""
 
+    #: Grouping scheme; its base routing is ``SCHEMES[scheme][1]``
+    #: (:mod:`repro.core.grouping`).
     scheme: str
-    #: Base routing the worm paths conform to ("ecube" or "westfirst").
-    routing: str
     home: int
     sharers: tuple[int, ...]
     groups: tuple[InvalGroup, ...]

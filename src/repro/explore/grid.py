@@ -63,23 +63,20 @@ class ScreenGrid:
     seed: int = 0
     #: extra SystemParameters axes: name -> tuple of values.
     axes: tuple[tuple[str, tuple], ...] = ()
-    #: fixed SystemParameters overrides applied to every cell.
-    base: tuple[tuple[str, Any], ...] = ()
 
     @classmethod
     def make(cls, *, axes: Optional[Mapping[str, Sequence]] = None,
-             base: Optional[Mapping[str, Any]] = None,
              **kw) -> "ScreenGrid":
-        """Build a grid from mappings (the dataclass itself stores
-        sorted item tuples so grids stay hashable)."""
+        """Build a grid from an axis mapping (the dataclass itself
+        stores sorted item tuples so grids stay hashable)."""
         return cls(axes=tuple(sorted((k, tuple(v))
                                      for k, v in (axes or {}).items())),
-                   base=tuple(sorted((base or {}).items())), **kw)
+                   **kw)
 
     def __post_init__(self) -> None:
         check_sweep(self.schemes, kind=self.kind, per_degree=self.per_degree,
                     seed=self.seed)
-        for name, _ in self.axes + self.base:
+        for name, _ in self.axes:
             if name not in _AXIS_FIELDS:
                 raise ConfigError(f"unknown axis {name!r}; choose from "
                                   f"{sorted(_AXIS_FIELDS)}")
@@ -135,9 +132,7 @@ class ScreenGrid:
 
     def params_for(self, width: int, height: int,
                    **overrides: Any) -> SystemParameters:
-        merged = dict(self.base)
-        merged.update(overrides)
-        return paper_parameters(width, height, **merged)
+        return paper_parameters(width, height, **overrides)
 
 
 @dataclass

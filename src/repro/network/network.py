@@ -81,13 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.state import FaultState
 
 #: Delivery handler signature: ``handler(node, worm, final)`` where
-#: ``final`` is False for forward-and-absorb copies at intermediate
-#: destinations.
+#: ``final`` is False for forward-and-absorb copies and chain-worm stops
+#: at intermediate destinations (at a chain stop the node must
+#: eventually call :meth:`MeshNetwork.signal_chain_done` for the worm
+#: to move on).
 DeliveryHandler = Callable[[int, Worm, bool], None]
-
-#: Chain-delivery handler: the node must eventually call
-#: :meth:`MeshNetwork.signal_chain_done` for the worm to move on.
-ChainHandler = Callable[[int, Worm], None]
 
 #: Profiling hook: when set to a list (the CLI ``--profile`` flag does
 #: this), every constructed network appends itself so per-phase cycle
@@ -131,7 +129,6 @@ class MeshNetwork:
         # Handlers (installed by the coherence layer; default: collect).
         self.delivered_log: list[tuple[int, int, Worm, bool]] = []
         self.on_deliver: DeliveryHandler = self._default_deliver
-        self.on_chain_deliver: ChainHandler = lambda node, worm: None
 
         # Fault injection (None = perfect network, zero overhead).
         self.faults = None
@@ -376,11 +373,12 @@ class MeshNetwork:
         self.delivered_log.append((self.sim.now, node, worm, final))
 
     def deliver_chain(self, node: int, worm: Worm) -> None:
-        """Intermediate chain-worm delivery (header has arrived)."""
+        """Intermediate chain-worm delivery (header has arrived): the
+        auditor sees a chain wait, the handler a non-final delivery."""
         if self.audit is not None:
             self.audit.on_worm_chain_wait(node, worm)
-        handler = self.on_chain_deliver
-        self.sim.call_at(self.sim.now, lambda: handler(node, worm))
+        handler = self.on_deliver
+        self.sim.call_at(self.sim.now, lambda: handler(node, worm, False))
 
     def _deliver(self, node: int, worm: Worm, final: bool) -> None:
         if final:

@@ -9,8 +9,13 @@ preference order (all westward hops must come first; turns into west are
 prohibited), and the router picks the first whose channel is free.
 
 The same objects also answer *path conformance* queries for the BRCP model
-(:mod:`repro.brcp`): whether a worm that has already travelled in some
-direction may continue with a given next hop.
+(:mod:`repro.brcp`): whether a worm that entered a router through some
+port may leave through another.  Both questions read one rule per
+scheme: the productive ports of :meth:`Mesh2D.productive
+<repro.network.topology.Mesh2D.productive>` in the scheme's order, and
+:meth:`Routing.turn_allowed` (injection goes anywhere, a 180-degree
+reversal never, and otherwise only the scheme's ``forbidden_turns`` are
+out).
 
 :func:`make_routing` builds the three base schemes by name.
 :class:`FaultAwareRouting` wraps one of them around a live fault map and
@@ -41,6 +46,10 @@ class Routing:
 
     #: Short identifier used in experiment tables.
     name: str = "base"
+    #: ``(incoming, outgoing)`` port pairs the scheme forbids besides the
+    #: 180-degree reversal.  Each scheme's set names both Y directions,
+    #: so it reads the same as pairs of travel directions.
+    forbidden_turns: frozenset[tuple[Port, Port]] = frozenset()
 
     def __init__(self, mesh: Mesh2D) -> None:
         self.mesh = mesh
@@ -117,46 +126,31 @@ class Routing:
         return path
 
     def turn_allowed(self, incoming: Optional[Port], outgoing: Port) -> bool:
-        """May a worm that *entered* a router through ``incoming`` (an input
-        port, i.e. it was travelling in direction OPPOSITE[incoming]) leave
-        through ``outgoing``?  ``incoming is None`` means injection at the
-        source.  This is the per-hop legality test used to validate BRCP
-        multidestination paths.
-        """
-        raise NotImplementedError
+        """May a worm that *entered* a router through ``incoming`` leave
+        through ``outgoing``?  Injection (``incoming`` None or LOCAL) may
+        take any port; leaving through the input port is a 180-degree
+        reversal and never allowed; otherwise only the scheme's
+        :attr:`forbidden_turns` are.  BRCP path validation and the
+        fault-aware candidate filter both ask this."""
+        if incoming is None or incoming == Port.LOCAL:
+            return True
+        return (outgoing != incoming
+                and (incoming, outgoing) not in self.forbidden_turns)
 
 
 class ECubeRouting(Routing):
     """Dimension-ordered XY routing: resolve X offset fully, then Y [6]."""
 
     name = "ecube"
+    #: Once travelling along Y, never turn into X.
+    forbidden_turns = frozenset((y, x) for y in (Port.NORTH, Port.SOUTH)
+                                for x in (Port.EAST, Port.WEST))
 
     def candidates(self, current: int, dst: int) -> list[Port]:
-        cx, cy = self.mesh.coords(current)
-        dx, dy = self.mesh.coords(dst)
-        if dx > cx:
-            return [Port.EAST]
-        if dx < cx:
-            return [Port.WEST]
-        if dy > cy:
-            return [Port.NORTH]
-        if dy < cy:
-            return [Port.SOUTH]
-        return []
-
-    def turn_allowed(self, incoming: Optional[Port], outgoing: Port) -> bool:
-        if incoming is None:
-            return True
-        travelling = {Port.NORTH: Port.SOUTH, Port.SOUTH: Port.NORTH,
-                      Port.EAST: Port.WEST, Port.WEST: Port.EAST}[incoming]
-        # XY: once travelling along Y, never turn back into X; and no
-        # 180-degree reversals.
-        if travelling in (Port.NORTH, Port.SOUTH):
-            return outgoing == travelling
-        # Travelling along X: may continue straight or turn into Y.
-        if outgoing == {Port.EAST: Port.WEST, Port.WEST: Port.EAST}[travelling]:
-            return False
-        return True
+        (xport, _), (yport, _) = self.mesh.productive(current, dst)
+        if xport is not None:
+            return [xport]
+        return [yport] if yport is not None else []
 
 
 class WestFirstRouting(Routing):
@@ -167,35 +161,16 @@ class WestFirstRouting(Routing):
     """
 
     name = "westfirst"
+    #: The two turns into west.
+    forbidden_turns = frozenset({(Port.NORTH, Port.WEST),
+                                 (Port.SOUTH, Port.WEST)})
 
     def candidates(self, current: int, dst: int) -> list[Port]:
-        cx, cy = self.mesh.coords(current)
-        dx, dy = self.mesh.coords(dst)
-        if dx < cx:
+        (xport, _), (yport, _) = self.mesh.productive(current, dst)
+        if xport is Port.WEST:
             # Must complete all west hops before anything else.
-            return [Port.WEST]
-        ports: list[Port] = []
-        if dx > cx:
-            ports.append(Port.EAST)
-        if dy > cy:
-            ports.append(Port.NORTH)
-        elif dy < cy:
-            ports.append(Port.SOUTH)
-        return ports
-
-    def turn_allowed(self, incoming: Optional[Port], outgoing: Port) -> bool:
-        if incoming is None:
-            return True
-        travelling = {Port.NORTH: Port.SOUTH, Port.SOUTH: Port.NORTH,
-                      Port.EAST: Port.WEST, Port.WEST: Port.EAST}[incoming]
-        # No 180-degree reversal.
-        if outgoing == {Port.NORTH: Port.SOUTH, Port.SOUTH: Port.NORTH,
-                        Port.EAST: Port.WEST, Port.WEST: Port.EAST}[travelling]:
-            return False
-        # The only prohibited turns are into west from a Y direction.
-        if outgoing == Port.WEST and travelling in (Port.NORTH, Port.SOUTH):
-            return False
-        return True
+            return [xport]
+        return [p for p in (xport, yport) if p is not None]
 
 
 class FullyAdaptiveRouting(Routing):
@@ -219,24 +194,11 @@ class FullyAdaptiveRouting(Routing):
     name = "adaptive"
 
     def candidates(self, current: int, dst: int) -> list[Port]:
-        cx, cy = self.mesh.coords(current)
-        dx, dy = self.mesh.coords(dst)
-        ports: list[Port] = []
+        (xport, xhops), (yport, yhops) = self.mesh.productive(current, dst)
         # Prefer the dimension with the larger remaining offset, so the
         # deterministic tie-break keeps paths roughly diagonal.
-        xport = Port.EAST if dx > cx else Port.WEST if dx < cx else None
-        yport = Port.NORTH if dy > cy else Port.SOUTH if dy < cy else None
-        if abs(dx - cx) >= abs(dy - cy):
-            ports = [p for p in (xport, yport) if p is not None]
-        else:
-            ports = [p for p in (yport, xport) if p is not None]
-        return ports
-
-    def turn_allowed(self, incoming: Optional[Port], outgoing: Port) -> bool:
-        if incoming is None:
-            return True
-        travelling = OPPOSITE[incoming]
-        return outgoing != OPPOSITE[travelling]
+        order = (xport, yport) if xhops >= yhops else (yport, xport)
+        return [p for p in order if p is not None]
 
 
 #: Detour preference order: Y first so an X-dimension blockage is
@@ -253,7 +215,8 @@ class FaultAwareRouting(Routing):
     crosses is up at ``now``; a dead router takes its links down):
 
     1. the base scheme's candidates, pruned of dead ports and of the
-       180-degree reversal back out the input port;
+       turns the wrapper forbids (:meth:`turn_allowed` with no
+       ``forbidden_turns``: only the reversal back out the input port);
     2. *productive* ports — any direction that decreases the distance to
        the destination (the minimal-adaptive escape; not a misroute);
     3. bounded non-minimal **detours**: live non-productive ports in
@@ -282,11 +245,6 @@ class FaultAwareRouting(Routing):
     def candidates(self, current: int, dst: int) -> list[Port]:
         return self.base.candidates(current, dst)
 
-    def turn_allowed(self, incoming: Optional[Port], outgoing: Port) -> bool:
-        """Detours make walks non-minimal, so only 180-degree reversals
-        are banned (the relaxed rule fully-adaptive routing uses)."""
-        return incoming is None or outgoing != incoming
-
     # -- fault-aware candidate selection -------------------------------
     def _live(self, node: int, port: Port, now: int,
               permanent_only: bool) -> bool:
@@ -295,47 +253,29 @@ class FaultAwareRouting(Routing):
         return nxt is not None and not self.faults.link_down(
             node, nxt, now, permanent_only)
 
-    def _productive(self, current: int, dst: int) -> list[Port]:
-        """Every distance-decreasing direction (minimal escape set)."""
-        cx, cy = self.mesh.coords(current)
-        dx, dy = self.mesh.coords(dst)
-        ports: list[Port] = []
-        if dx > cx:
-            ports.append(Port.EAST)
-        elif dx < cx:
-            ports.append(Port.WEST)
-        if dy > cy:
-            ports.append(Port.NORTH)
-        elif dy < cy:
-            ports.append(Port.SOUTH)
-        return ports
-
     def hop_candidates(self, current: int, dst: int,
                        in_port: Optional[Port] = None, misroutes: int = 0,
                        now: int = 0,
                        permanent_only: bool = False) -> tuple[list[Port], bool]:
         base_ports = self.base.candidates(current, dst)
-        # The reversal port: a worm that entered through ``in_port`` was
-        # travelling OPPOSITE[in_port], so leaving through ``in_port``
-        # itself is the 180-degree turn.  LOCAL means injection here.
-        reverse = in_port if in_port is not None and in_port is not Port.LOCAL \
-            else None
-        alive = [p for p in base_ports if p is not reverse
-                 and self._live(current, p, now, permanent_only)]
+
+        def usable(port: Port) -> bool:
+            return (self.turn_allowed(in_port, port)
+                    and self._live(current, port, now, permanent_only))
+
         # Minimal escape set: the wrapper is free to use *any* live
         # distance-decreasing port (base-preferred first), because a
         # fault further along the base scheme's only minimal direction
         # may demand leaving it before the fault is adjacent.
-        productive = self._productive(current, dst)
-        escape = alive + [p for p in productive
-                          if p not in base_ports and p is not reverse
-                          and self._live(current, p, now, permanent_only)]
+        productive = [p for p, _ in self.mesh.productive(current, dst)
+                      if p is not None]
+        escape = [p for p in dict.fromkeys(base_ports + productive)
+                  if usable(p)]
         if escape:
             return escape, False
         if misroutes < self.detour_limit:
             detours = [p for p in DETOUR_ORDER
-                       if p not in productive and p is not reverse
-                       and self._live(current, p, now, permanent_only)]
+                       if p not in productive and usable(p)]
             if detours:
                 return detours, True
         return base_ports, False

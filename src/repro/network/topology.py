@@ -89,6 +89,24 @@ class Mesh2D:
         nx, ny = x + dx, y + dy
         return self.node_at(nx, ny) if self.contains(nx, ny) else None
 
+    def productive(self, src: int, dst: int
+                   ) -> tuple[tuple[Optional[Port], int],
+                              tuple[Optional[Port], int]]:
+        """The X and the Y leg of a minimal route from ``src`` to
+        ``dst``, each ``(port, hops)``: the port that shortens the
+        distance along that axis, or ``(None, 0)`` once the axis is
+        resolved.  ``Port.NORTH`` is 0, so test a port ``is not None``.
+        Every routing scheme and BRCP path builds on this one rule."""
+        sx, sy = self.coords(src)
+        dx, dy = self.coords(dst)
+        # Locals: an enum member lookup on the class costs more than the
+        # comparisons (candidate sets are built on every routing-memo miss).
+        north, south, east, west = MESH_PORTS
+        return ((east if dx > sx else west if dx < sx else None,
+                 abs(dx - sx)),
+                (north if dy > sy else south if dy < sy else None,
+                 abs(dy - sy)))
+
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------

@@ -116,11 +116,6 @@ class Worm:
         return self.dests[self.ptr]
 
     @property
-    def final_dest(self) -> int:
-        """Last destination on the path."""
-        return self.dests[-1]
-
-    @property
     def at_last_leg(self) -> bool:
         """True when the header is headed for the final destination."""
         return self.ptr == len(self.dests) - 1

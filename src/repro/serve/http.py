@@ -134,7 +134,6 @@ class Request:
     #: Set for error short-circuits during parsing (e.g. 413).
     error_status: Optional[int] = None
     error_detail: str = ""
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

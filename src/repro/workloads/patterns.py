@@ -7,10 +7,10 @@ structure:
 
 * ``uniform`` — sharers drawn uniformly from the mesh (the default
   assumption of the paper's Sec. 2.3.3 estimate);
-* ``row-clustered`` / ``column-clustered`` — sharers concentrated in few
-  rows/columns (stencil- and LU-like applications share this way; column
-  clustering favours the column-grouped schemes, row clustering stresses
-  them);
+* ``row-clustered`` / ``column-clustered`` — sharers concentrated in
+  :data:`CLUSTER_LINES` rows/columns (stencil- and LU-like applications
+  share this way; column clustering favours the column-grouped schemes,
+  row clustering stresses them);
 * ``hot-spot home`` — many transactions with the same home node, for
   occupancy experiments.
 
@@ -26,6 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.network.topology import Mesh2D
+
+#: Mesh lines (columns or rows) a clustered pattern packs its sharers
+#: into.
+CLUSTER_LINES = 2
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,9 @@ def pattern_uniform(mesh: Mesh2D, degree: int,
 
 
 def _clustered(mesh: Mesh2D, degree: int, rng: np.random.Generator,
-               count: int, home: Optional[int],
-               axis: int) -> InvalidationPattern:
-    """Sharers packed into ``count`` random columns (``axis`` 0) or rows
-    (``axis`` 1).
+               home: Optional[int], axis: int) -> InvalidationPattern:
+    """Sharers packed into :data:`CLUSTER_LINES` random columns
+    (``axis`` 0) or rows (``axis`` 1).
 
     When the picked lines cannot hold ``degree`` sharers besides the
     home (the home lies in one of them), the draw is repeated so that it
@@ -79,7 +82,7 @@ def _clustered(mesh: Mesh2D, degree: int, rng: np.random.Generator,
                 for line in lines for i in range(length)]
 
     h = _pick_home(mesh, rng, home)
-    count = min(count, span)
+    count = min(CLUSTER_LINES, span)
     lines = rng.choice(span, size=count, replace=False)
     candidates = [n for n in members(lines) if n != h]
     if len(candidates) < degree <= count * length and count < span:
@@ -100,18 +103,16 @@ def _clustered(mesh: Mesh2D, degree: int, rng: np.random.Generator,
 
 def pattern_column_clustered(mesh: Mesh2D, degree: int,
                              rng: np.random.Generator,
-                             columns: int = 2,
                              home: Optional[int] = None) -> InvalidationPattern:
-    """Sharers packed into ``columns`` randomly chosen mesh columns."""
-    return _clustered(mesh, degree, rng, columns, home, axis=0)
+    """Sharers packed into :data:`CLUSTER_LINES` random mesh columns."""
+    return _clustered(mesh, degree, rng, home, axis=0)
 
 
 def pattern_row_clustered(mesh: Mesh2D, degree: int,
                           rng: np.random.Generator,
-                          rows: int = 2,
                           home: Optional[int] = None) -> InvalidationPattern:
-    """Sharers packed into ``rows`` randomly chosen mesh rows."""
-    return _clustered(mesh, degree, rng, rows, home, axis=1)
+    """Sharers packed into :data:`CLUSTER_LINES` random mesh rows."""
+    return _clustered(mesh, degree, rng, home, axis=1)
 
 
 _GENERATORS = {
@@ -127,11 +128,11 @@ PATTERN_KINDS = tuple(_GENERATORS)
 def max_degree(kind: str, mesh: Mesh2D) -> int:
     """The largest degree a ``kind`` pattern can draw on ``mesh``: every
     node but the home, and for a clustered pattern at most every node of
-    its two columns (rows)."""
+    its :data:`CLUSTER_LINES` columns (rows)."""
     if kind == "column":
-        limit = min(2, mesh.width) * mesh.height
+        limit = min(CLUSTER_LINES, mesh.width) * mesh.height
     elif kind == "row":
-        limit = min(2, mesh.height) * mesh.width
+        limit = min(CLUSTER_LINES, mesh.height) * mesh.width
     else:
         limit = mesh.num_nodes
     return min(limit, mesh.num_nodes - 1)

@@ -58,17 +58,6 @@ class TraceStats:
     think_cycles: int
     distinct_blocks: int
 
-    def as_row(self) -> dict:
-        """Flat dict for table printing."""
-        return {
-            "processors": self.processors,
-            "references": self.references,
-            "reads": self.reads,
-            "writes": self.writes,
-            "barriers": self.barriers,
-            "distinct_blocks": self.distinct_blocks,
-        }
-
 
 def trace_stats(traces: dict[int, Sequence[tuple]]) -> TraceStats:
     """Summarize a per-node trace dict."""

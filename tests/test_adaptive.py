@@ -8,10 +8,12 @@ from repro.brcp.paths import adaptive_chain_paths
 from repro.core import InvalidationEngine, build_plan
 from repro.core.grouping import plan_mi_ua_ec, plan_mi_ua_fa
 from repro.network import MeshNetwork
-from repro.network.routing import FullyAdaptiveRouting, make_routing
+from repro.network.routing import (ECubeRouting, FaultAwareRouting,
+                                   FullyAdaptiveRouting, make_routing)
 from repro.network.topology import Mesh2D, Port
 from repro.config import SystemParameters
 from repro.sim import Simulator
+from tests.test_routing import candidate_mismatches, turn_mismatches
 
 
 MESH = Mesh2D(8, 8)
@@ -30,6 +32,16 @@ def test_adaptive_candidates_prefer_long_dimension():
     # Both productive directions offered.
     assert set(r.candidates(src, dst)) == {Port.EAST, Port.NORTH}
 
+    # Every pair: every port nearer the destination, the axis with the
+    # longer remaining offset first (X on a tie).
+    def long_axis_first(m, node, dst, closer):
+        (cx, cy), (dx, dy) = m.coords(node), m.coords(dst)
+        xs = [p for p in closer if p in (Port.EAST, Port.WEST)]
+        ys = [p for p in closer if p in (Port.NORTH, Port.SOUTH)]
+        return xs + ys if abs(dx - cx) >= abs(dy - cy) else ys + xs
+
+    assert candidate_mismatches(FullyAdaptiveRouting, long_axis_first) == []
+
 
 def test_adaptive_turns_allow_everything_but_reversals():
     r = FullyAdaptiveRouting(MESH)
@@ -38,6 +50,13 @@ def test_adaptive_turns_allow_everything_but_reversals():
             expected = out != inc  # re-exiting the entry port = reversal
             assert r.turn_allowed(inc, out) == expected
     assert r.turn_allowed(None, Port.WEST)
+    # The fault-aware wrapper relaxes every base to the same rule.
+    everything_but = {None: set(Port) - {Port.LOCAL}}
+    everything_but.update({p: everything_but[None] - {p}
+                           for p in everything_but[None]})
+    ft = FaultAwareRouting(ECubeRouting(MESH), None, 3)
+    assert turn_mismatches(r, everything_but) == []
+    assert turn_mismatches(ft, everything_but) == []
 
 
 @given(st.integers(0, 63), st.integers(0, 63))

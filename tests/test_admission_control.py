@@ -22,7 +22,7 @@ def test_cap_queues_excess_transactions():
     rng = np.random.default_rng(7)
     states = []
     for _ in range(5):
-        pat = pattern_column_clustered(net.mesh, 6, rng, columns=2)
+        pat = pattern_column_clustered(net.mesh, 6, rng)
         states.append(engine.execute(
             build_plan("mi-ma-ec", net.mesh, pat.home, pat.sharers)))
     assert engine._ma_active == 2
@@ -58,7 +58,7 @@ def test_cap_prevents_buffer_deadlock():
     for _ in range(3):
         states = []
         for _ in range(6):
-            pat = pattern_column_clustered(net.mesh, 10, rng, columns=2)
+            pat = pattern_column_clustered(net.mesh, 10, rng)
             states.append(engine.execute(
                 build_plan("mi-ma-ec", net.mesh, pat.home, pat.sharers)))
         for st in states:

@@ -168,6 +168,9 @@ def test_run_application_experiment_small():
     assert row["execution_cycles"] > 0
     assert row["invalidations"] > 0
     assert row["inval_transactions"] > 0
+    assert row["inval_latency"] > 0
+    assert row["avg_sharers"] == pytest.approx(
+        row["invalidations"] / row["inval_transactions"])
 
 
 def test_run_application_experiment_validates():

@@ -5,10 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.brcp import (bitstring_header, column_path_sides,
-                        header_flit_count, is_conformant_path,
-                        staircase_paths)
-from repro.brcp.encoding import decode_bitstring
+from repro.brcp import (column_path_sides, header_flit_count,
+                        is_conformant_path, staircase_paths)
 from repro.brcp.model import conformant_walk, path_length
 from repro.network.routing import ECubeRouting, WestFirstRouting
 from repro.network.topology import OPPOSITE, Mesh2D, Port
@@ -225,21 +223,6 @@ def test_staircase_empty():
 # ----------------------------------------------------------------------
 # Header encoding
 # ----------------------------------------------------------------------
-def test_bitstring_roundtrip(mesh):
-    nodes = [mesh.node_at(3, y) for y in (0, 2, 7)]
-    column, mask = bitstring_header(mesh, nodes)
-    assert column == 3
-    assert mask == (1 << 0) | (1 << 2) | (1 << 7)
-    assert decode_bitstring(mesh, column, mask) == nodes
-
-
-def test_bitstring_rejects_multi_column(mesh):
-    with pytest.raises(ValueError, match="spans columns"):
-        bitstring_header(mesh, [mesh.node_at(0, 0), mesh.node_at(1, 0)])
-    with pytest.raises(ValueError):
-        bitstring_header(mesh, [])
-
-
 def test_header_flit_count():
     assert header_flit_count("bitstring", 8, 5) == 1
     assert header_flit_count("bitstring", 16, 2) == 2

@@ -362,6 +362,11 @@ def test_atlas_axis_value_of_the_wrong_type_exits_2(capsys):
                  "--degrees", "2", "--schemes", "ui-ua"])
     assert code == 2
     assert "router_delay must be an integer" in capsys.readouterr().err
+    # "nan" parses as a float, which is no number to SystemParameters.
+    code = main(["atlas", "--axis", "net_cycle_ns=nan", "--meshes", "4x4",
+                 "--degrees", "2", "--schemes", "ui-ua"])
+    assert code == 2
+    assert "net_cycle_ns must be a number" in capsys.readouterr().err
 
 
 def test_atlas_axis_values_parse_as_int_float_or_bool():

@@ -88,6 +88,9 @@ def test_validation_raises_typed_config_error(field, value):
     ("fault_nack", 1, "a boolean"),
     ("fault_aware_routing", np.bool_(True), "a boolean"),
     ("multidest_encoding", 3, "a string"),
+    ("net_cycle_ns", float("nan"), "a number"),
+    ("net_cycle_ns", float("inf"), "a number"),
+    ("net_cycle_ns", -float("inf"), "a number"),
 ])
 def test_wrong_field_type_is_a_config_error(field, value, kind):
     """Each field is checked against its annotation: a bool is no

@@ -36,7 +36,7 @@ def test_plans_cover_sharers_with_conformant_paths(home, sharer_set, scheme):
         return
     sharers = sorted(sharer_set)
     plan = build_plan(scheme, MESH, home, sharers)
-    routing = make_routing(plan.routing, MESH)
+    routing = make_routing(SCHEMES[scheme][1], MESH)
     # Every sharer appears exactly once as a delivery destination.
     delivered = [d for g in plan.groups for d in g.dests
                  if d not in g.reserve_only]
@@ -278,14 +278,14 @@ def test_unknown_scheme_rejected():
 
 def test_plan_rejects_home_in_sharers():
     with pytest.raises(ValueError):
-        InvalidationPlan("x", "ecube", 3, (3,),
+        InvalidationPlan("x", 3, (3,),
                          (InvalGroup(WormKind.UNICAST, (3,)),),
                          {3: (ACT_DEPOSIT,)})
 
 
 def test_plan_rejects_coverage_mismatch():
     with pytest.raises(ValueError, match="covers"):
-        InvalidationPlan("x", "ecube", 0, (1, 2),
+        InvalidationPlan("x", 0, (1, 2),
                          (InvalGroup(WormKind.UNICAST, (1,)),),
                          {1: (ACT_DEPOSIT,), 2: (ACT_DEPOSIT,)})
 

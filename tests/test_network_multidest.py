@@ -267,14 +267,17 @@ def test_chain_worm_serializes_on_local_invalidations():
     inval_time = 50
     chain_log = []
 
-    def chain_deliver(node, worm):
+    final_log = []
+
+    def deliver(node, worm, final):
+        if final:
+            final_log.append((sim.now, node))
+            return
         chain_log.append((sim.now, node))
         sim.call_after(inval_time,
                        lambda: net.signal_chain_done(node, worm.txn))
 
-    final_log = []
-    net.on_chain_deliver = chain_deliver
-    net.on_deliver = lambda node, w, final: final_log.append((sim.now, node))
+    net.on_deliver = deliver
     worm = Worm(kind=WormKind.CHAIN, src=home, dests=dests,
                 size_flits=8, txn=txn)
     net.inject(worm)

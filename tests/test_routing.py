@@ -7,12 +7,51 @@ from repro.brcp.model import is_conformant_path
 from repro.network.routing import (ECubeRouting, FullyAdaptiveRouting,
                                    Routing, RoutingError, WestFirstRouting,
                                    make_routing)
-from repro.network.topology import Mesh2D, Port
+from repro.network.topology import MESH_PORTS, Mesh2D, Port
+
+N, S, E, W = Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST
+
+#: Meshes every candidate list is pinned on: one node, both line
+#: shapes, a rectangle and two paper sizes.
+TABLE_MESHES = ((1, 1), (1, 5), (5, 1), (3, 4), (8, 8), (16, 8))
 
 
 @pytest.fixture
 def mesh():
     return Mesh2D(8, 8)
+
+
+def closer_ports(mesh, node, dst):
+    """Mesh ports whose neighbour lies nearer ``dst``, in port order."""
+    d = mesh.manhattan(node, dst)
+    return [p for p in MESH_PORTS
+            if (n := mesh.neighbor(node, p)) is not None
+            and mesh.manhattan(n, dst) < d]
+
+
+def candidate_mismatches(routing_cls, expected):
+    """``(w, h, node, dst)`` of every pair on :data:`TABLE_MESHES` where
+    ``routing_cls`` offers other candidates than ``expected(mesh, node,
+    dst, closer)``, ``closer`` being :func:`closer_ports`."""
+    bad = []
+    for w, h in TABLE_MESHES:
+        m = Mesh2D(w, h)
+        r = routing_cls(m)
+        for node in m.nodes():
+            for dst in m.nodes():
+                want = expected(m, node, dst, closer_ports(m, node, dst))
+                if r.candidates(node, dst) != want:
+                    bad.append((w, h, node, dst))
+    return bad
+
+
+def turn_mismatches(routing, allowed):
+    """``(incoming, outgoing)`` pairs over injection (None) and the four
+    mesh ports where ``routing.turn_allowed`` disagrees with
+    ``allowed[incoming]``, the set of ports that incoming port may
+    leave through."""
+    return [(inc, out) for inc in (None,) + MESH_PORTS for out in MESH_PORTS
+            if routing.turn_allowed(inc, out) != (out in allowed[inc])]
 
 
 # ----------------------------------------------------------------------
@@ -26,6 +65,13 @@ def test_ecube_resolves_x_first(mesh):
     # Once X matches, move in Y.
     aligned = mesh.node_at(4, 1)
     assert r.candidates(aligned, dst) == [Port.NORTH]
+
+    # Every pair: the one port nearer the destination in X, else in Y.
+    def x_then_y(m, node, dst, closer):
+        return ([p for p in closer if p in (E, W)]
+                or [p for p in closer if p in (N, S)])
+
+    assert candidate_mismatches(ECubeRouting, x_then_y) == []
 
 
 def test_ecube_at_destination_empty(mesh):
@@ -64,6 +110,10 @@ def test_ecube_turns():
     assert not r.turn_allowed(Port.SOUTH, Port.WEST)
     # Injection may go anywhere.
     assert r.turn_allowed(None, Port.WEST)
+    # The whole table: X travel continues or turns into Y; Y travel
+    # only continues straight.
+    assert turn_mismatches(r, {None: {N, S, E, W}, N: {S}, S: {N},
+                               E: {W, N, S}, W: {E, N, S}}) == []
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +134,13 @@ def test_westfirst_adaptive_eastward(mesh):
     dst_south = mesh.node_at(4, 0)
     assert r.candidates(src, dst_south) == [Port.EAST, Port.SOUTH]
 
+    # Every pair: west alone while the destination lies west, else
+    # every port nearer it, east before the Y port.
+    def west_first(m, node, dst, closer):
+        return [W] if W in closer else [p for p in (E, N, S) if p in closer]
+
+    assert candidate_mismatches(WestFirstRouting, west_first) == []
+
 
 def test_westfirst_turns():
     mesh = Mesh2D(8, 8)
@@ -100,6 +157,9 @@ def test_westfirst_turns():
     assert r.turn_allowed(Port.EAST, Port.WEST)
     assert r.turn_allowed(Port.EAST, Port.NORTH)
     assert not r.turn_allowed(Port.EAST, Port.EAST)
+    # The whole table: no reversal, and Y travel never turns west.
+    assert turn_mismatches(r, {None: {N, S, E, W}, N: {S, E}, S: {N, E},
+                               E: {W, N, S}, W: {E, N, S}}) == []
 
 
 @given(st.integers(0, 63), st.integers(0, 63))

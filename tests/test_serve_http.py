@@ -380,6 +380,9 @@ def test_malformed_json_is_400():
      "iack_buffers must be an integer"),
     (dict(SPEC, params={"net_cycle_ns": "5"}),
      "net_cycle_ns must be a number"),
+    # json.dumps writes NaN, which json.loads reads back.
+    (dict(SPEC, params={"net_cycle_ns": float("nan")}),
+     "net_cycle_ns must be a number"),
 ])
 def test_invalid_spec_is_400_with_detail(spec, fragment):
     async def body(host, port, service):

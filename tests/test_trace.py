@@ -95,8 +95,12 @@ def test_chain_wait_traced():
     dests = (mesh.node_at(1, 2), mesh.node_at(1, 5))
     worm = Worm(kind=WormKind.CHAIN, src=mesh.node_at(1, 0), dests=dests,
                 size_flits=6, txn="c")
-    net.on_chain_deliver = lambda node, w: sim.call_after(
-        10, lambda: net.signal_chain_done(node, w.txn))
+
+    def deliver(node, w, final):
+        if not final:
+            sim.call_after(10, lambda: net.signal_chain_done(node, w.txn))
+
+    net.on_deliver = deliver
     net.inject(worm)
     drain(sim, net)
     events = [e.kind for e in timeline(auditor, worm)]

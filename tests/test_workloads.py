@@ -35,14 +35,14 @@ def test_uniform_pattern_properties(degree, seed):
 
 def test_column_clustered_stays_in_columns():
     rng = np.random.default_rng(3)
-    p = pattern_column_clustered(MESH, 10, rng, columns=2)
+    p = pattern_column_clustered(MESH, 10, rng)
     cols = {MESH.coords(s)[0] for s in p.sharers}
     assert len(cols) <= 2
 
 
 def test_row_clustered_stays_in_rows():
     rng = np.random.default_rng(3)
-    p = pattern_row_clustered(MESH, 10, rng, rows=2)
+    p = pattern_row_clustered(MESH, 10, rng)
     rows = {MESH.coords(s)[1] for s in p.sharers}
     assert len(rows) <= 2
 
@@ -52,7 +52,7 @@ def test_pattern_degree_bounds():
     with pytest.raises(ValueError):
         pattern_uniform(MESH, 64, rng)
     with pytest.raises(ValueError):
-        pattern_column_clustered(MESH, 17, rng, columns=2)
+        pattern_column_clustered(MESH, 17, rng)
     with pytest.raises(ValueError):
         make_pattern("spiral", MESH, 2, rng)
 

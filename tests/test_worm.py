@@ -15,7 +15,6 @@ def make(**kw):
 def test_basic_fields_and_navigation():
     w = make()
     assert w.next_dest == 1
-    assert w.final_dest == 3
     assert not w.at_last_leg
     w.advance()
     assert w.next_dest == 2
