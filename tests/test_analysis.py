@@ -173,6 +173,27 @@ def test_run_application_experiment_small():
         row["invalidations"] / row["inval_transactions"])
 
 
+def test_application_row_tallies_invalidation_records():
+    """The row's transaction count and mean latency are those of the
+    engine's records for the same (deterministic) run."""
+    from repro.coherence.processor import run_program
+    from repro.coherence.system import DSMSystem
+    from repro.workloads import apsp
+    config = apsp.APSPConfig(vertices=12, processors=8)
+    params = paper_parameters(4)
+    row = run_application_experiment("apsp", "mi-ua-ec", params=params,
+                                     app_config=config)
+    traces, _ = apsp.generate_traces(config, list(range(8)))
+    sim = Simulator()
+    system = DSMSystem(sim, params, "mi-ua-ec")
+    run_program(system, traces, limit=200_000_000)
+    latencies = [rec.latency for rec in system.engine.records]
+    assert latencies
+    assert row["inval_transactions"] == len(latencies)
+    assert row["inval_latency"] == pytest.approx(
+        sum(latencies) / len(latencies))
+
+
 def test_run_application_experiment_validates():
     from repro.workloads.apsp import APSPConfig
     with pytest.raises(ValueError, match="unknown app"):
